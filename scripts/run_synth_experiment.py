@@ -14,6 +14,7 @@ from agfti.harness import (
     MaskSpec,
     generate_masks,
     missing_per_view,
+    rep_seed,
     run_experiment,
     synth_scp,
 )
@@ -37,9 +38,10 @@ def parse_args():
 
 
 def baseline_accuracy(container, vmr, lar, reps, m, k, base_seed):
+    """Equal-weight propagation on the masks run_experiment draws per rep."""
     accs = []
     for r in range(reps):
-        seed = base_seed + r
+        seed = rep_seed(base_seed, r)
         missing, labeled = generate_masks(
             container, MaskSpec(vmr=vmr, lar=lar, seed=seed)
         )

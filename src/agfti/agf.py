@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import weighted_fusion_input
+from .graphs import aligned_product, fuse_aligned
+# re-exported: perfbench/tracing.py patches agf.weighted_fusion_input
+from .graphs import weighted_fusion_input  # noqa: F401
 from .simplex import prox_rows
 
 _DEGREE_EPS = 1e-12
@@ -117,6 +119,8 @@ class AgfResult:
     steps: list = field(default_factory=list)
     deltas: list = field(default_factory=list)
     alpha_trace: list = field(default_factory=list)
+    # fused input sum_v alpha_v^2 Z_v T_v that the returned P was solved from
+    Z_tilde: np.ndarray | None = None
 
 
 def agf_minmax(
@@ -140,7 +144,9 @@ def agf_minmax(
     or after max_iter iterations (reported not converged).
 
     The returned P is always the exact inner maximizer at the returned alpha
-    under the returned H.
+    under the returned H, and Z_tilde is the fused input it was solved from.
+    The aligned products Z_v T_v are formed once per call; every weight
+    vector the line search tries reuses them.
     """
     V = len(Zs)
     if len(Ts) != V:
@@ -150,20 +156,23 @@ def agf_minmax(
         if alpha0 is None
         else np.asarray(alpha0, dtype=np.float64).copy()
     )
+    if alpha.size != V:
+        raise ValueError("one weight per view required")
+    ZTs = [aligned_product(Z, T) for Z, T in zip(Zs, Ts)]
+    Zt = fuse_aligned(ZTs, alpha)
     if P0 is None:
-        Zt = weighted_fusion_input(Zs, Ts, alpha)
         P = solve_inner_P(Zt, np.zeros_like(Zt), lam, beta)
     else:
         P = np.asarray(P0, dtype=np.float64)
 
     res = AgfResult(
-        alpha=alpha, P=P, H=np.zeros_like(P), converged=False, n_iter=0
+        alpha=alpha, P=P, H=np.zeros_like(P), converged=False, n_iter=0, Z_tilde=Zt
     )
     res.alpha_trace.append(alpha.copy())
 
     if V == 1:
         H = compute_H(F, Q, P)
-        P = solve_inner_P(weighted_fusion_input(Zs, Ts, alpha), H, lam, beta)
+        P = solve_inner_P(Zt, H, lam, beta)
         res.alpha, res.P, res.H = np.array([1.0]), P, H
         res.converged, res.n_iter = True, 1
         return res
@@ -171,7 +180,6 @@ def agf_minmax(
     for it in range(1, max_iter + 1):
         res.n_iter = it
         H = compute_H(F, Q, P)
-        Zt = weighted_fusion_input(Zs, Ts, alpha)
         P = solve_inner_P(Zt, H, lam, beta)
         res.H = H
         res.alpha, res.P = alpha, P
@@ -192,7 +200,7 @@ def agf_minmax(
         for _ in range(_MAX_BACKTRACKS + 1):
             cand = np.maximum(alpha + theta * g, 0.0)
             cand /= cand.sum()
-            Zt_c = weighted_fusion_input(Zs, Ts, cand)
+            Zt_c = fuse_aligned(ZTs, cand)
             P_c = solve_inner_P(Zt_c, H, lam, beta)
             h_c = inner_value(P_c, Zt_c, H, lam, beta)
             if h_c <= h0 + _ARMIJO_C * theta * slope:
@@ -208,8 +216,8 @@ def agf_minmax(
             break
 
         delta = float(np.max(np.abs(cand - alpha)))
-        alpha, P = cand, P_c
-        res.alpha, res.P = alpha, P
+        alpha, P, Zt = cand, P_c, Zt_c
+        res.alpha, res.P, res.Z_tilde = alpha, P, Zt
         res.h_trace.append((h0, h_c))
         res.steps.append(theta)
         res.deltas.append(delta)

@@ -106,6 +106,9 @@ def run_experiment(
     records and mean/std aggregates for every metric. Solver errors inside a
     repetition are captured on its record and counted in failed_reps instead
     of aborting the run.
+
+    With jsonl_path, every record and one aggregate line per variant are
+    appended to that file, so several calls (one per VMR, say) can share it.
     """
     solver_config = solver_config or SolverConfig()
     variants = dict(variants) if variants is not None else {"full": {}}
@@ -164,7 +167,7 @@ def run_experiment(
         "variants": blocks,
     }
     if jsonl_path is not None:
-        with open(Path(jsonl_path), "w") as fh:
+        with open(Path(jsonl_path), "a") as fh:
             for name, block in blocks.items():
                 for record in block["records"]:
                     fh.write(json.dumps(record) + "\n")

@@ -1,10 +1,11 @@
 """Euclidean projection onto the probability simplex.
 
 Sort-based threshold method, O(m log m) per row. Rows are at most ~1024 wide
-here, so the simpler exact method wins over pivot-based O(m) variants. Sort
-ties are broken by original index (stable sort on the negated values) and the
-thresholded result is renormalized by its exact sum so downstream degree
-computations can rely on rows summing to 1.
+here, so the simpler exact method wins over pivot-based O(m) variants. Only
+the sorted values enter the threshold, never the permutation, so the order
+in which equal entries (or 0.0 and -0.0) land after the sort cannot change
+the result. The thresholded result is renormalized by its exact sum so
+downstream degree computations can rely on rows summing to 1.
 """
 
 import numpy as np
@@ -18,8 +19,7 @@ def prox_rows(target):
     if not np.all(np.isfinite(t)):
         raise ValueError("prox_rows: non-finite entries in input")
     r, m = t.shape
-    order = np.argsort(-t, axis=1, kind="stable")
-    u = np.take_along_axis(t, order, axis=1)
+    u = np.sort(t, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1) - 1.0
     j = np.arange(1, m + 1)
     # largest prefix where the running threshold keeps the entry positive;

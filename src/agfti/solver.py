@@ -346,9 +346,10 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
                 max_iter=config.max_inner_iters,
             )
             alpha, P = res.alpha, res.P
-            h_val = inner_value(
-                P, weighted_fusion_input(Zs, Ts, alpha), res.H, lam, config.beta
-            )
+            h_val = inner_value(P, res.Z_tilde, res.H, lam, config.beta)
+            # H and the fused input would otherwise stay alive through the
+            # tensor step below, where the solve's memory peaks
+            del res
 
         F_prev = F
         F, Q = update_labels(P, B, Y)

@@ -73,6 +73,36 @@ def simplex_qp_oracle(t):
     return best
 
 
+def prox_rows_stable_argsort(target):
+    """Row-wise simplex projection through an explicit stable argsort.
+
+    The sort-based threshold method with the permutation materialized (ties
+    broken by original index on the negated values). The package sorts
+    values only; both must agree bit for bit.
+    """
+    t = np.asarray(target, dtype=float)
+    r, m = t.shape
+    order = np.argsort(-t, axis=1, kind="stable")
+    u = np.take_along_axis(t, order, axis=1)
+    css = np.cumsum(u, axis=1) - 1.0
+    j = np.arange(1, m + 1)
+    cond = u - css / j > 0
+    rho = m - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(r), rho] / (rho + 1)
+    x = np.maximum(t - theta[:, None], 0.0)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
+
+
+def fusion_input_per_view(Zs, Ts, alpha):
+    """sum_v alpha_v^2 (Z_v @ T_v), each product formed as its term is added."""
+    out = None
+    for Z, T, a in zip(Zs, Ts, np.asarray(alpha, dtype=float)):
+        term = (a * a) * (np.asarray(Z, dtype=float) @ np.asarray(T, dtype=float))
+        out = term if out is None else out + term
+    return out
+
+
 def dense_bipartite_pieces(P):
     """(n+m)^2 adjacency, degree, and normalized Laplacian for S_P = [[0,P],[P^T,0]]."""
     P = np.asarray(P, dtype=float)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from agfti.agf import (
+    AgfResult,
     agf_minmax,
     compute_H,
     grad_h,
@@ -32,6 +33,64 @@ def h_exact(alpha, Zs, Ts, H, lam, beta):
 def procrustes(Z, P):
     U, _, Vh = np.linalg.svd(Z.T @ P)
     return U @ Vh
+
+
+def minmax_fusing_per_candidate(
+    Zs, Ts, F, Q, lam, beta, alpha0=None, P0=None, tol=1e-4, max_iter=50
+):
+    """agf_minmax's weighted path, fusing every candidate from Zs and Ts anew."""
+    V = len(Zs)
+    alpha = np.full(V, 1.0 / V) if alpha0 is None else np.array(alpha0, dtype=float)
+    if P0 is None:
+        Zt = weighted_fusion_input(Zs, Ts, alpha)
+        P = solve_inner_P(Zt, np.zeros_like(Zt), lam, beta)
+    else:
+        P = np.asarray(P0, dtype=float)
+    res = AgfResult(alpha=alpha, P=P, H=np.zeros_like(P), converged=False, n_iter=0)
+    res.alpha_trace.append(alpha.copy())
+    for it in range(1, max_iter + 1):
+        res.n_iter = it
+        H = compute_H(F, Q, P)
+        Zt = weighted_fusion_input(Zs, Ts, alpha)
+        P = solve_inner_P(Zt, H, lam, beta)
+        res.H, res.alpha, res.P = H, alpha, P
+        h0 = inner_value(P, Zt, H, lam, beta)
+        grad = grad_h(alpha, P, Zs, Ts, lam)
+        g = reduced_descent_direction(grad, alpha)
+        if not np.any(g):
+            res.converged = True
+            break
+        slope = float(grad @ g)
+        shrinking = g < 0
+        theta = min(1.0, float(np.min(alpha[shrinking] / -g[shrinking])))
+        accepted = False
+        for _ in range(21):
+            cand = np.maximum(alpha + theta * g, 0.0)
+            cand /= cand.sum()
+            Zt_c = weighted_fusion_input(Zs, Ts, cand)
+            P_c = solve_inner_P(Zt_c, H, lam, beta)
+            h_c = inner_value(P_c, Zt_c, H, lam, beta)
+            if h_c <= h0 + 1e-4 * theta * slope:
+                accepted = True
+                break
+            theta *= 0.5
+        if not accepted:
+            res.h_trace.append((h0, h0))
+            res.steps.append(0.0)
+            res.deltas.append(0.0)
+            res.converged = True
+            break
+        delta = float(np.max(np.abs(cand - alpha)))
+        alpha, P = cand, P_c
+        res.alpha, res.P = alpha, P
+        res.h_trace.append((h0, h_c))
+        res.steps.append(theta)
+        res.deltas.append(delta)
+        res.alpha_trace.append(alpha.copy())
+        if delta <= tol:
+            res.converged = True
+            break
+    return res
 
 
 class TestComputeH:
@@ -236,6 +295,12 @@ class TestAgfMinmax:
         )
         assert np.abs(res.P - expected).max() < 1e-14
 
+    def test_rejects_weight_count_mismatch(self):
+        rng = np.random.default_rng(15)
+        Zs, Ts, F, Q = self._instance(rng, V=3)
+        with pytest.raises(ValueError, match="one weight per view"):
+            agf_minmax(Zs, Ts, F, Q, lam=9.0, beta=4.0, alpha0=[0.5, 0.5])
+
     def test_identical_views_stay_uniform(self):
         rng = np.random.default_rng(10)
         Zs, Ts, F, Q = self._instance(rng, V=1)
@@ -277,6 +342,49 @@ class TestAgfMinmax:
         for a in res.alpha_trace:
             assert abs(a.sum() - 1.0) <= 1e-10
             assert a.min() >= 0.0
+
+
+class TestAgfMinmaxMatchesPerCandidateFusion:
+    """Fusing from cached Z_v T_v products changes no bit of the solve."""
+
+    def _check(self, Zs, Ts, F, Q, **kw):
+        res = agf_minmax(Zs, Ts, F, Q, **kw)
+        ref = minmax_fusing_per_candidate(Zs, Ts, F, Q, **kw)
+        assert np.array_equal(res.alpha, ref.alpha)
+        assert np.array_equal(res.P, ref.P)
+        assert np.array_equal(res.H, ref.H)
+        assert res.h_trace == ref.h_trace
+        assert res.steps == ref.steps
+        assert res.deltas == ref.deltas
+        assert (res.n_iter, res.converged) == (ref.n_iter, ref.converged)
+        assert len(res.alpha_trace) == len(ref.alpha_trace)
+        for a, b in zip(res.alpha_trace, ref.alpha_trace):
+            assert np.array_equal(a, b)
+        assert np.array_equal(
+            res.Z_tilde, weighted_fusion_input(Zs, Ts, res.alpha)
+        )
+        return res
+
+    def test_default_start(self):
+        backtracked = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=60, m=8, V=3)
+            res = self._check(Zs, Ts, F, Q, lam=9.0, beta=4.0)
+            backtracked += sum(0 < s < 1 for s in res.steps)
+        # the comparison covers rejected candidates, not only full steps
+        assert backtracked > 0
+
+    def test_warm_start_fixed_budget(self):
+        for seed in range(4):
+            rng = np.random.default_rng(100 + seed)
+            Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=80, m=16, V=2)
+            P0 = rand_row_stochastic(rng, 80, 16)
+            alpha0 = rand_simplex_interior(rng, 2)
+            self._check(
+                Zs, Ts, F, Q, lam=4.0, beta=4.0, alpha0=alpha0, P0=P0,
+                tol=0.0, max_iter=4,
+            )
 
 
 class TestHConvexity:

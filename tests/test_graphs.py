@@ -11,7 +11,12 @@ from agfti.graphs import (
     weighted_fusion_input,
 )
 
-from oracles import rand_orthogonal, rand_row_stochastic, simplex_qp_oracle
+from oracles import (
+    fusion_input_per_view,
+    rand_orthogonal,
+    rand_row_stochastic,
+    simplex_qp_oracle,
+)
 
 
 class TestBkhkAnchors:
@@ -179,6 +184,17 @@ class TestWeightedFusionInput:
                 for j in range(m):
                     ref[i, j] += alpha[v] ** 2 * float(Zs[v][i] @ Ts[v][:, j])
         assert np.abs(out - ref).max() < 1e-12
+
+    def test_bitwise_equal_to_per_view_products(self):
+        rng = np.random.default_rng(10)
+        for V in (2, 3, 5):
+            Zs = [rand_row_stochastic(rng, 40, 16) for _ in range(V)]
+            Ts = [rand_orthogonal(rng, 16) for _ in range(V)]
+            alpha = rng.dirichlet(np.ones(V))
+            assert np.array_equal(
+                weighted_fusion_input(Zs, Ts, alpha),
+                fusion_input_per_view(Zs, Ts, alpha),
+            )
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -320,6 +320,22 @@ class TestExperiment:
         kinds = {line["type"] for line in lines}
         assert kinds == {"rep", "aggregate"}
 
+    def test_jsonl_appends_across_calls(self, tmp_path):
+        cont, config = self._tiny()
+        path = tmp_path / "grid.jsonl"
+        for vmr in (0.0, 0.3):
+            run_experiment(
+                cont, vmr=vmr, lar=0.1, n_reps=1, solver_config=config,
+                jsonl_path=path,
+            )
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(line["type"], line["vmr"]) for line in lines] == [
+            ("rep", 0.0),
+            ("aggregate", 0.0),
+            ("rep", 0.3),
+            ("aggregate", 0.3),
+        ]
+
     def test_variant_flags_compose(self):
         cont, config = self._tiny()
         out = run_experiment(

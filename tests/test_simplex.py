@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from agfti.simplex import project_simplex, prox_rows
 
-from oracles import simplex_qp_oracle
+from oracles import prox_rows_stable_argsort, simplex_qp_oracle
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -81,3 +81,39 @@ class TestProxRows:
         out = prox_rows(rng.standard_normal((40, 6)) * 10)
         assert out.min() >= 0.0
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-10
+
+
+def matrices(elements, max_rows=6, max_cols=12):
+    return st.tuples(st.integers(1, max_rows), st.integers(1, max_cols)).flatmap(
+        lambda shape: st.lists(
+            elements, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+        ).map(lambda xs: np.array(xs, dtype=float).reshape(shape))
+    )
+
+
+class TestProxRowsMatchesArgsortOracle:
+    """Sorting values alone gives the same bits as the stable-argsort method."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=matrices(finite_floats))
+    def test_random_rows(self, M):
+        assert np.array_equal(prox_rows(M), prox_rows_stable_argsort(M))
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=matrices(st.sampled_from([-1.5, -0.25, 0.0, 0.25, 1.0, 3.0])))
+    def test_tied_rows(self, M):
+        assert np.array_equal(prox_rows(M), prox_rows_stable_argsort(M))
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=matrices(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])))
+    def test_signed_zero_rows(self, M):
+        out = prox_rows(M)
+        ref = prox_rows_stable_argsort(M)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+    def test_wide_rows(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((300, 256)) * 0.01
+        M[::3, 100:140] = M[::3, 100:101]  # long runs of ties
+        assert np.array_equal(prox_rows(M), prox_rows_stable_argsort(M))
