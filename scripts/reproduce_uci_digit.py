@@ -10,9 +10,8 @@ reports the delta but draws no pass/fail conclusion.
 
 import argparse
 import json
-import os
 
-from agfti.harness import load_dataset, load_dataset_csv, run_experiment
+from agfti.harness import load_container, run_experiment
 from agfti.solver import SolverConfig
 
 REFERENCE_MEAN = 95.23
@@ -34,11 +33,7 @@ def parse_args():
 
 def main():
     args = parse_args()
-    container = (
-        load_dataset_csv(args.container)
-        if os.path.isdir(args.container)
-        else load_dataset(args.container)
-    )
+    container = load_container(args.container)
     print(f"loaded {container.name or args.container}: "
           f"n={container.n} V={container.V} c={container.c}")
 

@@ -11,17 +11,15 @@ step, which makes the inner maximizer unique and the Danskin gradient
 formula exact: dh/dalpha_v = 2 lambda alpha_v Tr(P*^T Z_v T_v).
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import aligned_product, fuse_aligned
+from .graphs import aligned_product, floored_anchor_degrees, fuse_aligned
 # re-exported: perfbench/tracing.py patches agf.weighted_fusion_input
 from .graphs import weighted_fusion_input  # noqa: F401
 from .simplex import prox_rows
 
-_DEGREE_EPS = 1e-12
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MAX_BACKTRACKS = 20
@@ -38,16 +36,7 @@ def compute_H(F, Q, P):
     F = np.asarray(F, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
-    col = P.sum(axis=0)
-    if np.any(col < _DEGREE_EPS):
-        warnings.warn(
-            f"{int(np.sum(col < _DEGREE_EPS))} anchor(s) have zero degree in the "
-            "fused graph; flooring their degree at 1e-12",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        col = np.maximum(col, _DEGREE_EPS)
-    Qn = Q / np.sqrt(col)[:, None]
+    Qn = Q / np.sqrt(floored_anchor_degrees(P))[:, None]
     H = (
         (F * F).sum(axis=1)[:, None]
         - 2.0 * (F @ Qn.T)
@@ -76,12 +65,15 @@ def inner_value(P, Z_tilde, H, lam, beta):
     )
 
 
-def grad_h(alpha, P_star, Zs, Ts, lam):
-    """Exact gradient of h at alpha, P_star being the inner maximizer there."""
+def grad_h(alpha, P_star, ZTs, lam):
+    """Exact gradient of h at alpha, P_star being the inner maximizer there.
+
+    ZTs are the aligned products Z_v T_v, as agf_minmax holds them.
+    """
     alpha = np.asarray(alpha, dtype=np.float64)
     out = np.empty(alpha.size)
-    for v, (Z, T) in enumerate(zip(Zs, Ts)):
-        out[v] = 2.0 * lam * alpha[v] * float(np.sum(P_star * (Z @ T)))
+    for v, ZT in enumerate(ZTs):
+        out[v] = 2.0 * lam * alpha[v] * float(np.sum(P_star * ZT))
     return out
 
 
@@ -185,7 +177,7 @@ def agf_minmax(
         res.alpha, res.P = alpha, P
 
         h0 = inner_value(P, Zt, H, lam, beta)
-        grad = grad_h(alpha, P, Zs, Ts, lam)
+        grad = grad_h(alpha, P, ZTs, lam)
         g = reduced_descent_direction(grad, alpha)
         if not np.any(g):
             res.converged = True

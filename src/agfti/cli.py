@@ -26,14 +26,6 @@ def _set_threads(threads):
             os.environ[var] = str(threads)
 
 
-def _load_container(path):
-    from .harness import load_dataset, load_dataset_csv
-
-    if os.path.isdir(path):
-        return load_dataset_csv(path)
-    return load_dataset(path)
-
-
 def _solver_options(fn):
     decorators = [
         click.option("--lambda", "lam", type=float, default=None,
@@ -80,10 +72,10 @@ def _make_config(kwargs):
 def _solve_from_files(container_path, mask_path, kwargs):
     import numpy as np
 
-    from .harness import load_mask, missing_per_view
+    from .harness import load_container, load_mask, missing_per_view
     from .solver import admm_solve
 
-    container = _load_container(container_path)
+    container = load_container(container_path)
     _, missing, labeled = load_mask(mask_path)
     per_view = missing_per_view(missing, container.V)
     config = _make_config(kwargs)
@@ -149,9 +141,9 @@ def synth(out, seed, n_per_class, V, c, vacuum, noise, bridge, as_csv, threads):
 def mask(container_path, out, vmr, lar, seed, threads):
     """Draw missing-view and label masks for a container."""
     _set_threads(threads)
-    from .harness import MaskSpec, generate_masks, save_mask
+    from .harness import MaskSpec, generate_masks, load_container, save_mask
 
-    container = _load_container(container_path)
+    container = load_container(container_path)
     spec = MaskSpec(vmr=vmr, lar=lar, seed=seed)
     missing, labeled = generate_masks(container, spec)
     save_mask(out, spec, missing, labeled)
@@ -212,9 +204,9 @@ def eval_cmd(container_path, vmr, lar, reps, base_seed, jsonl, out, threads,
              **kwargs):
     """Run K seeded repetitions of mask -> solve -> score."""
     _set_threads(threads)
-    from .harness import run_experiment
+    from .harness import load_container, run_experiment
 
-    container = _load_container(container_path)
+    container = load_container(container_path)
     results = run_experiment(
         container, vmr, lar, reps,
         solver_config=_make_config(kwargs),
@@ -247,7 +239,7 @@ def ablate(container_path, vmr, lar, reps, base_seed, variants, jsonl, out,
            threads, **kwargs):
     """Compare ablation variants under the repetition harness."""
     _set_threads(threads)
-    from .harness import run_experiment
+    from .harness import load_container, run_experiment
     from .harness.experiment import STANDARD_VARIANTS
 
     chosen = {}
@@ -259,7 +251,7 @@ def ablate(container_path, vmr, lar, reps, base_seed, variants, jsonl, out,
             raise click.BadParameter(f"unknown variant {name!r}; known: {known}")
         chosen[name] = STANDARD_VARIANTS[name]
 
-    container = _load_container(container_path)
+    container = load_container(container_path)
     results = run_experiment(
         container, vmr, lar, reps,
         solver_config=_make_config(kwargs),

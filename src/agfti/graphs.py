@@ -11,6 +11,8 @@ whose optimum touches exactly the k nearest anchors when gamma is chosen as
 (k d_(k+1) - sum_{h<=k} d_(h)) / 2.
 """
 
+import warnings
+
 import numpy as np
 
 from .rng import STREAM_ANCHORS, make_generator
@@ -21,6 +23,7 @@ _SEED_CANDIDATES = 32
 _MAX_SWEEPS = 10
 
 _DEGENERATE_RTOL = 1e-12
+_DEGREE_EPS = 1e-12
 
 
 def pairwise_sq_dists(A, B):
@@ -146,12 +149,23 @@ def build_bipartite(X, anchors, k):
     return Z
 
 
-def init_missing_rows(n, m, missing_idx):
-    """Uniform 1/m starting rows for the samples listed in missing_idx."""
-    missing_idx = np.asarray(missing_idx, dtype=np.int64)
-    if missing_idx.size and (missing_idx.min() < 0 or missing_idx.max() >= n):
-        raise ValueError("missing indices out of range")
-    return np.full((missing_idx.size, m), 1.0 / m)
+def floored_anchor_degrees(P):
+    """Column sums of P, with zero-degree anchors floored at 1e-12.
+
+    An anchor that no sample points to would divide by zero wherever anchor
+    labels are degree-normalized; flooring keeps those terms finite (and
+    large), and a RuntimeWarning reports how many anchors it touched.
+    """
+    col = P.sum(axis=0)
+    if np.any(col < _DEGREE_EPS):
+        warnings.warn(
+            f"{int(np.sum(col < _DEGREE_EPS))} anchor(s) have zero degree in the "
+            "fused graph; flooring their degree at 1e-12",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        col = np.maximum(col, _DEGREE_EPS)
+    return col
 
 
 def aligned_product(Z, T):

@@ -3,6 +3,7 @@
 from .data import (
     ContainerFormatError,
     DatasetContainer,
+    load_container,
     load_dataset,
     load_dataset_csv,
     save_dataset,
@@ -32,6 +33,7 @@ __all__ = [
     "baseline_label_propagation",
     "confusion_matrix",
     "generate_masks",
+    "load_container",
     "load_dataset",
     "load_dataset_csv",
     "load_mask",

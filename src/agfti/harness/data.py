@@ -170,3 +170,10 @@ def load_dataset_csv(dirpath, c=None, name=None):
     return DatasetContainer(
         views=views, labels=labels, c=c, name=name or dirpath.name
     )
+
+
+def load_container(path):
+    """Load a container: a directory as the CSV fallback, a file as binary."""
+    if Path(path).is_dir():
+        return load_dataset_csv(path)
+    return load_dataset(path)

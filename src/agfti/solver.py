@@ -9,17 +9,19 @@ oracles.
 """
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agf import agf_minmax, compute_H, inner_value, solve_inner_P
-from .graphs import bkhk_anchors, build_bipartite, weighted_fusion_input
+from .graphs import (
+    bkhk_anchors,
+    build_bipartite,
+    floored_anchor_degrees,
+    weighted_fusion_input,
+)
 from .simplex import prox_rows
 from .tensor3 import Tensor3, phi, tubal_shrink
-
-_DEGREE_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,6 @@ class SolveResult:
     alpha: np.ndarray
     Zs: list
     Ts: list
-    G: Tensor3
-    W: Tensor3
     eta: float
     lam: float
     converged: bool
@@ -101,19 +101,6 @@ def one_hot_labels(y, labeled_idx, n_classes):
     return Y
 
 
-def _floored_column_degrees(P):
-    col = P.sum(axis=0)
-    if np.any(col < _DEGREE_EPS):
-        warnings.warn(
-            f"{int(np.sum(col < _DEGREE_EPS))} anchor(s) have zero degree; "
-            "flooring at 1e-12",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        col = np.maximum(col, _DEGREE_EPS)
-    return col
-
-
 def update_labels(P, B, Y):
     """Propagate labels through the fused bipartite graph.
 
@@ -123,21 +110,21 @@ def update_labels(P, B, Y):
         [I_n + B_n, -P L^-1/2 ; -L^-1/2 P^T, I_m + B_m] [F; Q] = [B_n Y; 0],
 
     by eliminating F first, so the only dense factorization is the m x m
-    Schur complement. L is the diagonal of anchor degrees.
+    Schur complement. L is the diagonal of anchor degrees, and B is a
+    RegularizerB.
     """
     P = np.asarray(P, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     n, m = P.shape
     c = Y.shape[1]
     labeled = Y.any(axis=1)
-    B_obj = B if isinstance(B, RegularizerB) else RegularizerB(*B)
-    bn, bm = B_obj.expand(labeled, m)
+    bn, bm = B.expand(labeled, m)
 
     rhs1 = bn[:, None] * Y
     if not rhs1.any():
         return np.zeros((n, c)), np.zeros((m, c))
 
-    col = _floored_column_degrees(P)
+    col = floored_anchor_degrees(P)
     m11 = 1.0 + bn
     M12 = -(P / np.sqrt(col)[None, :])
     A = M12 / m11[:, None]
@@ -163,7 +150,7 @@ def performance_gain(F, Q, P, bn, bm, Y):
     F = np.asarray(F, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
-    col = _floored_column_degrees(P)
+    col = floored_anchor_degrees(P)
     Qn = Q / np.sqrt(col)[:, None]
     cross = 2.0 * float(np.sum((P @ Qn) * F))
     fit = 2.0 * float(np.sum((bn[:, None] * Y) * F))
@@ -396,8 +383,6 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
         alpha=alpha,
         Zs=Zs,
         Ts=Ts,
-        G=G,
-        W=W,
         eta=eta,
         lam=lam,
         converged=converged,

@@ -26,8 +26,7 @@ from agfti.agf import (
 from agfti.harness import (
     MaskSpec,
     generate_masks,
-    load_dataset,
-    load_dataset_csv,
+    load_container,
     missing_per_view,
     run_experiment,
     synth_scp,
@@ -182,7 +181,8 @@ def test_03_weight_gradient_finite_difference_check():
         alpha = rand_simplex_interior(rng, V, floor=0.15)
         Zt = weighted_fusion_input(Zs, Ts, alpha)
         P = solve_inner_P(Zt, H, lam, beta)
-        g = grad_h(alpha, P, Zs, Ts, lam)
+        ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
+        g = grad_h(alpha, P, ZTs, lam)
         for a, b in [(0, 1), (1, 2), (0, 2)]:
             w = np.zeros(V)
             w[a], w[b] = 1.0, -1.0
@@ -401,9 +401,7 @@ def test_09_benchmark_reproduction_hook():
             "set AGFTI_UCI_DIGIT to a dataset container to run the "
             "benchmark reproduction; informational only, never gates"
         )
-    container = (
-        load_dataset_csv(path) if os.path.isdir(path) else load_dataset(path)
-    )
+    container = load_container(path)
     config = SolverConfig(n_anchors=256, k_neighbors=7)
     results = run_experiment(
         container, vmr=0.5, lar=0.05, n_reps=10, solver_config=config

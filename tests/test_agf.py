@@ -55,7 +55,7 @@ def minmax_fusing_per_candidate(
         P = solve_inner_P(Zt, H, lam, beta)
         res.H, res.alpha, res.P = H, alpha, P
         h0 = inner_value(P, Zt, H, lam, beta)
-        grad = grad_h(alpha, P, Zs, Ts, lam)
+        grad = grad_h(alpha, P, [Z @ T for Z, T in zip(Zs, Ts)], lam)
         g = reduced_descent_direction(grad, alpha)
         if not np.any(g):
             res.converged = True
@@ -200,7 +200,7 @@ class TestGradH:
         alpha = np.array([0.6, 0.4, 0.0])
         Zt = weighted_fusion_input(Zs, Ts, alpha)
         P = solve_inner_P(Zt, H, 4.0, 4.0)
-        g = grad_h(alpha, P, Zs, Ts, 4.0)
+        g = grad_h(alpha, P, [Z @ T for Z, T in zip(Zs, Ts)], 4.0)
         assert g[2] == 0.0
 
     def test_zero_lambda(self):
@@ -208,18 +208,20 @@ class TestGradH:
         Zs, Ts, H = self._instance(rng)
         alpha = np.full(3, 1 / 3)
         P = solve_inner_P(weighted_fusion_input(Zs, Ts, alpha), H, 0.0, 4.0)
-        assert np.all(grad_h(alpha, P, Zs, Ts, 0.0) == 0.0)
+        ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
+        assert np.all(grad_h(alpha, P, ZTs, 0.0) == 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         Zs, Ts, H = self._instance(rng)
         lam, beta = 4.0, 4.0
         eps = 1e-5
+        ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
         for trial in range(5):
             alpha = rand_simplex_interior(rng, 3, floor=0.15)
             Zt = weighted_fusion_input(Zs, Ts, alpha)
             P = solve_inner_P(Zt, H, lam, beta)
-            g = grad_h(alpha, P, Zs, Ts, lam)
+            g = grad_h(alpha, P, ZTs, lam)
             for a, b in [(0, 1), (1, 2), (0, 2)]:
                 w = np.zeros(3)
                 w[a], w[b] = 1.0, -1.0

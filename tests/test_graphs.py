@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from agfti.graphs import (
     bkhk_anchors,
     build_bipartite,
-    init_missing_rows,
     pairwise_sq_dists,
     weighted_fusion_input,
 )
@@ -138,22 +137,6 @@ class TestBuildBipartite:
             build_bipartite(X, anchors, k=0)
         with pytest.raises(ValueError):
             build_bipartite(X, anchors, k=4)
-
-
-class TestInitMissingRows:
-    def test_uniform(self):
-        rows = init_missing_rows(10, 4, np.array([1, 5, 7]))
-        assert rows.shape == (3, 4)
-        assert np.all(rows == 0.25)
-
-    def test_empty(self):
-        rows = init_missing_rows(10, 4, np.array([], dtype=int))
-        assert rows.shape == (0, 4)
-
-    def test_all_missing(self):
-        rows = init_missing_rows(3, 5, np.arange(3))
-        assert rows.shape == (3, 5)
-        assert np.all(rows == 0.2)
 
 
 class TestWeightedFusionInput:

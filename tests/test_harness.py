@@ -9,6 +9,7 @@ from agfti.harness import (
     MaskSpec,
     baseline_label_propagation,
     generate_masks,
+    load_container,
     load_dataset,
     load_dataset_csv,
     load_mask,
@@ -109,6 +110,22 @@ class TestContainerIO:
         assert np.array_equal(from_bin.labels, from_csv.labels)
         for a, b in zip(from_bin.views, from_csv.views):
             assert np.array_equal(a, b)
+
+    def test_load_container_reads_file_and_directory(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cont = random_container(rng, dims=(2, 3))
+        bin_path = tmp_path / "toy.mvds"
+        csv_dir = tmp_path / "csv"
+        save_dataset(cont, bin_path)
+        save_dataset_csv(cont, csv_dir)
+        from_bin = load_container(bin_path)
+        from_csv = load_container(str(csv_dir))
+        assert np.array_equal(from_bin.labels, cont.labels)
+        assert np.array_equal(from_csv.labels, cont.labels)
+        assert len(from_bin.views) == len(from_csv.views) == cont.V
+        for a, b, ref in zip(from_bin.views, from_csv.views, cont.views):
+            assert np.array_equal(a, ref)
+            assert np.array_equal(b, ref)
 
 
 class TestMasks:
