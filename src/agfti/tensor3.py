@@ -1,22 +1,19 @@
-"""Third-order tensor algebra for the low-rank imputation step.
+"""Third-order tensors and the tubal shrinkage of the low-rank imputation step.
 
 A Tensor3 stores n3 frontal slices of size n1 x n2 in slice-major order:
 ``data`` has shape (n3, n1, n2) and ``data[k]`` is frontal slice k. The
 transform domain is the unnormalized DFT along the third mode (numpy fft over
-axis 0), and every factorization here (t-SVD, tensor nuclear norm, tubal
-shrinkage) is defined per frequency slice.
+axis 0), and tubal shrinkage soft-thresholds the singular values of every
+frequency slice.
 
 The stacking operator ``phi`` maps V matrices of shape n x m to the m x V x n
 tensor whose frontal slice i holds row i of every input matrix as a column.
 Solver code reads view v of a stacked tensor as the (n, m) view
-``t.data[:, :, v]``; phi/phi_inv are the single source of truth for the
-orientation.
+``t.data[:, :, v]``.
 
-Real inputs have conjugate-symmetric spectra. That symmetry is exploited to
-halve the per-frequency SVD work, but correctness never relies on it: every
-inverse transform asserts the imaginary residual is below 1e-8 of the total
-norm before dropping it, so layout bugs surface as errors instead of silently
-corrupted tensors.
+A real tensor has a conjugate-symmetric spectrum, so the shrinkage works on
+the half spectrum that ``rfft`` returns (frequencies 0 .. n3//2) and ``irfft``
+rebuilds the real result from it; the mirrored frequencies are never formed.
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-IMAG_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,24 +44,6 @@ class Tensor3:
         return (n1, n2, n3)
 
 
-@dataclass(frozen=True)
-class TSvdResult:
-    u: Tensor3
-    s: Tensor3
-    v: Tensor3
-
-
-def zeros(n1, n2, n3):
-    return Tensor3(np.zeros((n3, n1, n2)))
-
-
-def identity_tensor(n, n3):
-    """First frontal slice I_n, all other slices zero."""
-    data = np.zeros((n3, n, n))
-    data[0] = np.eye(n)
-    return Tensor3(data)
-
-
 def phi(mats):
     """Stack V matrices (each n x m) into an m x V x n tensor."""
     mats = [np.asarray(Z, dtype=float) for Z in mats]
@@ -77,142 +54,28 @@ def phi(mats):
     return Tensor3(np.stack(mats, axis=2))
 
 
-def phi_inv(t: Tensor3):
-    """Unstack back to the list of n x m view matrices."""
-    return [t.data[:, :, v].copy() for v in range(t.data.shape[2])]
-
-
-def _realify(arr, what):
-    imag = np.linalg.norm(arr.imag)
-    total = np.linalg.norm(arr)
-    if imag > IMAG_RTOL * max(total, 1e-300):
-        raise ValueError(
-            f"{what}: imaginary residual {imag:.3e} exceeds {IMAG_RTOL:.0e} of "
-            f"total norm {total:.3e}; input spectrum is not conjugate-symmetric"
-        )
-    return np.ascontiguousarray(arr.real)
-
-
-def dft3(t: Tensor3):
-    """Unnormalized forward DFT of every mode-3 fiber; complex (n3, n1, n2)."""
-    return np.fft.fft(t.data, axis=0)
-
-
-def idft3(spec) -> Tensor3:
-    """Inverse (1/n3-scaled) DFT along mode 3, realified with a residual check."""
-    back = np.fft.ifft(np.asarray(spec, dtype=complex), axis=0)
-    return Tensor3(_realify(back, "idft3"))
-
-
-def _mirror(spec_half, n3):
-    """Fill frequencies above Nyquist with conjugates of their mirrors."""
-    half = n3 // 2 + 1
-    out = np.empty((n3,) + spec_half.shape[1:], dtype=complex)
-    out[:half] = spec_half
-    if half < n3:
-        out[half:] = np.conj(spec_half[1 : n3 - half + 1][::-1])
-    return out
-
-
-def _half_slice_svds(spec, full_matrices):
-    """Batched SVDs of the first n3//2+1 frequency slices.
-
-    Slices 0 and (for even n3) n3/2 of a real tensor's spectrum are real
-    matrices; their SVDs are taken over the reals so the factors carry no
-    stray phases and the later inverse transforms come back real.
-    """
-    n3 = spec.shape[0]
-    half = n3 // 2 + 1
-    block = spec[:half]
-    try:
-        U, s, Vh = np.linalg.svd(block, full_matrices=full_matrices)
-    except np.linalg.LinAlgError:
-        for k in range(half):
-            try:
-                np.linalg.svd(block[k], full_matrices=full_matrices)
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(
-                    f"SVD failed to converge on frequency slice {k}"
-                ) from exc
-        raise
-    U = U.astype(complex)
-    Vh = Vh.astype(complex)
-    real_slices = [0] + ([n3 // 2] if n3 % 2 == 0 and n3 > 1 else [])
-    for k in real_slices:
-        Ur, sr, Vhr = np.linalg.svd(block[k].real, full_matrices=full_matrices)
-        U[k], s[k], Vh[k] = Ur, sr, Vhr
-    return U, s, Vh
-
-
-def t_svd(t: Tensor3) -> TSvdResult:
-    """t-SVD via per-frequency matrix SVDs; factors are real tensors."""
-    n1, n2, n3 = t.dims
-    spec = np.fft.fft(t.data, axis=0)
-    Uf, sf, Vhf = _half_slice_svds(spec, full_matrices=True)
-    r = min(n1, n2)
-    Sf = np.zeros((Uf.shape[0], n1, n2), dtype=complex)
-    Sf[:, np.arange(r), np.arange(r)] = sf
-    Vf = np.conj(np.swapaxes(Vhf, 1, 2))
-    u = Tensor3(_realify(np.fft.ifft(_mirror(Uf, n3), axis=0), "t_svd factor U"))
-    s = Tensor3(_realify(np.fft.ifft(_mirror(Sf, n3), axis=0), "t_svd factor S"))
-    v = Tensor3(_realify(np.fft.ifft(_mirror(Vf, n3), axis=0), "t_svd factor V"))
-    return TSvdResult(u, s, v)
-
-
-def t_product(a: Tensor3, b: Tensor3) -> Tensor3:
-    """Tensor-tensor product: per-frequency matrix products."""
-    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[1]:
-        raise ValueError(
-            f"t_product shape mismatch: {a.data.shape} vs {b.data.shape}"
-        )
-    fa = np.fft.fft(a.data, axis=0)
-    fb = np.fft.fft(b.data, axis=0)
-    return Tensor3(_realify(np.fft.ifft(fa @ fb, axis=0), "t_product"))
-
-
-def tensor_transpose(t: Tensor3) -> Tensor3:
-    """Transpose every slice and reverse the order of slices 2..n3."""
-    d = np.swapaxes(t.data, 1, 2)
-    return Tensor3(np.concatenate([d[:1], d[1:][::-1]], axis=0))
-
-
-def tnn(t: Tensor3) -> float:
-    """Tensor nuclear norm: mean over frequencies of slice nuclear norms."""
-    spec = np.fft.fft(t.data, axis=0)
-    n3 = spec.shape[0]
-    half = n3 // 2 + 1
-    try:
-        s = np.linalg.svd(spec[:half], compute_uv=False)
-    except np.linalg.LinAlgError:
-        for k in range(half):
-            try:
-                np.linalg.svd(spec[k], compute_uv=False)
-            except np.linalg.LinAlgError as exc:
-                raise RuntimeError(
-                    f"SVD failed to converge on frequency slice {k}"
-                ) from exc
-        raise
-    # conjugate frequencies share singular values; weight the interior ones x2
-    weights = np.full(half, 2.0)
-    weights[0] = 1.0
-    if n3 % 2 == 0 and n3 > 1:
-        weights[-1] = 1.0
-    return float((s.sum(axis=1) * weights).sum() / n3)
-
-
 def tubal_shrink(f: Tensor3, tau: float) -> Tensor3:
     """Soft-threshold the Fourier-domain singular values at n3 * tau.
 
     This is the proximal map of tau times the plain sum of per-frequency
-    nuclear norms, i.e. of (n3 * tau) * tnn, the convention the ADMM G-step
-    uses with tau = rho / eta. With n3 = 1 it reduces to matrix singular value
-    thresholding at tau.
+    nuclear norms, i.e. of (n3 * tau) times the tensor nuclear norm (their
+    mean), the convention the ADMM G-step uses with tau = rho / eta. With
+    n3 = 1 it reduces to matrix singular value thresholding at tau.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     n3 = f.data.shape[0]
-    spec = np.fft.fft(f.data, axis=0)
-    Uf, sf, Vhf = _half_slice_svds(spec, full_matrices=False)
-    shrunk = np.maximum(sf - n3 * tau, 0.0)
-    Gf = Uf @ (shrunk[..., None] * Vhf)
-    return Tensor3(_realify(np.fft.ifft(_mirror(Gf, n3), axis=0), "tubal_shrink"))
+    spec = np.fft.rfft(f.data, axis=0)
+    try:
+        U, s, Vh = np.linalg.svd(spec, full_matrices=False)
+    except np.linalg.LinAlgError:
+        for k in range(spec.shape[0]):
+            try:
+                np.linalg.svd(spec[k], full_matrices=False)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(
+                    f"SVD failed to converge on frequency slice {k}"
+                ) from exc
+        raise
+    shrunk = np.maximum(s - n3 * tau, 0.0)
+    return Tensor3(np.fft.irfft(U @ (shrunk[..., None] * Vh), n=n3, axis=0))

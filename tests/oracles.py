@@ -1,13 +1,19 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (quadratic DFT sums, exhaustive active-set
-enumeration, dense (n+m)^2 linear algebra) and shares no code with the package
-under test beyond numpy itself.
+enumeration, dense (n+m)^2 linear algebra, full-spectrum tensor transforms) and
+shares no code with the package under test beyond numpy itself and the Tensor3
+container.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+
+from agfti.tensor3 import Tensor3
+
+IMAG_RTOL = 1e-8
 
 
 def naive_dft3(data):
@@ -19,16 +25,6 @@ def naive_dft3(data):
         for k in range(n3):
             out[f] += data[k] * np.exp(-2j * np.pi * f * k / n3)
     return out
-
-
-def naive_idft3(spec):
-    spec = np.asarray(spec, dtype=complex)
-    n3 = spec.shape[0]
-    out = np.zeros(spec.shape, dtype=complex)
-    for k in range(n3):
-        for f in range(n3):
-            out[k] += spec[f] * np.exp(2j * np.pi * f * k / n3)
-    return out / n3
 
 
 def perslice_tnn_oracle(data):
@@ -44,6 +40,130 @@ def matrix_svt(M, tau):
     """Matrix singular value soft-thresholding at tau."""
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     return (U * np.maximum(s - tau, 0.0)) @ Vh
+
+
+# t-SVD algebra over the full DFT spectrum. Only the tests use it: the solver
+# needs tubal shrinkage alone, which the package computes on the half
+# spectrum. Every inverse transform checks that the imaginary residual is
+# below IMAG_RTOL of the total norm before dropping it.
+
+
+@dataclass(frozen=True)
+class TSvdResult:
+    u: Tensor3
+    s: Tensor3
+    v: Tensor3
+
+
+def identity_tensor(n, n3):
+    """First frontal slice I_n, all other slices zero."""
+    data = np.zeros((n3, n, n))
+    data[0] = np.eye(n)
+    return Tensor3(data)
+
+
+def _realify(arr, what):
+    imag = np.linalg.norm(arr.imag)
+    total = np.linalg.norm(arr)
+    if imag > IMAG_RTOL * max(total, 1e-300):
+        raise ValueError(
+            f"{what}: imaginary residual {imag:.3e} exceeds {IMAG_RTOL:.0e} of "
+            f"total norm {total:.3e}; input spectrum is not conjugate-symmetric"
+        )
+    return np.ascontiguousarray(arr.real)
+
+
+def _mirror(spec_half, n3):
+    """Fill frequencies above Nyquist with conjugates of their mirrors."""
+    half = n3 // 2 + 1
+    out = np.empty((n3,) + spec_half.shape[1:], dtype=complex)
+    out[:half] = spec_half
+    if half < n3:
+        out[half:] = np.conj(spec_half[1 : n3 - half + 1][::-1])
+    return out
+
+
+def _half_slice_svds(spec, full_matrices):
+    """Batched SVDs of the first n3//2+1 frequency slices.
+
+    Slices 0 and (for even n3) n3/2 of a real tensor's spectrum are real
+    matrices; their SVDs are taken over the reals so the factors carry no
+    stray phases and the later inverse transforms come back real.
+    """
+    n3 = spec.shape[0]
+    half = n3 // 2 + 1
+    block = spec[:half]
+    U, s, Vh = np.linalg.svd(block, full_matrices=full_matrices)
+    U = U.astype(complex)
+    Vh = Vh.astype(complex)
+    real_slices = [0] + ([n3 // 2] if n3 % 2 == 0 and n3 > 1 else [])
+    for k in real_slices:
+        Ur, sr, Vhr = np.linalg.svd(block[k].real, full_matrices=full_matrices)
+        U[k], s[k], Vh[k] = Ur, sr, Vhr
+    return U, s, Vh
+
+
+def t_svd(t: Tensor3) -> TSvdResult:
+    """t-SVD via per-frequency matrix SVDs; factors are real tensors."""
+    n1, n2, n3 = t.dims
+    spec = np.fft.fft(t.data, axis=0)
+    Uf, sf, Vhf = _half_slice_svds(spec, full_matrices=True)
+    r = min(n1, n2)
+    Sf = np.zeros((Uf.shape[0], n1, n2), dtype=complex)
+    Sf[:, np.arange(r), np.arange(r)] = sf
+    Vf = np.conj(np.swapaxes(Vhf, 1, 2))
+    u = Tensor3(_realify(np.fft.ifft(_mirror(Uf, n3), axis=0), "t_svd factor U"))
+    s = Tensor3(_realify(np.fft.ifft(_mirror(Sf, n3), axis=0), "t_svd factor S"))
+    v = Tensor3(_realify(np.fft.ifft(_mirror(Vf, n3), axis=0), "t_svd factor V"))
+    return TSvdResult(u, s, v)
+
+
+def t_product(a: Tensor3, b: Tensor3) -> Tensor3:
+    """Tensor-tensor product: per-frequency matrix products."""
+    if a.data.shape[0] != b.data.shape[0] or a.data.shape[2] != b.data.shape[1]:
+        raise ValueError(
+            f"t_product shape mismatch: {a.data.shape} vs {b.data.shape}"
+        )
+    fa = np.fft.fft(a.data, axis=0)
+    fb = np.fft.fft(b.data, axis=0)
+    return Tensor3(_realify(np.fft.ifft(fa @ fb, axis=0), "t_product"))
+
+
+def tensor_transpose(t: Tensor3) -> Tensor3:
+    """Transpose every slice and reverse the order of slices 2..n3."""
+    d = np.swapaxes(t.data, 1, 2)
+    return Tensor3(np.concatenate([d[:1], d[1:][::-1]], axis=0))
+
+
+def tnn(t: Tensor3) -> float:
+    """Tensor nuclear norm: mean over frequencies of slice nuclear norms."""
+    spec = np.fft.fft(t.data, axis=0)
+    n3 = spec.shape[0]
+    half = n3 // 2 + 1
+    s = np.linalg.svd(spec[:half], compute_uv=False)
+    # conjugate frequencies share singular values; weight the interior ones x2
+    weights = np.full(half, 2.0)
+    weights[0] = 1.0
+    if n3 % 2 == 0 and n3 > 1:
+        weights[-1] = 1.0
+    return float((s.sum(axis=1) * weights).sum() / n3)
+
+
+def tubal_shrink_full_spectrum(f: Tensor3, tau: float) -> Tensor3:
+    """Tubal shrinkage at n3 * tau computed over the full spectrum.
+
+    Real SVDs for the real frequency slices, conjugates mirrored into the
+    upper half, and a residual check on the inverse transform: the reference
+    that the package's half-spectrum tubal_shrink must agree with.
+    """
+    if tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+    n3 = f.data.shape[0]
+    spec = np.fft.fft(f.data, axis=0)
+    Uf, sf, Vhf = _half_slice_svds(spec, full_matrices=False)
+    shrunk = np.maximum(sf - n3 * tau, 0.0)
+    Gf = Uf @ (shrunk[..., None] * Vhf)
+    return Tensor3(_realify(np.fft.ifft(_mirror(Gf, n3), axis=0), "tubal_shrink"))
 
 
 def simplex_qp_oracle(t):

@@ -44,10 +44,10 @@ from agfti.solver import (
     update_labels,
     update_missing_rows,
 )
-from agfti.tensor3 import Tensor3, identity_tensor, phi, t_product, t_svd
-from agfti.tensor3 import tensor_transpose, tnn, tubal_shrink
+from agfti.tensor3 import Tensor3, phi, tubal_shrink
 from oracles import (
     dense_label_solve,
+    identity_tensor,
     matrix_svt,
     perf_gain_dense,
     perslice_tnn_oracle,
@@ -55,6 +55,10 @@ from oracles import (
     rand_row_stochastic,
     rand_simplex_interior,
     simplex_qp_oracle,
+    t_product,
+    t_svd,
+    tensor_transpose,
+    tnn,
 )
 from agfti.simplex import project_simplex
 

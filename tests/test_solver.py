@@ -14,7 +14,7 @@ from agfti.solver import (
     update_missing_rows,
     update_multiplier,
 )
-from agfti.tensor3 import Tensor3, phi, tnn
+from agfti.tensor3 import Tensor3, phi
 
 from oracles import (
     dense_bipartite_pieces,
@@ -23,6 +23,7 @@ from oracles import (
     rand_orthogonal,
     rand_row_stochastic,
     simplex_qp_oracle,
+    tnn,
 )
 
 

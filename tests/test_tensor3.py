@@ -3,21 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agfti.tensor3 import (
-    Tensor3,
-    dft3,
-    idft3,
+from agfti.tensor3 import Tensor3, phi, tubal_shrink
+
+from oracles import (
     identity_tensor,
-    phi,
-    phi_inv,
+    matrix_svt,
+    perslice_tnn_oracle,
     t_product,
     t_svd,
     tensor_transpose,
     tnn,
-    tubal_shrink,
+    tubal_shrink_full_spectrum,
 )
-
-from oracles import matrix_svt, naive_dft3, perslice_tnn_oracle
 
 
 def rand_tensor(rng, n1, n2, n3, scale=1.0):
@@ -27,48 +24,6 @@ def rand_tensor(rng, n1, n2, n3, scale=1.0):
 def rel_err(a, b):
     denom = max(np.linalg.norm(b), 1e-30)
     return np.linalg.norm(a - b) / denom
-
-
-class TestDft:
-    def test_constant_fiber(self):
-        c = 1.7
-        t = Tensor3(np.full((5, 3, 2), c))
-        spec = dft3(t)
-        assert np.allclose(spec[0], 5 * c)
-        assert np.allclose(spec[1:], 0.0, atol=1e-12)
-
-    def test_zero_tensor(self):
-        t = Tensor3(np.zeros((4, 2, 3)))
-        assert np.allclose(dft3(t), 0.0)
-        assert np.allclose(idft3(dft3(t)).data, 0.0)
-
-    def test_matches_naive_dft_oracle(self):
-        rng = np.random.default_rng(7)
-        t = rand_tensor(rng, 2, 2, 3)
-        spec = dft3(t)
-        ref = naive_dft3(t.data)
-        assert np.abs(spec - ref).max() < 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n1=st.integers(1, 8),
-        n2=st.integers(1, 8),
-        n3=st.integers(1, 8),
-        seed=st.integers(0, 2**31),
-    )
-    def test_round_trip(self, n1, n2, n3, seed):
-        rng = np.random.default_rng(seed)
-        t = rand_tensor(rng, n1, n2, n3)
-        back = idft3(dft3(t))
-        assert rel_err(back.data, t.data) < 1e-12
-
-    def test_idft_rejects_asymmetric_spectrum(self):
-        # a spectrum that is not conjugate-symmetric cannot come from a real
-        # tensor; realification must refuse to silently drop the imaginary part
-        spec = np.zeros((4, 2, 2), dtype=complex)
-        spec[1, 0, 0] = 1.0 + 1.0j
-        with pytest.raises(ValueError):
-            idft3(spec)
 
 
 class TestTSvd:
@@ -206,6 +161,69 @@ class TestTubalShrink:
         with pytest.raises(ValueError):
             tubal_shrink(Tensor3(np.zeros((2, 2, 2))), -0.1)
 
+    @pytest.mark.parametrize("n3", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    @pytest.mark.parametrize("level", ["zero", "middle", "above_max"])
+    def test_matches_full_spectrum_reference(self, n3, rank_deficient, level):
+        # odd and even n3 put the Nyquist frequency in or out of the half
+        # spectrum; rank-1 frequency slices have zero singular values whose
+        # singular vectors are arbitrary
+        rng = np.random.default_rng(41 + n3)
+        n1, n2 = 5, 4
+        if rank_deficient:
+            t = t_product(rand_tensor(rng, n1, 1, n3), rand_tensor(rng, 1, n2, n3))
+        else:
+            t = rand_tensor(rng, n1, n2, n3)
+        s = np.linalg.svd(np.fft.fft(t.data, axis=0), compute_uv=False)
+        tau = {
+            "zero": 0.0,
+            "middle": 0.5 * float(s.max()) / n3,
+            "above_max": 1.01 * float(s.max()) / n3,
+        }[level]
+        out = tubal_shrink(t, tau)
+        ref = tubal_shrink_full_spectrum(t, tau)
+        assert out.data.shape == t.data.shape
+        assert np.linalg.norm(out.data - ref.data) <= 1e-12 * np.linalg.norm(ref.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n1=st.integers(1, 6),
+        n2=st.integers(1, 6),
+        n3=st.integers(1, 9),
+        frac=st.floats(0.0, 1.2),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_full_spectrum_reference_any_shape(self, n1, n2, n3, frac, seed):
+        # tall and wide slices; frac scales tau against the largest
+        # Fourier-domain singular value. A singular value can sit on the
+        # threshold, where the two SVDs round to different tiny survivors,
+        # so the tolerance is relative to the input rather than the output
+        t = rand_tensor(np.random.default_rng(seed), n1, n2, n3)
+        smax = np.linalg.svd(np.fft.fft(t.data, axis=0), compute_uv=False).max()
+        tau = frac * float(smax) / n3
+        out = tubal_shrink(t, tau)
+        ref = tubal_shrink_full_spectrum(t, tau)
+        assert out.data.shape == t.data.shape
+        assert np.linalg.norm(out.data - ref.data) <= 1e-12 * np.linalg.norm(t.data)
+
+    def test_names_the_slice_whose_svd_fails(self, monkeypatch):
+        t = rand_tensor(np.random.default_rng(43), 3, 2, 6)
+        svd = np.linalg.svd
+        slice_calls = []
+
+        def failing_svd(a, *args, **kwargs):
+            # the batched call fails, then per-slice retries fail from slice 2
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            slice_calls.append(a)
+            if len(slice_calls) > 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(RuntimeError, match="frequency slice 2"):
+            tubal_shrink(t, 0.1)
+
 
 class TestPhiLayout:
     def test_layout_and_round_trip(self):
@@ -218,9 +236,9 @@ class TestPhiLayout:
         for i in (0, 3, 5):
             for v in range(V):
                 assert np.array_equal(t.data[i][:, v], mats[v][i])
-        back = phi_inv(t)
+        # the (n, m) view the solver reads back is the input matrix
         for v in range(V):
-            assert np.array_equal(back[v], mats[v])
+            assert np.array_equal(t.data[:, :, v], mats[v])
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
