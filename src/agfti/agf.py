@@ -132,8 +132,10 @@ def agf_minmax(
     Every outer iteration recomputes H from (F, Q) and the previous P, solves
     the inner problem exactly, and takes one Armijo backtracking step on the
     weights. Stops when the accepted step moves no weight by more than tol,
-    or when the line search finds no decrease (step 0, reported converged),
-    or after max_iter iterations (reported not converged).
+    when the reduced gradient leaves no descent direction (always so with
+    one view), or when the line search finds no decrease (step 0), all
+    reported converged, or after max_iter iterations (reported not
+    converged).
 
     The returned P is always the exact inner maximizer at the returned alpha
     under the returned H, and Z_tilde is the fused input it was solved from.
@@ -161,13 +163,6 @@ def agf_minmax(
         alpha=alpha, P=P, H=np.zeros_like(P), converged=False, n_iter=0, Z_tilde=Zt
     )
     res.alpha_trace.append(alpha.copy())
-
-    if V == 1:
-        H = compute_H(F, Q, P)
-        P = solve_inner_P(Zt, H, lam, beta)
-        res.alpha, res.P, res.H = np.array([1.0]), P, H
-        res.converged, res.n_iter = True, 1
-        return res
 
     for it in range(1, max_iter + 1):
         res.n_iter = it

@@ -53,35 +53,18 @@ def _solver_options(fn):
     return fn
 
 
-def _make_config(kwargs):
-    from .solver import SolverConfig
-
-    return SolverConfig(
-        n_anchors=kwargs["n_anchors"],
-        k_neighbors=kwargs["k_neighbors"],
-        lam=kwargs["lam"],
-        beta=kwargs["beta"],
-        rho=kwargs["rho"],
-        b_labeled=kwargs["b_labeled"],
-        tol=kwargs["tol"],
-        max_outer_iters=kwargs["max_outer_iters"],
-        seed=kwargs["seed"],
-    )
-
-
 def _solve_from_files(container_path, mask_path, kwargs):
     import numpy as np
 
     from .harness import load_container, load_mask, missing_per_view
-    from .solver import admm_solve
+    from .solver import SolverConfig, admm_solve
 
     container = load_container(container_path)
     _, missing, labeled = load_mask(mask_path)
     per_view = missing_per_view(missing, container.V)
-    config = _make_config(kwargs)
     result = admm_solve(
-        container.views, container.labels, labeled, per_view, config,
-        n_classes=container.c,
+        container.views, container.labels, labeled, per_view,
+        SolverConfig(**kwargs), n_classes=container.c,
     )
     unlabeled = np.setdiff1d(np.arange(container.n), labeled)
     return container, labeled, unlabeled, result
@@ -205,11 +188,12 @@ def eval_cmd(container_path, vmr, lar, reps, base_seed, jsonl, out, threads,
     """Run K seeded repetitions of mask -> solve -> score."""
     _set_threads(threads)
     from .harness import load_container, run_experiment
+    from .solver import SolverConfig
 
     container = load_container(container_path)
     results = run_experiment(
         container, vmr, lar, reps,
-        solver_config=_make_config(kwargs),
+        solver_config=SolverConfig(**kwargs),
         base_seed=base_seed, jsonl_path=jsonl,
     )
     block = results["variants"]["full"]
@@ -241,6 +225,7 @@ def ablate(container_path, vmr, lar, reps, base_seed, variants, jsonl, out,
     _set_threads(threads)
     from .harness import load_container, run_experiment
     from .harness.experiment import STANDARD_VARIANTS
+    from .solver import SolverConfig
 
     chosen = {}
     for name in (v.strip() for v in variants.split(",")):
@@ -254,7 +239,7 @@ def ablate(container_path, vmr, lar, reps, base_seed, variants, jsonl, out,
     container = load_container(container_path)
     results = run_experiment(
         container, vmr, lar, reps,
-        solver_config=_make_config(kwargs),
+        solver_config=SolverConfig(**kwargs),
         variants=chosen, base_seed=base_seed, jsonl_path=jsonl,
     )
     report = {

@@ -12,12 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..graphs import bkhk_anchors, build_bipartite
 from ..rng import STREAM_EXPERIMENT, make_generator
 from ..solver import (
     RegularizerB,
     SolverConfig,
     admm_solve,
+    anchor_graphs,
     one_hot_labels,
     predict,
     update_labels,
@@ -64,14 +64,8 @@ def baseline_label_propagation(
     if np.any(observed < 1):
         raise ValueError("every sample must be present in at least one view")
 
-    P_cat = np.zeros((n, V * m))
-    for v, X in enumerate(views):
-        omega = np.asarray(missing[v], dtype=np.int64)
-        present = np.setdiff1d(np.arange(n), omega)
-        anchors = bkhk_anchors(X[present], m, seed=seed, index=v)
-        Z = np.full((n, m), 1.0 / m)
-        Z[present] = build_bipartite(X[present], anchors, k)
-        P_cat[:, v * m : (v + 1) * m] = Z / V
+    stack = anchor_graphs(views, missing, m, k, seed)
+    P_cat = stack.transpose(1, 0, 2).reshape(n, V * m) / V
 
     Y = one_hot_labels(y, labeled_idx, c)
     F, _ = update_labels(P_cat, RegularizerB(b_labeled=b_labeled), Y)

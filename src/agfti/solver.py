@@ -3,9 +3,13 @@
 The solver alternates closed-form updates: simplex-projected imputation of
 missing graph rows, the adversarial fusion step for (alpha, P), a blockwise
 label-propagation solve, tubal shrinkage of the stacked graph tensor, a
-Procrustes alignment per view, and the multiplier/penalty update. Each
+batched Procrustes alignment, and the multiplier/penalty update. Each
 subproblem is exposed on its own so it can be tested against independent
 oracles.
+
+The per-view graphs live in one (V, n, m) array for the whole solve, view v
+being the contiguous slice Z[v]; the splitting variable G and the multiplier
+W share that layout, and the alignments are one (V, m, m) array.
 """
 
 import time
@@ -21,7 +25,9 @@ from .graphs import (
     weighted_fusion_input,
 )
 from .simplex import prox_rows
-from .tensor3 import Tensor3, phi, tubal_shrink
+from .tensor3 import Tensor3, tubal_shrink
+# re-exported: perfbench/tracing.py patches solver.phi
+from .tensor3 import phi  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,9 @@ class SolveResult:
     Q: np.ndarray
     P: np.ndarray
     alpha: np.ndarray
-    Zs: list
-    Ts: list
+    # (V, n, m) imputed graphs and (V, m, m) alignments; view v is Zs[v]
+    Zs: np.ndarray
+    Ts: np.ndarray
     eta: float
     lam: float
     converged: bool
@@ -161,59 +168,60 @@ def performance_gain(F, Q, P, bn, bm, Y):
     return cross + fit - quad
 
 
-def update_missing_rows(Zs, missing, G, W, P, Ts, alpha, lam, eta):
-    """Impute absent graph rows by simplex projection of their tensor target.
+def update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta):
+    """Impute absent graph rows in place by simplex projection of their target.
 
-    For view v and sample i in its missing set, the row objective
+    Z, G and W are (V, n, m) stacks. For view v and sample i in its missing
+    set, the row objective
 
-        <W_i, z> - lam alpha_v^2 <(P T_v^T)_i, z> + eta/2 ||z - G_i||^2
+        <W[v, i], z> - lam alpha_v^2 <(P T_v^T)_i, z> + eta/2 ||z - G[v, i]||^2
 
     is minimized on the simplex; completing the square gives the projected
-    target G_i - (W_i - lam alpha_v^2 (P T_v^T)_i) / eta. Rows of observed
-    samples pass through untouched.
+    target G[v, i] - (W[v, i] - lam alpha_v^2 (P T_v^T)_i) / eta, written to
+    Z[v, i]. Rows of observed samples are never touched.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    out = []
-    for v, (Z, T, idx) in enumerate(zip(Zs, Ts, missing)):
-        Z = np.array(Z, dtype=np.float64)
+    for v, idx in enumerate(missing):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size:
-            lin = lam * alpha[v] ** 2 * ((P @ T.T)[idx])
-            target = G.data[idx, :, v] - (W.data[idx, :, v] - lin) / eta
-            Z[idx] = prox_rows(target)
-        out.append(Z)
-    return out
+            lin = lam * alpha[v] ** 2 * ((P @ Ts[v].T)[idx])
+            target = G[v, idx] - (W[v, idx] - lin) / eta
+            Z[v, idx] = prox_rows(target)
 
 
 def update_G(Z, W, eta, rho):
-    """Tubal shrinkage of the multiplier-shifted graph tensor.
+    """Tubal shrinkage of the multiplier-shifted graph stack.
 
-    Minimizes rho * (sum of per-frequency nuclear norms) + eta/2 ||G - Z -
-    W/eta||_F^2, i.e. tubal_shrink at threshold rho/eta.
+    Z and W are (V, n, m) stacks. Minimizes rho * (sum of per-frequency
+    nuclear norms) + eta/2 ||G - Z - W/eta||_F^2, i.e. tubal_shrink at
+    threshold rho/eta of the (n, m, V) tensor whose DFT runs along the
+    sample axis; the result comes back in the (V, n, m) layout.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    M = Z.data + W.data / eta
+    M = Z + W / eta
     if rho == 0:
-        return Tensor3(M)
-    return tubal_shrink(Tensor3(M), rho / eta)
+        return M
+    G = tubal_shrink(Tensor3(M.transpose(1, 2, 0)), rho / eta)
+    return G.data.transpose(2, 0, 1)
 
 
 def update_alignment(Z, P):
-    """Orthogonal Procrustes alignment of one view's graph onto the fused one.
+    """Orthogonal Procrustes alignment of the view graphs onto the fused one.
 
     T = U V^T from the SVD of Z^T P maximizes Tr(T^T Z^T P) over orthogonal
-    matrices; the attained value is the nuclear norm of Z^T P.
+    matrices; the attained value is the nuclear norm of Z^T P. Z is one
+    (n, m) graph or a (V, n, m) stack, giving one (m, m) or a (V, m, m)
+    stack of alignments from one batched SVD.
     """
-    U, _, Vh = np.linalg.svd(np.asarray(Z, dtype=np.float64).T @ P)
+    U, _, Vh = np.linalg.svd(np.swapaxes(Z, -1, -2) @ P)
     return U @ Vh
 
 
-def update_multiplier(W, Z, G, eta, gamma=2.0, eta_max=1e10):
-    """Dual ascent on the splitting constraint, then grow the penalty."""
-    W_new = Tensor3(W.data + eta * (Z.data - G.data))
-    return W_new, min(gamma * eta, eta_max)
+def update_multiplier(W, gap, eta, gamma=2.0, eta_max=1e10):
+    """Dual ascent on Z = G from its residual gap = Z - G, then grow the penalty."""
+    return W + eta * gap, min(gamma * eta, eta_max)
 
 
 def predict(F, idx=None):
@@ -222,6 +230,23 @@ def predict(F, idx=None):
     if idx is None:
         return pred
     return pred[np.asarray(idx, dtype=np.int64)]
+
+
+def anchor_graphs(views, missing, m, k, seed):
+    """Per-view anchor graphs stacked into one (V, n, m) array.
+
+    Slice v is view v's bipartite graph on the samples present in it; rows of
+    samples missing from the view hold the uninformative uniform 1/m.
+    """
+    n = views[0].shape[0]
+    Z = np.empty((len(views), n, m))
+    for v, X in enumerate(views):
+        idx = np.asarray(missing[v], dtype=np.int64)
+        present = np.setdiff1d(np.arange(n), idx)
+        anchors = bkhk_anchors(X[present], m, seed=seed, index=v)
+        Z[v, present] = build_bipartite(X[present], anchors, k)
+        Z[v, idx] = 1.0 / m
+    return Z
 
 
 def _validate_inputs(views, y, labeled_idx, missing, c):
@@ -279,26 +304,17 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     lam = float(config.lam) if config.lam is not None else float(V * V)
     m, k = config.n_anchors, config.k_neighbors
 
-    Zs = []
-    for v, X in enumerate(views):
-        present = np.setdiff1d(np.arange(n), missing[v])
-        anchors = bkhk_anchors(X[present], m, seed=config.seed, index=v)
-        Z = np.empty((n, m))
-        Z[present] = build_bipartite(X[present], anchors, k)
-        if missing[v].size:
-            Z[missing[v]] = 1.0 / m
-        Zs.append(Z)
-
-    Ts = [np.eye(m) for _ in range(V)]
+    Z = anchor_graphs(views, missing, m, k, config.seed)
+    Ts = np.tile(np.eye(m), (V, 1, 1))
     alpha = np.full(V, 1.0 / V)
-    G = Tensor3(np.zeros((n, m, V)))
-    W = Tensor3(np.zeros((n, m, V)))
+    G = np.zeros((V, n, m))
+    W = np.zeros((V, n, m))
     eta = config.eta0
 
     Y = one_hot_labels(y, labeled_idx, c)
     B = RegularizerB(config.b_labeled, config.b_unlabeled, config.b_anchor)
 
-    Zt = weighted_fusion_input(Zs, Ts, alpha)
+    Zt = weighted_fusion_input(Z, Ts, alpha)
     P = solve_inner_P(Zt, np.zeros_like(Zt), lam, config.beta)
     F, Q = update_labels(P, B, Y)
 
@@ -312,16 +328,16 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
         t0 = time.perf_counter()
 
         if has_missing and not config.skip_imputation:
-            Zs = update_missing_rows(Zs, missing, G, W, P, Ts, alpha, lam, eta)
+            update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
 
         if config.freeze_weights:
             H = compute_H(F, Q, P)
-            Zt = weighted_fusion_input(Zs, Ts, alpha)
+            Zt = weighted_fusion_input(Z, Ts, alpha)
             P = solve_inner_P(Zt, H, lam, config.beta)
             h_val = inner_value(P, Zt, H, lam, config.beta)
         else:
             res = agf_minmax(
-                Zs,
+                Z,
                 Ts,
                 F,
                 Q,
@@ -341,17 +357,14 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
         F_prev = F
         F, Q = update_labels(P, B, Y)
 
-        Ztensor = phi(Zs)
-        G = update_G(Ztensor, W, eta, config.rho)
+        G = update_G(Z, W, eta, config.rho)
 
         if not config.freeze_alignment:
-            Ts = [update_alignment(Z, P) for Z in Zs]
+            Ts = update_alignment(Z, P)
 
-        W, eta = update_multiplier(
-            W, Ztensor, G, eta, config.gamma_eta, config.eta_max
-        )
+        gap = Z - G
+        W, eta = update_multiplier(W, gap, eta, config.gamma_eta, config.eta_max)
 
-        gap = Ztensor.data - G.data
         prim_inf = float(np.abs(gap).max()) if gap.size else 0.0
         prim_fro = float(np.linalg.norm(gap))
         # the Frobenius norm dominates the entrywise max, so gating on it
@@ -381,7 +394,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
         Q=Q,
         P=P,
         alpha=alpha,
-        Zs=Zs,
+        Zs=Z,
         Ts=Ts,
         eta=eta,
         lam=lam,

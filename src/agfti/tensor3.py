@@ -8,8 +8,8 @@ frequency slice.
 
 The stacking operator ``phi`` maps V matrices of shape n x m to the m x V x n
 tensor whose frontal slice i holds row i of every input matrix as a column.
-Solver code reads view v of a stacked tensor as the (n, m) view
-``t.data[:, :, v]``.
+The solver keeps its graphs as one (V, n, m) array instead and wraps its
+(n, m, V) transpose, the same layout without a copy, only to shrink it.
 
 A real tensor has a conjugate-symmetric spectrum, so the shrinkage works on
 the half spectrum that ``rfft`` returns (frequencies 0 .. n3//2) and ``irfft``

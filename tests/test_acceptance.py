@@ -44,7 +44,7 @@ from agfti.solver import (
     update_labels,
     update_missing_rows,
 )
-from agfti.tensor3 import Tensor3, phi, tubal_shrink
+from agfti.tensor3 import Tensor3, tubal_shrink
 from oracles import (
     dense_label_solve,
     identity_tensor,
@@ -262,21 +262,21 @@ def test_06_closed_form_subproblem_optimality():
 
     # imputed rows solve their per-row quadratic programs exactly
     n, m, V = 8, 4, 2
-    Zs = [rand_row_stochastic(rng, n, m) for _ in range(V)]
-    G = phi([rand_row_stochastic(rng, n, m) for _ in range(V)])
-    W = phi([0.1 * rng.standard_normal((n, m)) for _ in range(V)])
+    Z = np.stack([rand_row_stochastic(rng, n, m) for _ in range(V)])
+    G = np.stack([rand_row_stochastic(rng, n, m) for _ in range(V)])
+    W = 0.1 * rng.standard_normal((V, n, m))
     P = rand_row_stochastic(rng, n, m)
-    Ts = [rand_orthogonal(rng, m) for _ in range(V)]
+    Ts = np.stack([rand_orthogonal(rng, m) for _ in range(V)])
     alpha = np.array([0.7, 0.3])
     missing = [np.array([0, 3, 5]), np.array([1, 2, 6, 7])]
     lam, eta = 4.0, 0.5
-    out = update_missing_rows(Zs, missing, G, W, P, Ts, alpha, lam, eta)
+    update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
     for v in range(V):
         lin = lam * alpha[v] ** 2 * (P @ Ts[v].T)
         for i in missing[v]:
-            target = G.data[i, :, v] - (W.data[i, :, v] - lin[i]) / eta
+            target = G[v, i] - (W[v, i] - lin[i]) / eta
             ref = simplex_qp_oracle(target)
-            assert np.abs(out[v][i] - ref).max() < 1e-10
+            assert np.abs(Z[v, i] - ref).max() < 1e-10
 
     # fused graph rows solve theirs
     Zt = rng.standard_normal((6, 5))

@@ -14,7 +14,7 @@ from agfti.solver import (
     update_missing_rows,
     update_multiplier,
 )
-from agfti.tensor3 import Tensor3, phi
+from agfti.tensor3 import Tensor3, phi, tubal_shrink
 
 from oracles import (
     dense_bipartite_pieces,
@@ -144,64 +144,84 @@ class TestPerformanceGain:
             assert abs(ours - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
+def rand_stack(rng, V, n, m, scale=None):
+    """(V, n, m) stack of row-stochastic graphs, or of scaled normals."""
+    if scale is None:
+        return np.stack([rand_row_stochastic(rng, n, m) for _ in range(V)])
+    return scale * rng.standard_normal((V, n, m))
+
+
 class TestUpdateMissingRows:
     def _state(self, rng, n=6, m=3, V=2):
-        Zs = [rand_row_stochastic(rng, n, m) for _ in range(V)]
-        G = phi([rand_row_stochastic(rng, n, m) for _ in range(V)])
-        W = phi([0.1 * rng.standard_normal((n, m)) for _ in range(V)])
+        Z = rand_stack(rng, V, n, m)
+        G = rand_stack(rng, V, n, m)
+        W = rand_stack(rng, V, n, m, scale=0.1)
         P = rand_row_stochastic(rng, n, m)
-        Ts = [rand_orthogonal(rng, m) for _ in range(V)]
+        Ts = np.stack([rand_orthogonal(rng, m) for _ in range(V)])
         alpha = np.array([0.6, 0.4])
         missing = [np.array([1, 4]), np.array([0, 2, 5])]
-        return Zs, missing, G, W, P, Ts, alpha
+        return Z, missing, G, W, P, Ts, alpha
 
     def test_observed_rows_untouched(self):
         rng = np.random.default_rng(6)
-        Zs, missing, G, W, P, Ts, alpha = self._state(rng)
-        out = update_missing_rows(Zs, missing, G, W, P, Ts, alpha, 2.0, 0.5)
+        Z, missing, G, W, P, Ts, alpha = self._state(rng)
+        before = Z.copy()
+        update_missing_rows(Z, missing, G, W, P, Ts, alpha, 2.0, 0.5)
         for v in range(2):
             keep = np.setdiff1d(np.arange(6), missing[v])
-            assert np.array_equal(out[v][keep], Zs[v][keep])
+            assert np.array_equal(Z[v, keep], before[v, keep])
+
+    def test_writes_only_missing_rows_in_place(self):
+        rng = np.random.default_rng(18)
+        Z, missing, G, W, P, Ts, alpha = self._state(rng)
+        # view 1 has no missing rows and must come through bit for bit
+        missing[1] = np.array([], dtype=np.int64)
+        before = Z.copy()
+        address = Z.__array_interface__["data"][0]
+        assert update_missing_rows(Z, missing, G, W, P, Ts, alpha, 2.0, 0.5) is None
+        assert Z.__array_interface__["data"][0] == address
+        changed = np.any(Z != before, axis=2)
+        expected = np.zeros((2, 6), dtype=bool)
+        expected[0, missing[0]] = True
+        assert np.array_equal(changed, expected)
 
     def test_lambda_zero_projects_G_rows(self):
         rng = np.random.default_rng(7)
-        Zs, missing, G, _, P, Ts, alpha = self._state(rng)
-        W = phi([np.zeros((6, 3)) for _ in range(2)])
-        out = update_missing_rows(Zs, missing, G, W, P, Ts, alpha, 0.0, 0.5)
+        Z, missing, G, _, P, Ts, alpha = self._state(rng)
+        W = np.zeros((2, 6, 3))
+        update_missing_rows(Z, missing, G, W, P, Ts, alpha, 0.0, 0.5)
         for v in range(2):
             for i in missing[v]:
-                ref = simplex_qp_oracle(G.data[i, :, v])
-                assert np.abs(out[v][i] - ref).max() < 1e-10
+                ref = simplex_qp_oracle(G[v, i])
+                assert np.abs(Z[v, i] - ref).max() < 1e-10
 
     def test_rows_match_qp_oracle(self):
         rng = np.random.default_rng(8)
-        Zs, missing, G, W, P, Ts, alpha = self._state(rng)
+        Z, missing, G, W, P, Ts, alpha = self._state(rng)
         lam, eta = 2.0, 0.5
-        out = update_missing_rows(Zs, missing, G, W, P, Ts, alpha, lam, eta)
+        update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
         for v in range(2):
             lin = lam * alpha[v] ** 2 * (P @ Ts[v].T)
             for i in missing[v]:
-                target = G.data[i, :, v] - (W.data[i, :, v] - lin[i]) / eta
+                target = G[v, i] - (W[v, i] - lin[i]) / eta
                 ref = simplex_qp_oracle(target)
-                assert np.abs(out[v][i] - ref).max() < 1e-10
+                assert np.abs(Z[v, i] - ref).max() < 1e-10
 
     def test_minimizes_row_objective(self):
         rng = np.random.default_rng(9)
-        Zs, missing, G, W, P, Ts, alpha = self._state(rng)
+        Z, missing, G, W, P, Ts, alpha = self._state(rng)
         lam, eta = 2.0, 0.5
-        out = update_missing_rows(Zs, missing, G, W, P, Ts, alpha, lam, eta)
+        update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
 
         def row_obj(z, i, v):
             lin = lam * alpha[v] ** 2 * (P @ Ts[v].T)[i]
             return float(
-                W.data[i, :, v] @ z
-                - lin @ z
-                + 0.5 * eta * ((z - G.data[i, :, v]) ** 2).sum()
+                W[v, i] @ z - lin @ z + 0.5 * eta * ((z - G[v, i]) ** 2).sum()
             )
 
         for v in range(2):
             for i in missing[v]:
-                best = row_obj(out[v][i], i, v)
+                best = row_obj(Z[v, i], i, v)
                 for _ in range(50):
                     cand = rng.dirichlet(np.ones(3))
                     assert best <= row_obj(cand, i, v) + 1e-12
@@ -210,39 +230,50 @@ class TestUpdateMissingRows:
 class TestUpdateG:
     def test_rho_zero_identity(self):
         rng = np.random.default_rng(10)
-        Z = phi([rand_row_stochastic(rng, 5, 4) for _ in range(3)])
-        W = phi([rng.standard_normal((5, 4)) for _ in range(3)])
+        Z = rand_stack(rng, 3, 5, 4)
+        W = rand_stack(rng, 3, 5, 4, scale=1.0)
         G = update_G(Z, W, eta=2.0, rho=0.0)
-        assert np.array_equal(G.data, Z.data + W.data / 2.0)
+        assert np.array_equal(G, Z + W / 2.0)
 
     def test_huge_rho_zeroes(self):
         rng = np.random.default_rng(11)
-        Z = phi([rand_row_stochastic(rng, 5, 4) for _ in range(2)])
-        W = phi([np.zeros((5, 4)) for _ in range(2)])
+        Z = rand_stack(rng, 2, 5, 4)
+        W = np.zeros((2, 5, 4))
         G = update_G(Z, W, eta=1.0, rho=1e6)
-        assert np.abs(G.data).max() == 0.0
+        assert np.abs(G).max() == 0.0
 
     def test_perturbation_optimality(self):
         rng = np.random.default_rng(12)
         n, m, V = 6, 4, 3
-        Z = phi([rand_row_stochastic(rng, n, m) for _ in range(V)])
-        W = phi([0.3 * rng.standard_normal((n, m)) for _ in range(V)])
+        Z = rand_stack(rng, V, n, m)
+        W = rand_stack(rng, V, n, m, scale=0.3)
         eta, rho = 0.7, 0.4
-        M = Tensor3(Z.data + W.data / eta)
+        M = Z + W / eta
         G = update_G(Z, W, eta=eta, rho=rho)
 
         def objective(T):
             # rho/eta times the plain (unaveraged) sum of per-frequency
             # nuclear norms, which is n3 * tnn
-            return (rho / eta) * n * tnn(T) + 0.5 * float(
-                ((T.data - M.data) ** 2).sum()
-            )
+            shrinkage = (rho / eta) * n * tnn(Tensor3(T.transpose(1, 2, 0)))
+            return shrinkage + 0.5 * float(((T - M) ** 2).sum())
 
         base = objective(G)
         for _ in range(100):
-            delta = rng.standard_normal(G.data.shape)
+            delta = rng.standard_normal(G.shape)
             delta *= rng.uniform(1e-3, 0.3) / np.linalg.norm(delta)
-            assert base <= objective(Tensor3(G.data + delta)) + 1e-10
+            assert base <= objective(G + delta) + 1e-10
+
+    def test_stack_equals_shrink_of_view_stacked_tensor(self):
+        rng = np.random.default_rng(19)
+        for V, n, m in [(2, 7, 4), (3, 8, 5), (6, 9, 3)]:
+            Z = rand_stack(rng, V, n, m)
+            W = rand_stack(rng, V, n, m, scale=0.3)
+            eta, rho = 0.7, 0.4
+            G = update_G(Z, W, eta=eta, rho=rho)
+            # phi of the views is the (n, m, V) tensor the shrinkage sees
+            ref = tubal_shrink(phi(list(Z + W / eta)), rho / eta)
+            assert G.shape == (V, n, m)
+            assert np.array_equal(G, ref.data.transpose(2, 0, 1))
 
 
 class TestUpdateAlignment:
@@ -273,27 +304,33 @@ class TestUpdateAlignment:
             R = rand_orthogonal(rng, 4)
             assert tr >= float(np.trace(R.T @ cross)) - 1e-10
 
+    def test_stack_equals_per_view_calls(self):
+        rng = np.random.default_rng(20)
+        for V, n, m in [(1, 10, 4), (2, 30, 8), (6, 40, 16)]:
+            Z = rand_stack(rng, V, n, m)
+            P = rand_row_stochastic(rng, n, m)
+            Ts = update_alignment(Z, P)
+            assert Ts.shape == (V, m, m)
+            for v in range(V):
+                assert np.array_equal(Ts[v], update_alignment(Z[v], P))
+
 
 class TestUpdateMultiplier:
     def test_no_gap_keeps_W(self):
         rng = np.random.default_rng(15)
-        Z = phi([rand_row_stochastic(rng, 4, 3) for _ in range(2)])
-        W = phi([rng.standard_normal((4, 3)) for _ in range(2)])
-        W2, eta2 = update_multiplier(W, Z, Tensor3(Z.data.copy()), eta=0.01)
-        assert np.array_equal(W2.data, W.data)
+        W = rand_stack(rng, 2, 4, 3, scale=1.0)
+        W2, eta2 = update_multiplier(W, np.zeros((2, 4, 3)), eta=0.01)
+        assert np.array_equal(W2, W)
         assert eta2 == pytest.approx(0.02)
 
     def test_gap_scales_with_eta(self):
-        Z = Tensor3(np.ones((2, 2, 2)))
-        G = Tensor3(np.zeros((2, 2, 2)))
-        W = Tensor3(np.zeros((2, 2, 2)))
-        W2, eta2 = update_multiplier(W, Z, G, eta=0.5)
-        assert np.all(W2.data == 0.5)
+        W = np.zeros((2, 2, 2))
+        W2, eta2 = update_multiplier(W, np.ones((2, 2, 2)), eta=0.5)
+        assert np.all(W2 == 0.5)
         assert eta2 == 1.0
 
     def test_eta_capped(self):
-        Z = Tensor3(np.zeros((2, 2, 2)))
-        _, eta2 = update_multiplier(Tensor3(np.zeros((2, 2, 2))), Z, Z, eta=1e10)
+        _, eta2 = update_multiplier(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), eta=1e10)
         assert eta2 == 1e10
 
 
