@@ -144,18 +144,16 @@ class TestPerformanceGain:
             assert abs(ours - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
-def rand_stack(rng, V, n, m, scale=None):
-    """(V, n, m) stack of row-stochastic graphs, or of scaled normals."""
-    if scale is None:
-        return np.stack([rand_row_stochastic(rng, n, m) for _ in range(V)])
-    return scale * rng.standard_normal((V, n, m))
+def rand_stack(rng, V, n, m):
+    """(V, n, m) stack of row-stochastic graphs."""
+    return np.stack([rand_row_stochastic(rng, n, m) for _ in range(V)])
 
 
 class TestUpdateMissingRows:
     def _state(self, rng, n=6, m=3, V=2):
         Z = rand_stack(rng, V, n, m)
         G = rand_stack(rng, V, n, m)
-        W = rand_stack(rng, V, n, m, scale=0.1)
+        W = 0.1 * rng.standard_normal((V, n, m))
         P = rand_row_stochastic(rng, n, m)
         Ts = np.stack([rand_orthogonal(rng, m) for _ in range(V)])
         alpha = np.array([0.6, 0.4])
@@ -231,7 +229,7 @@ class TestUpdateG:
     def test_rho_zero_identity(self):
         rng = np.random.default_rng(10)
         Z = rand_stack(rng, 3, 5, 4)
-        W = rand_stack(rng, 3, 5, 4, scale=1.0)
+        W = rng.standard_normal((3, 5, 4))
         G = update_G(Z, W, eta=2.0, rho=0.0)
         assert np.array_equal(G, Z + W / 2.0)
 
@@ -246,7 +244,7 @@ class TestUpdateG:
         rng = np.random.default_rng(12)
         n, m, V = 6, 4, 3
         Z = rand_stack(rng, V, n, m)
-        W = rand_stack(rng, V, n, m, scale=0.3)
+        W = 0.3 * rng.standard_normal((V, n, m))
         eta, rho = 0.7, 0.4
         M = Z + W / eta
         G = update_G(Z, W, eta=eta, rho=rho)
@@ -267,7 +265,7 @@ class TestUpdateG:
         rng = np.random.default_rng(19)
         for V, n, m in [(2, 7, 4), (3, 8, 5), (6, 9, 3)]:
             Z = rand_stack(rng, V, n, m)
-            W = rand_stack(rng, V, n, m, scale=0.3)
+            W = 0.3 * rng.standard_normal((V, n, m))
             eta, rho = 0.7, 0.4
             G = update_G(Z, W, eta=eta, rho=rho)
             # phi of the views is the (n, m, V) tensor the shrinkage sees
@@ -318,7 +316,7 @@ class TestUpdateAlignment:
 class TestUpdateMultiplier:
     def test_no_gap_keeps_W(self):
         rng = np.random.default_rng(15)
-        W = rand_stack(rng, 2, 4, 3, scale=1.0)
+        W = rng.standard_normal((2, 4, 3))
         W2, eta2 = update_multiplier(W, np.zeros((2, 4, 3)), eta=0.01)
         assert np.array_equal(W2, W)
         assert eta2 == pytest.approx(0.02)
