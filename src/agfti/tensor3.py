@@ -14,6 +14,15 @@ The solver keeps its graphs as one (V, n, m) array instead and wraps its
 A real tensor has a conjugate-symmetric spectrum, so the shrinkage works on
 the half spectrum that ``rfft`` returns (frequencies 0 .. n3//2) and ``irfft``
 rebuilds the real result from it; the mirrored frequencies are never formed.
+
+Shrinkage at threshold t zeroes a frequency slice A_k exactly when its largest
+singular value is at most t, and s_max(A_k) <= ||A_k||_F <= sum_i ||f_i||_F,
+the f_i being the frontal slices (A_k is a unit-modulus combination of them).
+So a tensor whose frontal norms sum to at most (1 - SKIP_MARGIN) * t shrinks to
+zero without a transform, and a slice whose Frobenius norm is at most that
+skips its SVD. The margin, far above the ~1e-13 relative rounding of the norms
+and the FFT, keeps the skip to slices whose computed singular values the full
+computation would also have zeroed, so the result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# relative margin below the threshold under which a norm bound proves a zero
+SKIP_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,14 @@ def phi(mats):
     return Tensor3(np.stack(mats, axis=2))
 
 
+def _slice_norms(real, imag=None):
+    """Frobenius norm of every slice k of a (k, i, j) array, split into parts."""
+    sq = np.einsum("kij,kij->k", real, real)
+    if imag is not None:
+        sq += np.einsum("kij,kij->k", imag, imag)
+    return np.sqrt(sq)
+
+
 def tubal_shrink(f: Tensor3, tau: float) -> Tensor3:
     """Soft-threshold the Fourier-domain singular values at n3 * tau.
 
@@ -61,15 +81,32 @@ def tubal_shrink(f: Tensor3, tau: float) -> Tensor3:
     nuclear norms, i.e. of (n3 * tau) times the tensor nuclear norm (their
     mean), the convention the ADMM G-step uses with tau = rho / eta. With
     n3 = 1 it reduces to matrix singular value thresholding at tau.
+
+    Only work whose result can be nonzero is done: with every frequency
+    slice bounded by s_max(A_k) <= ||A_k||_F <= sum_i ||f_i||_F, a tensor
+    whose frontal-slice norms sum to at most (1 - SKIP_MARGIN) * n3 * tau
+    returns zeros without a transform, and only the frequency slices whose
+    Frobenius norm exceeds that floor get an SVD. The output equals the
+    all-slice computation bit for bit.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    n3 = f.data.shape[0]
-    spec = np.fft.rfft(f.data, axis=0)
+    data = f.data
+    n3 = data.shape[0]
+    t = n3 * tau
+    floor = (1.0 - SKIP_MARGIN) * t
+    if _slice_norms(data).sum() <= floor:
+        return Tensor3(np.zeros(data.shape))
+    spec = np.fft.rfft(data, axis=0)
+    keep = _slice_norms(spec.real, spec.imag) > floor
+    live = np.flatnonzero(keep)
+    if live.size == 0:
+        return Tensor3(np.zeros(data.shape))
+    all_live = live.size == keep.size
     try:
-        U, s, Vh = np.linalg.svd(spec, full_matrices=False)
+        U, s, Vh = np.linalg.svd(spec if all_live else spec[keep], full_matrices=False)
     except np.linalg.LinAlgError:
-        for k in range(spec.shape[0]):
+        for k in live:
             try:
                 np.linalg.svd(spec[k], full_matrices=False)
             except np.linalg.LinAlgError as exc:
@@ -77,5 +114,13 @@ def tubal_shrink(f: Tensor3, tau: float) -> Tensor3:
                     f"SVD failed to converge on frequency slice {k}"
                 ) from exc
         raise
-    shrunk = np.maximum(s - n3 * tau, 0.0)
-    return Tensor3(np.fft.irfft(U @ (shrunk[..., None] * Vh), n=n3, axis=0))
+    shrunk = np.maximum(s - t, 0.0)[..., None] * Vh
+    if all_live:
+        spec = U @ shrunk
+    else:
+        # written in place: a fresh output spectrum would raise the peak
+        spec[~keep] = 0.0
+        spec[keep] = U @ shrunk
+    # the factors are the largest arrays alive; free them before the inverse
+    del U, Vh, shrunk
+    return Tensor3(np.fft.irfft(spec, n=n3, axis=0))

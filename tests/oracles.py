@@ -166,6 +166,20 @@ def tubal_shrink_full_spectrum(f: Tensor3, tau: float) -> Tensor3:
     return Tensor3(_realify(np.fft.ifft(_mirror(Gf, n3), axis=0), "tubal_shrink"))
 
 
+def tubal_shrink_all_slices(f: Tensor3, tau: float) -> Tensor3:
+    """Half-spectrum tubal shrinkage that transforms and SVDs every slice.
+
+    rfft, one batched SVD over all n3//2+1 frequency slices, soft threshold
+    at n3 * tau, irfft: the package's tubal_shrink without its skips, which
+    must agree with it bit for bit.
+    """
+    n3 = f.data.shape[0]
+    spec = np.fft.rfft(f.data, axis=0)
+    U, s, Vh = np.linalg.svd(spec, full_matrices=False)
+    shrunk = np.maximum(s - n3 * tau, 0.0)
+    return Tensor3(np.fft.irfft(U @ (shrunk[..., None] * Vh), n=n3, axis=0))
+
+
 def simplex_qp_oracle(t):
     """Brute-force argmin of ||x - t||^2 over the probability simplex.
 

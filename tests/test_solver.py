@@ -391,6 +391,28 @@ class TestAdmmSolve:
         ):
             assert key in row
 
+    def test_first_shrinkage_is_exact_zeros_without_a_transform(self, monkeypatch):
+        # with the default eta0 and rho the first threshold, n * rho / eta0,
+        # dominates the norm bound of the whole graph stack
+        import agfti.solver as solver
+
+        outs = []
+
+        def recording_update_G(Z, W, eta, rho):
+            G = update_G(Z, W, eta, rho)
+            outs.append(G.copy())
+            return G
+
+        def no_rfft(*args, **kwargs):
+            raise AssertionError("rfft called although the threshold dominates")
+
+        monkeypatch.setattr(solver, "update_G", recording_update_G)
+        monkeypatch.setattr(np.fft, "rfft", no_rfft)
+        result, _, _ = self._solve(seed=0, max_outer_iters=1)
+        assert len(outs) == 1
+        assert not outs[0].any()
+        assert result.n_iter == 1
+
     def test_classifies_easy_blobs(self):
         result, y, labeled_idx = self._solve(seed=1)
         pred = predict(result.F)

@@ -13,6 +13,7 @@ from oracles import (
     t_svd,
     tensor_transpose,
     tnn,
+    tubal_shrink_all_slices,
     tubal_shrink_full_spectrum,
 )
 
@@ -223,6 +224,119 @@ class TestTubalShrink:
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         with pytest.raises(RuntimeError, match="frequency slice 2"):
             tubal_shrink(t, 0.1)
+
+
+def rank1_spectrum_tensor(rng, n1, n2, n3, norms):
+    """Real tensor whose frequency slice k is rank one with norm norms[k].
+
+    Slices 0 and (for even n3) n3/2 are real, as in any real tensor's
+    spectrum; a rank-one slice's only singular value is its norm.
+    """
+    half = n3 // 2 + 1
+    spec = np.empty((half, n1, n2), dtype=complex)
+    for k in range(half):
+        real = k == 0 or 2 * k == n3
+        u = rng.standard_normal(n1) + (0 if real else 1j) * rng.standard_normal(n1)
+        v = rng.standard_normal(n2) + (0 if real else 1j) * rng.standard_normal(n2)
+        spec[k] = norms[k] * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    return Tensor3(np.fft.irfft(spec, n=n3, axis=0))
+
+
+def svd_slice_counter(monkeypatch):
+    """Record how many matrices every np.linalg.svd call factorizes."""
+    svd = np.linalg.svd
+    counts = []
+
+    def counting_svd(a, *args, **kwargs):
+        counts.append(1 if a.ndim == 2 else a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return counts
+
+
+class TestShrinkSkip:
+    """The skipped work is provably zero: outputs equal the all-slice body."""
+
+    @pytest.mark.parametrize("n3", [8, 9])
+    def test_mixed_dead_and_live_slices(self, monkeypatch, n3):
+        # dead slices between live ones; the live slice of norm 0.5 sits
+        # between t = 0.4 and sqrt(t), so comparing squared norms against
+        # the unsquared threshold would drop it
+        norms = [3.0, 0.05, 0.5, 0.1, 2.0]
+        t = rank1_spectrum_tensor(np.random.default_rng(n3), 4, 3, n3, norms)
+        tau = 0.4 / n3
+        ref = tubal_shrink_all_slices(t, tau)
+        counts = svd_slice_counter(monkeypatch)
+        out = tubal_shrink(t, tau)
+        assert np.array_equal(out.data, ref.data)
+        assert sum(counts) == 3
+        # the surviving part of each live slice is its norm less t
+        s_out = np.linalg.svd(np.fft.rfft(out.data, axis=0), compute_uv=False)
+        assert np.allclose(s_out[:, 0], [2.6, 0.0, 0.1, 0.0, 1.6], atol=1e-12)
+
+    @pytest.mark.parametrize("rel", [-1e-6, -1e-12, 1e-12, 1e-6])
+    def test_singular_value_at_the_threshold(self, monkeypatch, rel):
+        # one rank-1 frequency slice whose singular value is t * (1 + rel);
+        # within the margin the slice still gets an SVD, below it none does
+        n3 = 6
+        norms = [0.0] * (n3 // 2 + 1)
+        norms[2] = 1.3
+        t = rank1_spectrum_tensor(np.random.default_rng(5), 5, 3, n3, norms)
+        tau = 1.3 / (1.0 + rel) / n3
+        ref = tubal_shrink_all_slices(t, tau)
+        counts = svd_slice_counter(monkeypatch)
+        out = tubal_shrink(t, tau)
+        assert np.array_equal(out.data, ref.data)
+        assert (np.abs(out.data).max() > 0) == (rel > 0)
+        assert sum(counts) == (0 if rel == -1e-6 else 1)
+
+    def test_dominant_threshold_needs_no_transform(self, monkeypatch):
+        t = rand_tensor(np.random.default_rng(47), 4, 3, 7)
+        bound = sum(np.linalg.norm(t.data[i]) for i in range(7))
+
+        def no_rfft(*args, **kwargs):
+            raise AssertionError("rfft called although the threshold dominates")
+
+        monkeypatch.setattr(np.fft, "rfft", no_rfft)
+        out = tubal_shrink(t, 1.01 * bound / 7)
+        assert out.data.shape == t.data.shape
+        assert not out.data.any()
+
+    def test_all_dead_slices_need_no_svd(self, monkeypatch):
+        # the threshold lies between the largest slice norm and the norm
+        # bound: the transform runs, but no slice needs an SVD
+        t = rand_tensor(np.random.default_rng(53), 4, 3, 8)
+        norms = np.linalg.norm(np.fft.rfft(t.data, axis=0), axis=(1, 2))
+        bound = sum(np.linalg.norm(t.data[i]) for i in range(8))
+        assert norms.max() < bound
+        tau = 0.5 * (norms.max() + bound) / 8
+        ref = tubal_shrink_all_slices(t, tau)
+        counts = svd_slice_counter(monkeypatch)
+        out = tubal_shrink(t, tau)
+        assert np.array_equal(out.data, ref.data)
+        assert not out.data.any()
+        assert counts == []
+
+    def test_failure_names_the_original_slice_after_skips(self, monkeypatch):
+        # frequencies 0 and 1 are skipped; the second per-slice retry fails,
+        # and that is frequency 3, not the live subset's index 1
+        norms = [0.01, 0.01, 2.0, 3.0, 0.01]
+        t = rank1_spectrum_tensor(np.random.default_rng(59), 3, 2, 8, norms)
+        svd = np.linalg.svd
+        slice_calls = []
+
+        def failing_svd(a, *args, **kwargs):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            slice_calls.append(a)
+            if len(slice_calls) > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(RuntimeError, match="frequency slice 3"):
+            tubal_shrink(t, 0.5 / 8)
 
 
 class TestPhiLayout:
