@@ -185,7 +185,7 @@ def update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta):
     for v, idx in enumerate(missing):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size:
-            lin = lam * alpha[v] ** 2 * ((P @ Ts[v].T)[idx])
+            lin = lam * alpha[v] ** 2 * (P[idx] @ Ts[v].T)
             target = G[v, idx] - (W[v, idx] - lin) / eta
             Z[v, idx] = prox_rows(target)
 

@@ -14,6 +14,7 @@ from agfti.solver import (
     update_missing_rows,
     update_multiplier,
 )
+from agfti.simplex import prox_rows
 from agfti.tensor3 import Tensor3, phi, tubal_shrink
 
 from oracles import (
@@ -182,6 +183,21 @@ class TestUpdateMissingRows:
         expected = np.zeros((2, 6), dtype=bool)
         expected[0, missing[0]] = True
         assert np.array_equal(changed, expected)
+
+    def test_matches_full_product_form(self):
+        # only the missing rows of P are multiplied; below about 33 rows the
+        # gathered product can round differently from the rows of P @ T^T
+        rng = np.random.default_rng(20)
+        n, m, V = 400, 32, 3
+        Z, _, G, W, P, Ts, _ = self._state(rng, n=n, m=m, V=V)
+        alpha = np.array([0.5, 0.3, 0.2])
+        missing = [rng.choice(n, size, replace=False) for size in (7, 20, 150)]
+        lam, eta = 9.0, 1.0
+        update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
+        for v, idx in enumerate(missing):
+            lin = lam * alpha[v] ** 2 * (P @ Ts[v].T)[idx]
+            ref = prox_rows(G[v, idx] - (W[v, idx] - lin) / eta)
+            assert np.abs(Z[v, idx] - ref).max() <= 1e-15
 
     def test_lambda_zero_projects_G_rows(self):
         rng = np.random.default_rng(7)
