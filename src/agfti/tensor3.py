@@ -66,12 +66,9 @@ def phi(mats):
     return Tensor3(np.stack(mats, axis=2))
 
 
-def _slice_norms(real, imag=None):
-    """Frobenius norm of every slice k of a (k, i, j) array, split into parts."""
-    sq = np.einsum("kij,kij->k", real, real)
-    if imag is not None:
-        sq += np.einsum("kij,kij->k", imag, imag)
-    return np.sqrt(sq)
+def _slice_norms(*parts):
+    """Frobenius norm of every slice k of a (k, i, j) array given by its real parts."""
+    return np.sqrt(sum(np.einsum("kij,kij->k", a, a) for a in parts))
 
 
 def tubal_shrink(f: Tensor3, tau: float) -> Tensor3:
@@ -99,14 +96,13 @@ def tubal_shrink(f: Tensor3, tau: float) -> Tensor3:
         return Tensor3(np.zeros(data.shape))
     spec = np.fft.rfft(data, axis=0)
     keep = _slice_norms(spec.real, spec.imag) > floor
-    live = np.flatnonzero(keep)
-    if live.size == 0:
+    if not keep.any():
         return Tensor3(np.zeros(data.shape))
-    all_live = live.size == keep.size
+    all_live = keep.all()
     try:
         U, s, Vh = np.linalg.svd(spec if all_live else spec[keep], full_matrices=False)
     except np.linalg.LinAlgError:
-        for k in live:
+        for k in np.flatnonzero(keep):
             try:
                 np.linalg.svd(spec[k], full_matrices=False)
             except np.linalg.LinAlgError as exc:
