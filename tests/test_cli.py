@@ -116,6 +116,7 @@ def test_diag_emits_one_record_per_iteration(workspace):
     assert rows[0]["iteration"] == 1
     for row in rows:
         assert row["primal_residual_fro"] >= row["primal_residual_inf"] >= 0.0
+        assert sum(row["step_seconds"].values()) <= row["seconds"]
 
 
 def test_eval_aggregates(workspace):

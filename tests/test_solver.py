@@ -404,8 +404,15 @@ class TestAdmmSolve:
             "alpha",
             "eta",
             "seconds",
+            "step_seconds",
         ):
             assert key in row
+        names = ["impute", "fusion", "labels", "shrink", "align", "multiplier"]
+        for row in result.diagnostics:
+            steps = row["step_seconds"]
+            assert list(steps) == names
+            assert min(steps.values()) >= 0.0
+            assert sum(steps.values()) <= row["seconds"]
 
     def test_first_shrinkage_is_exact_zeros_without_a_transform(self, monkeypatch):
         # with the default eta0 and rho the first threshold, n * rho / eta0,
