@@ -1,0 +1,162 @@
+"""Benchmark a change against its parent in alternating pairs; write BENCH_<label>.json.
+
+    python scripts/bench_pairs.py --parent DIR --change DIR --workload frozen-v6 \\
+        --seeds 1-10 --seconds 30 --label shrink-skip
+
+DIR is the root of a source checkout (a git clone of the parent commit, and the
+tree holding the change). For each seed the script runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+once in each tree, the parent first on odd seeds and the change first on even
+ones, so drift in the machine's load falls on both sides. It reads the
+end-to-end metrics from each run's last output line and their direction and
+regression bound from the change tree's BENCHMARK.json.
+
+BENCH_<label>.json is written into the change tree. It holds one section per
+workload: every pair, and per metric each side's quartiles, the pairs the
+change won, the relative change of the medians, the parent's relative spread,
+whether the change regressed beyond the bound, and whether a gain meets the
+rule of at least nine tenths of the pairs won and a median difference larger
+than the parent's interquartile range. Running the script again with the same
+label adds or replaces that workload's section and keeps the others.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ENV_KEYS = ("blas_thread_pin", "nproc", "numpy", "openblas", "python")
+
+
+def parse_seeds(text):
+    """'1-10' or '3' to a list of seeds."""
+    lo, _, hi = text.partition("-")
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def run_side(tree, workload, seed, seconds):
+    """One benchmark run in a tree: (end-to-end record, environment)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed in {tree}:\n{proc.stderr}")
+    lines = proc.stdout.strip().splitlines()
+    report = json.loads(lines[-2])["report"]
+    result = json.loads(lines[-1])
+    record = {name: m["value"] for name, m in result["metrics"].items()}
+    record.update(
+        correct=result["correct"], failed=result["failed"], attempted=result["attempted"]
+    )
+    env = {k: report["environment"].get(k) for k in ENV_KEYS}
+    return record, env
+
+
+def summarize(pairs, metrics):
+    """Per-metric comparison of the change against the parent over the pairs.
+
+    metrics maps each end-to-end metric name to (better, bound), with better
+    "lower" or "higher" and bound the relative worsening allowed.
+    """
+    out = {}
+    for name, (better, bound) in metrics.items():
+        parent = [p["parent"][name] for p in pairs]
+        change = [p["change"][name] for p in pairs]
+        pq = _quartiles(parent)
+        cq = _quartiles(change)
+        sign = 1.0 if better == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        rel = (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0
+        iqr = pq[2] - pq[0]
+        out[name] = {
+            "better": better,
+            "parent_q1_median_q3": pq,
+            "change_q1_median_q3": cq,
+            "change_better_pairs": wins,
+            "pairs": len(pairs),
+            "median_change_rel": rel,
+            "parent_iqr_rel": iqr / pq[1] if pq[1] else 0.0,
+            "bound": bound,
+            "regression_beyond_bound": sign * rel > bound,
+            "gain_rule_met": wins >= 0.9 * len(pairs) and sign * (pq[1] - cq[1]) > iqr,
+        }
+    return out
+
+
+def _quartiles(values):
+    if len(values) == 1:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def _commit(tree):
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=tree, capture_output=True, text=True
+        ).stdout.strip()
+
+    # untracked files do not count: an earlier run may have left BENCH files
+    return {
+        "commit": git("rev-parse", "HEAD") or None,
+        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--label", required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {side: _commit(tree) for side, tree in trees.items()}
+
+    pairs = []
+    env = None
+    for seed in args.seeds:
+        first = "parent" if seed % 2 else "change"
+        pair = {"seed": seed, "first": first}
+        for side in (first, "change" if first == "parent" else "parent"):
+            pair[side], env = run_side(trees[side], args.workload, seed, args.seconds)
+            print(f"seed {seed} {side}: {json.dumps(pair[side])}", file=sys.stderr)
+        pairs.append(pair)
+
+    path = args.change / f"BENCH_{args.label}.json"
+    bench = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
+    bench.update(
+        label=args.label,
+        parent=commits["parent"],
+        change=commits["change"],
+        command="python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
+        protocol=(
+            "alternating pairs, the same seed on both sides of a pair, the parent "
+            "first on odd seeds; each side from its own source tree"
+        ),
+        environment=env,
+    )
+    bench["workloads"][args.workload] = {
+        "seeds": args.seeds,
+        "seconds": args.seconds,
+        "pairs": pairs,
+        "summary": summarize(pairs, metrics),
+    }
+    path.write_text(json.dumps(bench, indent=1) + "\n")
+    print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

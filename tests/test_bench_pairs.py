@@ -1,0 +1,66 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def pairs_of(parent, change, name="wall_s"):
+    return [
+        {"seed": s, "parent": {name: p}, "change": {name: c}}
+        for s, (p, c) in enumerate(zip(parent, change), start=1)
+    ]
+
+
+class TestSummarize:
+    def test_clear_gain_on_a_lower_is_better_metric(self):
+        parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
+        change = [p - 4.0 for p in parent]
+        out = bench_pairs.summarize(pairs_of(parent, change), {"wall_s": ("lower", 0.25)})
+        s = out["wall_s"]
+        # inclusive quartiles of 10.0 .. 14.5 in steps of 0.5
+        assert s["parent_q1_median_q3"] == pytest.approx([11.125, 12.25, 13.375])
+        assert s["change_q1_median_q3"] == pytest.approx([7.125, 8.25, 9.375])
+        assert s["change_better_pairs"] == 10
+        assert s["pairs"] == 10
+        assert s["median_change_rel"] == pytest.approx(-4.0 / 12.25)
+        assert s["parent_iqr_rel"] == pytest.approx(2.25 / 12.25)
+        assert s["regression_beyond_bound"] is False
+        assert s["gain_rule_met"] is True
+
+    def test_gain_smaller_than_parent_spread_is_not_met(self):
+        parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
+        change = [p - 1.0 for p in parent]
+        s = bench_pairs.summarize(pairs_of(parent, change), {"wall_s": ("lower", 0.25)})["wall_s"]
+        assert s["change_better_pairs"] == 10
+        assert s["gain_rule_met"] is False
+
+    def test_eight_wins_of_ten_is_not_met(self):
+        parent = [10.0] * 10
+        change = [5.0] * 8 + [11.0, 12.0]
+        s = bench_pairs.summarize(pairs_of(parent, change), {"wall_s": ("lower", 0.25)})["wall_s"]
+        assert s["change_better_pairs"] == 8
+        assert s["gain_rule_met"] is False
+
+    def test_higher_is_better_metric_and_its_bound(self):
+        parent = [0.9, 0.9, 0.9, 0.9, 0.9]
+        change = [0.7, 0.7, 0.7, 0.9, 0.9]
+        s = bench_pairs.summarize(pairs_of(parent, change, "acc"), {"acc": ("higher", 0.15)})["acc"]
+        assert s["change_better_pairs"] == 0
+        assert s["median_change_rel"] == pytest.approx(-0.2 / 0.9)
+        assert s["regression_beyond_bound"] is True
+        assert s["gain_rule_met"] is False
+
+    def test_ties_count_for_neither_side(self):
+        s = bench_pairs.summarize(pairs_of([1.0, 1.0], [1.0, 1.0]), {"wall_s": ("lower", 0.25)})
+        assert s["wall_s"]["change_better_pairs"] == 0
+        assert s["wall_s"]["regression_beyond_bound"] is False
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("1-10") == list(range(1, 11))
+    assert bench_pairs.parse_seeds("3") == [3]
