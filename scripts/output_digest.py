@@ -1,0 +1,136 @@
+"""Hash every solver output of the benchmark workloads, to compare trees bit for bit.
+
+    python scripts/output_digest.py --tree DIR --seeds 0,7 --problems 2 [--small]
+
+DIR is the root of a source checkout. The script imports ``agfti`` from
+DIR/src and builds each workload's problems with DIR/perfbench/workloads.py,
+which it only reads: per seed, the first --problems problems of that seed, as
+the benchmark draws them (--small takes the workloads' small variants). It
+makes each problem's timed call and records every ``admm_solve`` inside it,
+so an ``ablate-402`` problem contributes every variant and repetition.
+
+It prints one line per workload: its name, the SHA-256 over all of its solves
+in order, and the number of solves. Each solve contributes F, alpha, P, the
+final graphs Zs and alignments Ts, every iteration's h, primal_residual_inf
+and delta_F, n_iter and converged; a solve that raised contributes its error.
+Two trees whose lines match gave the same outputs bit for bit.
+
+BLAS runs on one thread, pinned before numpy loads, as in the benchmark.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+PIN_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the pin only takes when it is set before numpy loads
+if "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(PIN_VARS, "1"))
+
+import numpy as np  # noqa: E402
+
+
+def parse_seeds(text):
+    """'0,7' to [0, 7]."""
+    return [int(s) for s in text.split(",") if s.strip()]
+
+
+def load_tree(tree):
+    """(agfti, workloads) of the checkout at tree."""
+    src = (tree / "src").resolve()
+    sys.path.insert(0, str(src))
+    import agfti
+    import agfti.harness
+    import agfti.harness.experiment
+    import agfti.solver
+
+    if Path(agfti.__file__).resolve().parent != src / "agfti":
+        raise SystemExit(f"agfti was not imported from {src}")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", tree / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return agfti, workloads
+
+
+@contextmanager
+def recording(agfti, results):
+    """Append every admm_solve outcome, result or error, to results."""
+    sites = [agfti.solver, agfti.harness.experiment]
+    originals = [site.admm_solve for site in sites]
+
+    def record(fn):
+        def call(*args, **kwargs):
+            try:
+                out = fn(*args, **kwargs)
+            except Exception as exc:
+                results.append(f"{type(exc).__name__}: {exc}")
+                raise
+            results.append(out)
+            return out
+
+        return call
+
+    try:
+        for site, fn in zip(sites, originals):
+            site.admm_solve = record(fn)
+        yield
+    finally:
+        for site, fn in zip(sites, originals):
+            site.admm_solve = fn
+
+
+def digest(results):
+    """SHA-256 over the listed fields of every solve, in order."""
+    h = hashlib.sha256()
+    for r in results:
+        if isinstance(r, str):
+            h.update(r.encode())
+            continue
+        for arr in (r.F, r.alpha, r.P, r.Zs, r.Ts):
+            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        for d in r.diagnostics:
+            fields = (d["h"], d["primal_residual_inf"], d["delta_F"])
+            h.update(np.array(fields, dtype=np.float64).tobytes())
+        h.update(f"{int(r.n_iter)} {bool(r.converged)}".encode())
+    return h.hexdigest()
+
+
+def workload_results(agfti, workloads, name, seeds, problems, small):
+    """Every solve of the workload's problems for these seeds, in order."""
+    w = workloads.get(name, small=small)
+    results = []
+    for seed in seeds:
+        for j in range(problems):
+            problem = workloads.Problem(w, workloads.problem_seed(seed, j), agfti)
+            with recording(agfti, results):
+                try:
+                    problem.call()
+                except (ValueError, ArithmeticError, RuntimeError):
+                    pass  # recorded with the solve that raised it
+    return results
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", type=Path, required=True)
+    parser.add_argument("--seeds", type=parse_seeds, default=[0, 7])
+    parser.add_argument("--problems", type=int, default=2)
+    parser.add_argument("--small", action="store_true")
+    args = parser.parse_args(argv)
+
+    agfti, workloads = load_tree(args.tree)
+    for name in workloads.WORKLOADS:
+        results = workload_results(
+            agfti, workloads, name, args.seeds, args.problems, args.small
+        )
+        print(f"{name} {digest(results)} solves={len(results)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

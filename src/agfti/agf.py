@@ -9,15 +9,17 @@ a projected reduced-gradient descent with an Armijo line search.
 h is evaluated with the label-distance matrix H held fixed within one outer
 step, which makes the inner maximizer unique and the Danskin gradient
 formula exact: dh/dalpha_v = 2 lambda alpha_v Tr(P*^T Z_v T_v).
+
+This module owns the fused input sum_v alpha_v^2 Z_v T_v: it forms the
+aligned products, fuses them under a weight vector and values the result.
+graphs.py only builds the per-view graphs the products start from.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import aligned_product, floored_anchor_degrees, fuse_aligned
-# re-exported: perfbench/tracing.py patches agf.weighted_fusion_input
-from .graphs import weighted_fusion_input  # noqa: F401
+from .graphs import floored_anchor_degrees, pairwise_sq_dists
 from .simplex import prox_rows
 
 _ARMIJO_C = 1e-4
@@ -37,12 +39,32 @@ def compute_H(F, Q, P):
     Q = np.asarray(Q, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
     Qn = Q / np.sqrt(floored_anchor_degrees(P))[:, None]
-    H = (
-        (F * F).sum(axis=1)[:, None]
-        - 2.0 * (F @ Qn.T)
-        + (Qn * Qn).sum(axis=1)[None, :]
-    )
-    return np.maximum(H, 0.0)
+    return pairwise_sq_dists(F, Qn)
+
+
+def _check_alignments(Zs, Ts):
+    """One m x m alignment per view, m being that view's graph column count."""
+    if [np.shape(T) for T in Ts] != [(np.shape(Z)[1],) * 2 for Z in Zs]:
+        raise ValueError("need one m x m alignment per view, m the graph's columns")
+
+
+def fuse_aligned(ZTs, alpha):
+    """sum_v alpha_v^2 ZT_v over aligned products ZT_v = Z_v T_v, in view order."""
+    out = None
+    for ZT, a in zip(ZTs, np.asarray(alpha, dtype=np.float64)):
+        term = (a * a) * ZT
+        out = term if out is None else out + term
+    return out
+
+
+def weighted_fusion_input(Zs, Ts, alpha):
+    """Aligned, weight-squared combination sum_v alpha_v^2 Z_v T_v."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    _check_alignments(Zs, Ts)
+    if alpha.size != len(Zs):
+        raise ValueError("one weight per view required")
+    # map forms each product as its term is added: one is alive at a time
+    return fuse_aligned(map(np.matmul, Zs, Ts), alpha)
 
 
 def solve_inner_P(Z_tilde, H, lam, beta):
@@ -107,12 +129,12 @@ class AgfResult:
     H: np.ndarray
     converged: bool
     n_iter: int
+    # inner value at the returned alpha, P and H
+    h: float | None = None
     h_trace: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     deltas: list = field(default_factory=list)
     alpha_trace: list = field(default_factory=list)
-    # fused input sum_v alpha_v^2 Z_v T_v that the returned P was solved from
-    Z_tilde: np.ndarray | None = None
 
 
 def agf_minmax(
@@ -138,13 +160,15 @@ def agf_minmax(
     converged).
 
     The returned P is always the exact inner maximizer at the returned alpha
-    under the returned H, and Z_tilde is the fused input it was solved from.
-    The aligned products Z_v T_v are formed once per call; every weight
-    vector the line search tries reuses them.
+    under the returned H, and h is the inner value there. The aligned
+    products Z_v T_v are formed once per call, as one batched product over
+    the view stack; every weight vector the line search tries reuses them.
+    max_iter must be at least 1: without an H refresh there is no h.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_alignments(Zs, Ts)
     V = len(Zs)
-    if len(Ts) != V:
-        raise ValueError("one alignment per view required")
     alpha = (
         np.full(V, 1.0 / V)
         if alpha0 is None
@@ -152,16 +176,14 @@ def agf_minmax(
     )
     if alpha.size != V:
         raise ValueError("one weight per view required")
-    ZTs = [aligned_product(Z, T) for Z, T in zip(Zs, Ts)]
-    Zt = fuse_aligned(ZTs, alpha)
+    ZT = np.matmul(Zs, Ts)
+    Zt = fuse_aligned(ZT, alpha)
     if P0 is None:
         P = solve_inner_P(Zt, np.zeros_like(Zt), lam, beta)
     else:
         P = np.asarray(P0, dtype=np.float64)
 
-    res = AgfResult(
-        alpha=alpha, P=P, H=np.zeros_like(P), converged=False, n_iter=0, Z_tilde=Zt
-    )
+    res = AgfResult(alpha=alpha, P=P, H=np.zeros_like(P), converged=False, n_iter=0)
     res.alpha_trace.append(alpha.copy())
 
     for it in range(1, max_iter + 1):
@@ -171,8 +193,8 @@ def agf_minmax(
         res.H = H
         res.alpha, res.P = alpha, P
 
-        h0 = inner_value(P, Zt, H, lam, beta)
-        grad = grad_h(alpha, P, ZTs, lam)
+        h0 = res.h = inner_value(P, Zt, H, lam, beta)
+        grad = grad_h(alpha, P, ZT, lam)
         g = reduced_descent_direction(grad, alpha)
         if not np.any(g):
             res.converged = True
@@ -187,7 +209,7 @@ def agf_minmax(
         for _ in range(_MAX_BACKTRACKS + 1):
             cand = np.maximum(alpha + theta * g, 0.0)
             cand /= cand.sum()
-            Zt_c = fuse_aligned(ZTs, cand)
+            Zt_c = fuse_aligned(ZT, cand)
             P_c = solve_inner_P(Zt_c, H, lam, beta)
             h_c = inner_value(P_c, Zt_c, H, lam, beta)
             if h_c <= h0 + _ARMIJO_C * theta * slope:
@@ -204,7 +226,7 @@ def agf_minmax(
 
         delta = float(np.max(np.abs(cand - alpha)))
         alpha, P, Zt = cand, P_c, Zt_c
-        res.alpha, res.P, res.Z_tilde = alpha, P, Zt
+        res.alpha, res.P, res.h = alpha, P, h_c
         res.h_trace.append((h0, h_c))
         res.steps.append(theta)
         res.deltas.append(delta)

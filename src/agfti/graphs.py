@@ -9,6 +9,9 @@ neighbor-assignment problem
 
 whose optimum touches exactly the k nearest anchors when gamma is chosen as
 (k d_(k+1) - sum_{h<=k} d_(h)) / 2.
+
+This module only builds graphs. Fusing them into sum_v alpha_v^2 Z_v T_v,
+and valuing the fused input, belongs to agf.py.
 """
 
 import warnings
@@ -166,37 +169,3 @@ def floored_anchor_degrees(P):
         )
         col = np.maximum(col, _DEGREE_EPS)
     return col
-
-
-def aligned_product(Z, T):
-    """Z T, checking that T is a square alignment of Z's anchor columns."""
-    Z = np.asarray(Z, dtype=np.float64)
-    T = np.asarray(T, dtype=np.float64)
-    if Z.shape[1] != T.shape[0] or T.shape[0] != T.shape[1]:
-        raise ValueError(
-            f"alignment must be square matching graph columns, "
-            f"got Z {Z.shape} and T {T.shape}"
-        )
-    return Z @ T
-
-
-def fuse_aligned(ZTs, alpha):
-    """sum_v alpha_v^2 ZT_v over aligned graphs, accumulated in view order.
-
-    Callers that fuse the same graphs under many weight vectors form the
-    products once with aligned_product and call this per weight vector.
-    """
-    out = None
-    for ZT, a in zip(ZTs, np.asarray(alpha, dtype=np.float64)):
-        term = (a * a) * ZT
-        out = term if out is None else out + term
-    return out
-
-
-def weighted_fusion_input(Zs, Ts, alpha):
-    """Aligned, weight-squared combination sum_v alpha_v^2 Z_v T_v."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if not len(Zs) == len(Ts) == alpha.size:
-        raise ValueError("view count mismatch between graphs, alignments, weights")
-    # map forms each product as its term is added: one is alive at a time
-    return fuse_aligned(map(aligned_product, Zs, Ts), alpha)

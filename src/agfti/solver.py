@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agf import agf_minmax, compute_H, inner_value, solve_inner_P
-from .graphs import (
-    bkhk_anchors,
-    build_bipartite,
-    floored_anchor_degrees,
+from .agf import (
+    agf_minmax,
+    compute_H,
+    inner_value,
+    solve_inner_P,
     weighted_fusion_input,
 )
+from .graphs import bkhk_anchors, build_bipartite, floored_anchor_degrees
 from .simplex import prox_rows
 from .tensor3 import Tensor3, tubal_shrink
 # re-exported: perfbench/tracing.py patches solver.phi
@@ -355,10 +356,9 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
                 tol=config.inner_tol,
                 max_iter=config.max_inner_iters,
             )
-            alpha, P = res.alpha, res.P
-            h_val = inner_value(P, res.Z_tilde, res.H, lam, config.beta)
-            # H and the fused input would otherwise stay alive through the
-            # tensor step below, where the solve's memory peaks
+            alpha, P, h_val = res.alpha, res.P, res.h
+            # H would otherwise stay alive through the tensor step below,
+            # where the solve's memory peaks
             del res
         marks.append(time.perf_counter())
 

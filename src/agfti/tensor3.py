@@ -106,7 +106,7 @@ def tubal_shrink(f: Tensor3, tau: float) -> Tensor3:
             try:
                 np.linalg.svd(spec[k], full_matrices=False)
             except np.linalg.LinAlgError as exc:
-                raise RuntimeError(
+                raise np.linalg.LinAlgError(
                     f"SVD failed to converge on frequency slice {k}"
                 ) from exc
         raise

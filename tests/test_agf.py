@@ -12,8 +12,8 @@ from agfti.agf import (
     inner_value,
     reduced_descent_direction,
     solve_inner_P,
+    weighted_fusion_input,
 )
-from agfti.graphs import weighted_fusion_input
 
 from oracles import (
     dense_bipartite_pieces,
@@ -303,6 +303,19 @@ class TestAgfMinmax:
         with pytest.raises(ValueError, match="one weight per view"):
             agf_minmax(Zs, Ts, F, Q, lam=9.0, beta=4.0, alpha0=[0.5, 0.5])
 
+    def test_rejects_zero_iteration_budget(self):
+        rng = np.random.default_rng(16)
+        Zs, Ts, F, Q = self._instance(rng, V=2)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            agf_minmax(Zs, Ts, F, Q, lam=4.0, beta=4.0, max_iter=0)
+
+    def test_rejects_non_square_alignment(self):
+        rng = np.random.default_rng(17)
+        Zs, Ts, F, Q = self._instance(rng, V=2)
+        Ts[1] = Ts[1][:, :-1]
+        with pytest.raises(ValueError, match="m x m alignment per view"):
+            agf_minmax(Zs, Ts, F, Q, lam=4.0, beta=4.0)
+
     def test_identical_views_stay_uniform(self):
         rng = np.random.default_rng(10)
         Zs, Ts, F, Q = self._instance(rng, V=1)
@@ -362,8 +375,9 @@ class TestAgfMinmaxMatchesPerCandidateFusion:
         assert len(res.alpha_trace) == len(ref.alpha_trace)
         for a, b in zip(res.alpha_trace, ref.alpha_trace):
             assert np.array_equal(a, b)
-        assert np.array_equal(
-            res.Z_tilde, weighted_fusion_input(Zs, Ts, res.alpha)
+        # h is the inner value at the returned state, as the solver reads it
+        assert res.h == inner_value(
+            res.P, weighted_fusion_input(Zs, Ts, res.alpha), res.H, kw["lam"], kw["beta"]
         )
         return res
 

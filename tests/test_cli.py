@@ -1,12 +1,14 @@
 """End-to-end smoke tests for the command line interface."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 from click.testing import CliRunner
 
-from agfti.cli import main
+from agfti.cli import _solver_options, main
+from agfti.solver import SolverConfig
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +181,15 @@ def test_threads_env_var_honored(workspace, monkeypatch):
     result = runner.invoke(main, ["synth", out])
     assert result.exit_code == 0, result.output
     assert os.environ["MKL_NUM_THREADS"] == "3"
+
+
+def test_solver_option_defaults_match_solver_config():
+    params = _solver_options(lambda **kwargs: None).__click_params__
+    fields = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    shared = {p.name: p.default for p in params if p.name in fields}
+    assert set(shared) == {
+        "lam", "beta", "rho", "n_anchors", "k_neighbors", "b_labeled",
+        "tol", "max_outer_iters", "seed",
+    }
+    for name, default in shared.items():
+        assert default == fields[name], name

@@ -3,12 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agfti.graphs import (
-    bkhk_anchors,
-    build_bipartite,
-    pairwise_sq_dists,
-    weighted_fusion_input,
-)
+from agfti.agf import weighted_fusion_input
+from agfti.graphs import bkhk_anchors, build_bipartite, pairwise_sq_dists
 
 from oracles import (
     fusion_input_per_view,

@@ -1,0 +1,47 @@
+"""scripts/output_digest.py: repeatable digests that see a changed output."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "output_digest.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_small():
+    cmd = [sys.executable, str(SCRIPT), "--tree", str(ROOT), "--seeds", "0",
+           "--problems", "1", "--small"]
+    return subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+
+
+def test_small_runs_repeat_and_name_every_workload():
+    first = run_small()
+    assert first == run_small()
+    names = [line.split()[0] for line in first.splitlines()]
+    assert names == ["fuse-m256", "frozen-v6", "ablate-402"]
+
+
+def test_perturbed_F_changes_the_digest():
+    od = load_script()
+    rng = np.random.default_rng(0)
+    result = SimpleNamespace(
+        F=rng.random((5, 3)), alpha=np.array([0.5, 0.5]), P=rng.random((5, 4)),
+        Zs=rng.random((2, 5, 4)), Ts=rng.random((2, 4, 4)),
+        diagnostics=[{"h": 1.0, "primal_residual_inf": 0.1, "delta_F": 0.01}],
+        n_iter=1, converged=False,
+    )
+    before = od.digest([result])
+    assert od.digest([result]) == before
+    result.F[2, 1] = np.nextafter(result.F[2, 1], 2.0)
+    assert od.digest([result]) != before
