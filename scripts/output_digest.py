@@ -7,13 +7,16 @@ DIR/src and builds each workload's problems with DIR/perfbench/workloads.py,
 which it only reads: per seed, the first --problems problems of that seed, as
 the benchmark draws them (--small takes the workloads' small variants). It
 makes each problem's timed call and records every ``admm_solve`` inside it,
-so an ``ablate-402`` problem contributes every variant and repetition.
+so an ``ablate-402`` problem contributes every variant and repetition. It then
+scores the problem's equal-weight baseline, as the benchmark report does, and
+records the predictions of every ``baseline_label_propagation`` call.
 
 It prints one line per workload: its name, the SHA-256 over all of its solves
-in order, and the number of solves. Each solve contributes F, alpha, P, the
-final graphs Zs and alignments Ts, every iteration's h, primal_residual_inf
-and delta_F, n_iter and converged; a solve that raised contributes its error.
-Two trees whose lines match gave the same outputs bit for bit.
+and baselines in order, and the number of each. Each solve contributes F,
+alpha, P, the final graphs Zs and alignments Ts, every iteration's h,
+primal_residual_inf and delta_F, n_iter and converged; each baseline its
+predictions; a call that raised contributes its error. Two trees whose lines
+match gave the same outputs bit for bit.
 
 BLAS runs on one thread, pinned before numpy loads, as in the benchmark.
 """
@@ -60,9 +63,18 @@ def load_tree(tree):
 
 @contextmanager
 def recording(agfti, results):
-    """Append every admm_solve outcome, result or error, to results."""
-    sites = [agfti.solver, agfti.harness.experiment]
-    originals = [site.admm_solve for site in sites]
+    """Append every admm_solve and baseline outcome, result or error, to results.
+
+    Each function is wrapped where its callers look it up: admm_solve in the
+    solver and the experiment harness, baseline_label_propagation in
+    agfti.harness, where the benchmark's baseline score finds it.
+    """
+    sites = [
+        (agfti.solver, "admm_solve"),
+        (agfti.harness.experiment, "admm_solve"),
+        (agfti.harness, "baseline_label_propagation"),
+    ]
+    originals = [getattr(site, name) for site, name in sites]
 
     def record(fn):
         def call(*args, **kwargs):
@@ -77,20 +89,29 @@ def recording(agfti, results):
         return call
 
     try:
-        for site, fn in zip(sites, originals):
-            site.admm_solve = record(fn)
+        for (site, name), fn in zip(sites, originals):
+            setattr(site, name, record(fn))
         yield
     finally:
-        for site, fn in zip(sites, originals):
-            site.admm_solve = fn
+        for (site, name), fn in zip(sites, originals):
+            setattr(site, name, fn)
+
+
+def is_baseline(r):
+    """Baselines record their predictions; solves a SolveResult."""
+    return isinstance(r, np.ndarray)
 
 
 def digest(results):
-    """SHA-256 over the listed fields of every solve, in order."""
+    """SHA-256 over the listed fields of every solve and baseline, in order."""
     h = hashlib.sha256()
     for r in results:
         if isinstance(r, str):
             h.update(r.encode())
+            continue
+        if is_baseline(r):
+            h.update(b"baseline")
+            h.update(np.ascontiguousarray(r, dtype=np.int64).tobytes())
             continue
         for arr in (r.F, r.alpha, r.P, r.Zs, r.Ts):
             h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
@@ -102,17 +123,18 @@ def digest(results):
 
 
 def workload_results(agfti, workloads, name, seeds, problems, small):
-    """Every solve of the workload's problems for these seeds, in order."""
+    """Every solve and baseline of the workload's problems for these seeds, in order."""
     w = workloads.get(name, small=small)
     results = []
     for seed in seeds:
         for j in range(problems):
             problem = workloads.Problem(w, workloads.problem_seed(seed, j), agfti)
             with recording(agfti, results):
-                try:
-                    problem.call()
-                except (ValueError, ArithmeticError, RuntimeError):
-                    pass  # recorded with the solve that raised it
+                for step in (problem.call, problem.baseline_acc):
+                    try:
+                        step()
+                    except (ValueError, ArithmeticError, RuntimeError):
+                        pass  # recorded with the call that raised it
     return results
 
 
@@ -129,7 +151,12 @@ def main(argv=None):
         results = workload_results(
             agfti, workloads, name, args.seeds, args.problems, args.small
         )
-        print(f"{name} {digest(results)} solves={len(results)}", flush=True)
+        baselines = sum(map(is_baseline, results))
+        print(
+            f"{name} {digest(results)} solves={len(results) - baselines} "
+            f"baselines={baselines}",
+            flush=True,
+        )
 
 
 if __name__ == "__main__":

@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 __all__ = [
-    "RegularizerB",
     "SolveResult",
     "SolverConfig",
     "admm_solve",

@@ -18,7 +18,12 @@ def _set_threads(threads):
     """Export the BLAS thread cap; the CLI flag wins over AGFTI_THREADS."""
     if threads is None:
         env = os.environ.get("AGFTI_THREADS", "").strip()
-        threads = int(env) if env else None
+        try:
+            threads = int(env) if env else None
+        except ValueError:
+            raise click.BadParameter(
+                f"AGFTI_THREADS must be an integer, got {env!r}"
+            ) from None
     if threads is not None:
         if threads < 1:
             raise click.BadParameter("thread count must be >= 1")
@@ -61,6 +66,18 @@ def _solve_from_files(container_path, mask_path, kwargs):
 
     container = load_container(container_path)
     _, missing, labeled = load_mask(mask_path)
+    if len(missing) != container.n:
+        raise click.BadParameter(
+            f"mask covers {len(missing)} samples, the container has "
+            f"{container.n}", param_hint="MASK_PATH",
+        )
+    for i, views in enumerate(missing):
+        bad = [v for v in views if not 0 <= v < container.V]
+        if bad:
+            raise click.BadParameter(
+                f"sample {i} is missing from view {bad[0]}, the container "
+                f"has views 0..{container.V - 1}", param_hint="MASK_PATH",
+            )
     per_view = missing_per_view(missing, container.V)
     result = admm_solve(
         container.views, container.labels, labeled, per_view,

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..rng import STREAM_EXPERIMENT, make_generator
 from ..solver import (
-    RegularizerB,
     SolverConfig,
     admm_solve,
     anchor_graphs,
@@ -42,7 +41,7 @@ def rep_seed(base_seed, r):
 
 
 def baseline_label_propagation(
-    views, y, labeled_idx, missing, m=16, k=7, seed=0, b_labeled=100.0, n_classes=None
+    views, y, labeled_idx, missing, m=16, k=7, seed=0, n_classes=None
 ):
     """Label propagation on the unweighted mean of the per-view graphs.
 
@@ -51,6 +50,7 @@ def baseline_label_propagation(
     missing from stays at the uninformative uniform 1/m, the same convention
     the solver starts from before imputation. No imputation, no view
     weighting, no alignment: the control all harness comparisons run against.
+    Labels are fitted with the solver's default b_labeled.
     """
     views = [np.asarray(X, dtype=np.float64) for X in views]
     y = np.asarray(y, dtype=np.int64)
@@ -68,7 +68,7 @@ def baseline_label_propagation(
     P_cat = stack.transpose(1, 0, 2).reshape(n, V * m) / V
 
     Y = one_hot_labels(y, labeled_idx, c)
-    F, _ = update_labels(P_cat, RegularizerB(b_labeled=b_labeled), Y)
+    F, _ = update_labels(P_cat, Y, SolverConfig.b_labeled)
     return predict(F)
 
 

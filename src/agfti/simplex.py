@@ -31,10 +31,3 @@ def prox_rows(target):
     x /= x.sum(axis=1, keepdims=True)
     return x
 
-
-def project_simplex(v):
-    """argmin over the simplex of ||x - v||^2 for a single vector."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"project_simplex needs a vector, got shape {v.shape}")
-    return prox_rows(v[None])[0]

@@ -35,29 +35,12 @@ from .tensor3 import phi  # noqa: F401
 STEPS = ("impute", "fusion", "labels", "shrink", "align", "multiplier")
 
 
-@dataclass(frozen=True)
-class RegularizerB:
-    """Per-role fitting weights expanding to the diagonal regularizer.
-
-    Labeled samples get b_labeled, unlabeled samples b_unlabeled, anchors
-    b_anchor. Large-on-labeled and zero elsewhere makes propagation honor
-    the known labels while letting everything else float.
-    """
-
-    b_labeled: float = 100.0
-    b_unlabeled: float = 0.0
-    b_anchor: float = 0.0
-
-    def __post_init__(self):
-        for name in ("b_labeled", "b_unlabeled", "b_anchor"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    def expand(self, labeled_mask, m):
-        labeled_mask = np.asarray(labeled_mask, dtype=bool)
-        bn = np.where(labeled_mask, self.b_labeled, self.b_unlabeled)
-        bm = np.full(m, self.b_anchor, dtype=np.float64)
-        return bn.astype(np.float64), bm
+# the penalty schedule of the multiplier update (Boyd et al., Distributed
+# Optimization and Statistical Learning via ADMM, sec. 3.4.1): start small,
+# double every outer iteration, stop growing at the cap
+PENALTY_START = 1e-2
+PENALTY_GROWTH = 2.0
+PENALTY_CAP = 1e10
 
 
 @dataclass
@@ -73,11 +56,6 @@ class SolverConfig:
     beta: float = 4.0
     rho: float = 100.0
     b_labeled: float = 100.0
-    b_unlabeled: float = 0.0
-    b_anchor: float = 0.0
-    eta0: float = 1e-2
-    gamma_eta: float = 2.0
-    eta_max: float = 1e10
     tol: float = 1e-5
     max_outer_iters: int = 50
     inner_tol: float = 1e-4
@@ -113,34 +91,37 @@ def one_hot_labels(y, labeled_idx, n_classes):
     return Y
 
 
-def update_labels(P, B, Y):
+def update_labels(P, Y, b_labeled):
     """Propagate labels through the fused bipartite graph.
 
     Solves the stationarity system of the graph-regularized least squares
     objective,
 
-        [I_n + B_n, -P L^-1/2 ; -L^-1/2 P^T, I_m + B_m] [F; Q] = [B_n Y; 0],
+        [I_n + B_n, -P L^-1/2 ; -L^-1/2 P^T, I_m] [F; Q] = [B_n Y; 0],
 
     by eliminating F first, so the only dense factorization is the m x m
-    Schur complement. L is the diagonal of anchor degrees, and B is a
-    RegularizerB.
+    Schur complement. L is the diagonal of anchor degrees, and the diagonal
+    B_n fits the labeled samples (the rows of Y with a nonzero entry) with
+    weight b_labeled and leaves every other sample and the anchors free.
+    A b_labeled <= 0 or a Y without a labeled row raises ValueError, since
+    F would be zero and every sample predicted as class 0.
     """
+    if not b_labeled > 0:
+        raise ValueError(f"b_labeled must be positive, got {b_labeled}")
     P = np.asarray(P, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    n, m = P.shape
-    c = Y.shape[1]
+    m = P.shape[1]
     labeled = Y.any(axis=1)
-    bn, bm = B.expand(labeled, m)
+    if not labeled.any():
+        raise ValueError("Y has no labeled row; there is nothing to propagate")
+    bn = np.where(labeled, float(b_labeled), 0.0)
 
     rhs1 = bn[:, None] * Y
-    if not rhs1.any():
-        return np.zeros((n, c)), np.zeros((m, c))
-
     col = floored_anchor_degrees(P)
     m11 = 1.0 + bn
     M12 = -(P / np.sqrt(col)[None, :])
     A = M12 / m11[:, None]
-    C2 = np.diag(1.0 + bm) - M12.T @ A
+    C2 = np.eye(m) - M12.T @ A
     try:
         Q = np.linalg.solve(C2, -(A.T @ rhs1))
     except np.linalg.LinAlgError as exc:
@@ -150,27 +131,6 @@ def update_labels(P, B, Y):
         ) from exc
     F = (rhs1 - M12 @ Q) / m11[:, None]
     return F, Q
-
-
-def performance_gain(F, Q, P, bn, bm, Y):
-    """Equivalent objective of the label solve, assembled blockwise.
-
-    Tr(Fh^T Sh Fh) + 2 Tr(Fh^T Bh Yh) - Tr(Fh^T (I + Bh) Fh), where Sh is the
-    degree-normalized bipartite adjacency, evaluated without ever forming an
-    (n+m)^2 matrix.
-    """
-    F = np.asarray(F, dtype=np.float64)
-    Q = np.asarray(Q, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
-    col = floored_anchor_degrees(P)
-    Qn = Q / np.sqrt(col)[:, None]
-    cross = 2.0 * float(np.sum((P @ Qn) * F))
-    fit = 2.0 * float(np.sum((bn[:, None] * Y) * F))
-    quad = float(
-        np.sum((1.0 + bn)[:, None] * F * F)
-        + np.sum((1.0 + bm)[:, None] * Q * Q)
-    )
-    return cross + fit - quad
 
 
 def update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta):
@@ -224,9 +184,9 @@ def update_alignment(Z, P):
     return U @ Vh
 
 
-def update_multiplier(W, gap, eta, gamma=2.0, eta_max=1e10):
+def update_multiplier(W, gap, eta):
     """Dual ascent on Z = G from its residual gap = Z - G, then grow the penalty."""
-    return W + eta * gap, min(gamma * eta, eta_max)
+    return W + eta * gap, min(PENALTY_GROWTH * eta, PENALTY_CAP)
 
 
 def predict(F, idx=None):
@@ -270,8 +230,20 @@ def _validate_inputs(views, y, labeled_idx, missing, c):
     if np.any(absent >= V):
         bad = int(np.argmax(absent >= V))
         raise ValueError(f"sample {bad} is missing from every view")
-    labeled_classes = np.unique(y[labeled_idx])
-    if labeled_classes.size < c or labeled_classes.min() < 0:
+    outside = (labeled_idx < 0) | (labeled_idx >= n)
+    if outside.any():
+        bad = int(labeled_idx[np.argmax(outside)])
+        raise ValueError(f"labeled index {bad} is outside 0..{n - 1}")
+    labels = y[labeled_idx]
+    outside = (labels < 0) | (labels >= c)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(
+            f"labeled sample {int(labeled_idx[i])} has label {int(labels[i])}, "
+            f"outside 0..{c - 1}"
+        )
+    labeled_classes = np.unique(labels)
+    if labeled_classes.size < c:
         missing_classes = sorted(set(range(c)) - set(labeled_classes.tolist()))
         raise ValueError(
             f"every class needs at least one labeled sample; none for "
@@ -315,14 +287,13 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     alpha = np.full(V, 1.0 / V)
     G = np.zeros((V, n, m))
     W = np.zeros((V, n, m))
-    eta = config.eta0
+    eta = PENALTY_START
 
     Y = one_hot_labels(y, labeled_idx, c)
-    B = RegularizerB(config.b_labeled, config.b_unlabeled, config.b_anchor)
 
     Zt = weighted_fusion_input(Z, Ts, alpha)
     P = solve_inner_P(Zt, np.zeros_like(Zt), lam, config.beta)
-    F, Q = update_labels(P, B, Y)
+    F, Q = update_labels(P, Y, config.b_labeled)
 
     diagnostics = []
     converged = False
@@ -363,7 +334,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
         marks.append(time.perf_counter())
 
         F_prev = F
-        F, Q = update_labels(P, B, Y)
+        F, Q = update_labels(P, Y, config.b_labeled)
         marks.append(time.perf_counter())
 
         G = update_G(Z, W, eta, config.rho)
@@ -374,7 +345,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
         marks.append(time.perf_counter())
 
         gap = Z - G
-        W, eta = update_multiplier(W, gap, eta, config.gamma_eta, config.eta_max)
+        W, eta = update_multiplier(W, gap, eta)
         marks.append(time.perf_counter())
 
         prim_inf = float(np.abs(gap).max()) if gap.size else 0.0

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (quadratic DFT sums, exhaustive active-set
 enumeration, dense (n+m)^2 linear algebra, full-spectrum tensor transforms) and
 shares no code with the package under test beyond numpy itself and the Tensor3
-container.
+container. The one exception is project_simplex, a single-vector view of the
+package's prox_rows that only the tests need.
 """
 
 import itertools
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from agfti.simplex import prox_rows
 from agfti.tensor3 import Tensor3
 
 IMAG_RTOL = 1e-8
@@ -277,14 +279,31 @@ def perf_gain_dense(F, Q, P, bn, bm, Y):
     return term1 + term2 - term3
 
 
-def perf_gain_blockwise(F, Q, P, bn, bm, Y):
-    """Same objective assembled from the n x m blocks only."""
+def performance_gain(F, Q, P, bn, bm, Y):
+    """Same objective assembled from the n x m blocks only.
+
+    Never forms an (n+m)^2 matrix; zero-degree anchors are floored at 1e-12.
+    """
     col_deg = np.maximum(P.sum(axis=0), 1e-12)
     Qn = Q / np.sqrt(col_deg)[:, None]
     term1 = 2.0 * float(np.sum((P @ Qn) * F))
     term2 = 2.0 * float(np.sum((bn[:, None] * Y) * F))
     term3 = float(np.sum((1.0 + bn)[:, None] * F * F) + np.sum((1.0 + bm)[:, None] * Q * Q))
     return term1 + term2 - term3
+
+
+def label_weights(Y, m):
+    """(bn, bm): the diagonal update_labels(P, Y, 100.0) fits with, by role."""
+    bn = np.where(np.asarray(Y).any(axis=1), 100.0, 0.0)
+    return bn, np.zeros(m)
+
+
+def project_simplex(v):
+    """argmin over the simplex of ||x - v||^2 for a single vector."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"project_simplex needs a vector, got shape {v.shape}")
+    return prox_rows(v[None])[0]
 
 
 def rand_row_stochastic(rng, n, m):

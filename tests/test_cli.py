@@ -193,3 +193,41 @@ def test_solver_option_defaults_match_solver_config():
     }
     for name, default in shared.items():
         assert default == fields[name], name
+
+
+def test_train_rejects_mask_drawn_for_another_container(workspace):
+    runner = CliRunner()
+    small = str(workspace["root"] / "small.npz")
+    small_mask = str(workspace["root"] / "small_mask.json")
+    for args in (
+        ["synth", small, "--seed", "3", "--n-per-class", "30"],
+        ["mask", small, small_mask, "--vmr", "0.3", "--lar", "0.1"],
+    ):
+        assert runner.invoke(main, args).exit_code == 0
+    result = runner.invoke(main, [
+        "train", workspace["data"], small_mask, "--anchors", "8",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "mask covers 90 samples, the container has 120" in result.output
+
+
+def test_train_rejects_mask_naming_an_absent_view(workspace):
+    with open(workspace["mask"]) as fh:
+        payload = json.load(fh)
+    payload["missing"][4] = [2]
+    bad_mask = str(workspace["root"] / "bad_view_mask.json")
+    with open(bad_mask, "w") as fh:
+        json.dump(payload, fh)
+    result = CliRunner().invoke(main, [
+        "train", workspace["data"], bad_mask, "--anchors", "8",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "sample 4 is missing from view 2" in result.output
+
+
+def test_threads_env_var_must_be_an_integer(workspace, monkeypatch):
+    monkeypatch.setenv("AGFTI_THREADS", "two")
+    out = str(workspace["root"] / "threaded_bad.npz")
+    result = CliRunner().invoke(main, ["synth", out])
+    assert result.exit_code == 2, result.output
+    assert "AGFTI_THREADS must be an integer" in result.output

@@ -30,6 +30,8 @@ def test_small_runs_repeat_and_name_every_workload():
     assert first == run_small()
     names = [line.split()[0] for line in first.splitlines()]
     assert names == ["fuse-m256", "frozen-v6", "ablate-402"]
+    for line in first.splitlines():
+        assert line.split()[-1] == "baselines=1"
 
 
 def test_perturbed_F_changes_the_digest():
@@ -45,3 +47,12 @@ def test_perturbed_F_changes_the_digest():
     assert od.digest([result]) == before
     result.F[2, 1] = np.nextafter(result.F[2, 1], 2.0)
     assert od.digest([result]) != before
+
+
+def test_changed_baseline_prediction_changes_the_digest():
+    od = load_script()
+    pred = np.array([0, 2, 1, 1, 0])
+    before = od.digest([pred])
+    assert od.digest([pred.copy()]) == before
+    pred[3] = 2
+    assert od.digest([pred]) != before

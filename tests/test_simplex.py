@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agfti.simplex import project_simplex, prox_rows
+from agfti.simplex import prox_rows
 
-from oracles import prox_rows_stable_argsort, simplex_qp_oracle
+from oracles import project_simplex, prox_rows_stable_argsort, simplex_qp_oracle
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from agfti.solver import (
-    RegularizerB,
     SolverConfig,
     admm_solve,
     one_hot_labels,
-    performance_gain,
     predict,
     update_alignment,
     update_G,
@@ -20,7 +18,9 @@ from agfti.tensor3 import Tensor3, phi, tubal_shrink
 from oracles import (
     dense_bipartite_pieces,
     dense_label_solve,
+    label_weights,
     perf_gain_dense,
+    performance_gain,
     rand_orthogonal,
     rand_row_stochastic,
     simplex_qp_oracle,
@@ -45,19 +45,6 @@ def blob_views(rng, n_per_class=20, c=3, V=2):
     return views, y
 
 
-class TestRegularizerB:
-    def test_expand(self):
-        B = RegularizerB(b_labeled=100.0, b_unlabeled=0.5, b_anchor=2.0)
-        labeled = np.array([True, False, True])
-        bn, bm = B.expand(labeled, m=2)
-        assert np.array_equal(bn, [100.0, 0.5, 100.0])
-        assert np.array_equal(bm, [2.0, 2.0])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            RegularizerB(b_labeled=-1.0)
-
-
 class TestOneHot:
     def test_basic(self):
         Y = one_hot_labels(np.array([0, 2, 1, 0]), np.array([0, 2]), 3)
@@ -68,38 +55,37 @@ class TestOneHot:
 
 
 class TestUpdateLabels:
-    def _instance(self, rng, n=40, m=6, c=3, b_labeled=100.0):
+    def _instance(self, rng, n=40, m=6, c=3):
         P = rand_row_stochastic(rng, n, m)
         y = rng.integers(0, c, size=n)
         labeled_idx = np.arange(0, n, 4)
         Y = one_hot_labels(y, labeled_idx, c)
-        B = RegularizerB(b_labeled=b_labeled)
-        return P, Y, B
+        return P, Y
 
-    def test_zero_regularizer_gives_zero_labels(self):
+    def test_rejects_nonpositive_weight_and_unlabeled_Y(self):
+        # either would make F identically zero: every sample class 0
         rng = np.random.default_rng(0)
-        P, Y, _ = self._instance(rng)
-        B = RegularizerB(b_labeled=0.0, b_unlabeled=0.0, b_anchor=0.0)
-        F, Q = update_labels(P, B, Y)
-        assert np.all(F == 0.0)
-        assert np.all(Q == 0.0)
+        P, Y = self._instance(rng)
+        for b in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="b_labeled must be positive"):
+                update_labels(P, Y, b)
+        with pytest.raises(ValueError, match="no labeled row"):
+            update_labels(P, np.zeros_like(Y), 100.0)
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(1)
-        P, Y, B = self._instance(rng)
-        labeled = Y.any(axis=1)
-        bn, bm = B.expand(labeled, P.shape[1])
-        F, Q = update_labels(P, B, Y)
+        P, Y = self._instance(rng)
+        bn, bm = label_weights(Y, P.shape[1])
+        F, Q = update_labels(P, Y, 100.0)
         F_ref, Q_ref = dense_label_solve(P, bn, bm, Y)
         assert np.abs(F - F_ref).max() < 1e-8
         assert np.abs(Q - Q_ref).max() < 1e-8
 
     def test_stationarity_residual(self):
         rng = np.random.default_rng(2)
-        P, Y, B = self._instance(rng, n=60, m=8)
-        labeled = Y.any(axis=1)
-        bn, bm = B.expand(labeled, P.shape[1])
-        F, Q = update_labels(P, B, Y)
+        P, Y = self._instance(rng, n=60, m=8)
+        bn, bm = label_weights(Y, P.shape[1])
+        F, Q = update_labels(P, Y, 100.0)
         _, _, Lt = dense_bipartite_pieces(P)
         Bhat = np.diag(np.concatenate([bn, bm]))
         Fhat = np.vstack([F, Q])
@@ -113,8 +99,7 @@ class TestUpdateLabels:
         n, m, c = 30, 4, 3
         P = rand_row_stochastic(rng, n, m)
         Y = one_hot_labels(np.array([1] + [0] * (n - 1)), np.array([0]), c)
-        B = RegularizerB(b_labeled=1e8)
-        F, _ = update_labels(P, B, Y)
+        F, _ = update_labels(P, Y, 1e8)
         assert np.abs(F[0] - Y[0]).max() < 1e-3
 
     def test_zero_degree_anchor_warns(self):
@@ -124,7 +109,7 @@ class TestUpdateLabels:
         P /= P.sum(axis=1, keepdims=True)
         Y = one_hot_labels(np.zeros(10, dtype=int), np.array([0]), 2)
         with pytest.warns(RuntimeWarning):
-            F, Q = update_labels(P, RegularizerB(), Y)
+            F, Q = update_labels(P, Y, 100.0)
         assert np.all(np.isfinite(F))
 
 
@@ -415,7 +400,7 @@ class TestAdmmSolve:
             assert sum(steps.values()) <= row["seconds"]
 
     def test_first_shrinkage_is_exact_zeros_without_a_transform(self, monkeypatch):
-        # with the default eta0 and rho the first threshold, n * rho / eta0,
+        # with the default rho, the first threshold n * rho / PENALTY_START
         # dominates the norm bound of the whole graph stack
         import agfti.solver as solver
 
@@ -499,6 +484,37 @@ class TestAdmmSolve:
         config = SolverConfig(n_anchors=8, k_neighbors=3)
         with pytest.raises(ValueError):
             admm_solve(views, y, labeled_idx, missing, config)
+
+    def test_rejects_labeled_index_out_of_range(self):
+        # -1 used to wrap silently to the last sample
+        rng = np.random.default_rng(19)
+        views, y = blob_views(rng)
+        labeled_base = np.concatenate([np.where(y == j)[0][:2] for j in range(3)])
+        complete = [np.array([], dtype=int)] * 2
+        config = SolverConfig(n_anchors=8, k_neighbors=3)
+        for bad in (-1, y.size):
+            labeled_idx = np.append(labeled_base, bad)
+            with pytest.raises(ValueError, match=f"labeled index {bad} "):
+                admm_solve(views, y, labeled_idx, complete, config)
+
+    def test_rejects_label_outside_class_range(self):
+        # used to surface as a bare IndexError from one_hot_labels
+        rng = np.random.default_rng(20)
+        views, y = blob_views(rng)
+        labeled_idx = np.concatenate([np.where(y == j)[0][:2] for j in range(3)])
+        y = y.copy()
+        y[labeled_idx[-1]] = 3
+        config = SolverConfig(n_anchors=8, k_neighbors=3)
+        with pytest.raises(ValueError, match=f"labeled sample {labeled_idx[-1]} has label 3"):
+            admm_solve(
+                views, y, labeled_idx, [np.array([], dtype=int)] * 2, config,
+                n_classes=3,
+            )
+
+    def test_rejects_zero_label_weight(self):
+        # F would be identically zero and every sample predicted as class 0
+        with pytest.raises(ValueError, match="b_labeled must be positive"):
+            self._solve(seed=8, b_labeled=0.0)
 
     def test_lambda_defaults_to_V_squared(self):
         result, _, _ = self._solve(seed=7)
