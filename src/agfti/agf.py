@@ -8,7 +8,22 @@ a projected reduced-gradient descent with an Armijo line search.
 
 h is evaluated with the label-distance matrix H held fixed within one outer
 step, which makes the inner maximizer unique and the Danskin gradient
-formula exact: dh/dalpha_v = 2 lambda alpha_v Tr(P*^T Z_v T_v).
+formula exact: dh/dalpha_v = 2 lambda alpha_v c_v, with the view agreements
+c_v = <P*, Z_v T_v>.
+
+Within one step P* is feasible for every weight vector, so its inner value
+under a line-search candidate a bounds that candidate's h from below:
+
+    h(a) >= LB(a) = lambda sum_v a_v^2 c_v - beta ||P*||^2 - <H, P*>.
+
+With the V agreements and the two norms in hand, LB costs O(V) per
+candidate. A candidate whose LB exceeds the Armijo threshold by more than
+BOUND_MARGIN times the magnitude of LB's terms is rejected without fusing,
+projecting or valuing it. The margin, far above the ~1e-13 relative rounding
+of the reductions and of the candidate's full evaluation, keeps the skip to
+candidates whose computed value the full evaluation would also have found
+above the threshold, so every accepted step, and every output, is the same
+bit for bit.
 
 This module owns the fused input sum_v alpha_v^2 Z_v T_v: it forms the
 aligned products, fuses them under a weight vector and values the result.
@@ -25,6 +40,9 @@ from .simplex import prox_rows
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
 _MAX_BACKTRACKS = 20
+# relative margin above the Armijo threshold under which the lower bound
+# proves a candidate's rejection
+BOUND_MARGIN = 1e-8
 
 
 def compute_H(F, Q, P):
@@ -87,16 +105,34 @@ def inner_value(P, Z_tilde, H, lam, beta):
     )
 
 
-def grad_h(alpha, P_star, ZTs, lam):
-    """Exact gradient of h at alpha, P_star being the inner maximizer there.
+def view_agreements(P, ZTs):
+    """c_v = <P, Z_v T_v> for each aligned product, in view order."""
+    return np.array([float(np.sum(P * ZT)) for ZT in ZTs])
 
-    ZTs are the aligned products Z_v T_v, as agf_minmax holds them.
+
+def grad_h(alpha, agreements, lam):
+    """Exact gradient of h at alpha: 2 lam alpha_v c_v.
+
+    agreements are the c_v = <P*, Z_v T_v> of view_agreements, P* being the
+    inner maximizer at alpha.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    out = np.empty(alpha.size)
-    for v, ZT in enumerate(ZTs):
-        out[v] = 2.0 * lam * alpha[v] * float(np.sum(P_star * ZT))
-    return out
+    return 2.0 * lam * np.asarray(alpha, dtype=np.float64) * agreements
+
+
+def bound_rejects(cand, agreements, fixed, lam, threshold):
+    """Whether the lower bound proves h(cand) above threshold.
+
+    agreements are the c_v of a row-stochastic P and fixed is
+    beta ||P||^2 + <H, P>, so lam sum_v cand_v^2 c_v - fixed is the inner
+    value of P under the weights cand, a lower bound on h(cand). It proves
+    the candidate's rejection only when it clears the threshold by
+    BOUND_MARGIN times the magnitude of its terms, which covers the rounding
+    of both the bound and the candidate's full evaluation.
+    """
+    sq = cand * cand
+    lower = lam * float(sq @ agreements) - fixed
+    scale = lam * float(sq @ np.abs(agreements)) + fixed
+    return lower > threshold + BOUND_MARGIN * scale
 
 
 def reduced_descent_direction(grad, alpha):
@@ -135,6 +171,10 @@ class AgfResult:
     steps: list = field(default_factory=list)
     deltas: list = field(default_factory=list)
     alpha_trace: list = field(default_factory=list)
+    # line-search candidates valued in full, and those the lower bound
+    # rejected without a projection
+    evaluated: int = 0
+    bound_rejected: int = 0
 
 
 def agf_minmax(
@@ -164,6 +204,16 @@ def agf_minmax(
     products Z_v T_v are formed once per call, as one batched product over
     the view stack; every weight vector the line search tries reuses them.
     max_iter must be at least 1: without an H refresh there is no h.
+
+    A candidate is first checked against the lower bound
+    lam sum_v cand_v^2 c_v - beta ||P||^2 - <H, P>, P being the inner
+    maximizer at the current weights (see bound_rejects). A candidate the
+    bound places above h0 + _ARMIJO_C theta slope + BOUND_MARGIN * scale is
+    rejected without being fused or projected; it still uses one of the
+    _MAX_BACKTRACKS + 1 tries. Every candidate the bound rejects would fail
+    the Armijo test in full, so the returned state and traces are those of
+    valuing every candidate. evaluated and bound_rejected count the two
+    kinds of candidate.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -194,7 +244,8 @@ def agf_minmax(
         res.alpha, res.P = alpha, P
 
         h0 = res.h = inner_value(P, Zt, H, lam, beta)
-        grad = grad_h(alpha, P, ZT, lam)
+        agree = view_agreements(P, ZT)
+        grad = grad_h(alpha, agree, lam)
         g = reduced_descent_direction(grad, alpha)
         if not np.any(g):
             res.converged = True
@@ -204,17 +255,24 @@ def agf_minmax(
         # largest step keeping every weight nonnegative
         shrinking = g < 0
         theta = min(1.0, float(np.min(alpha[shrinking] / -g[shrinking])))
+        # the terms of P's inner value that no weight enters
+        fixed = beta * float(np.sum(P * P)) + float(np.sum(H * P))
 
         accepted = False
         for _ in range(_MAX_BACKTRACKS + 1):
             cand = np.maximum(alpha + theta * g, 0.0)
             cand /= cand.sum()
-            Zt_c = fuse_aligned(ZT, cand)
-            P_c = solve_inner_P(Zt_c, H, lam, beta)
-            h_c = inner_value(P_c, Zt_c, H, lam, beta)
-            if h_c <= h0 + _ARMIJO_C * theta * slope:
-                accepted = True
-                break
+            threshold = h0 + _ARMIJO_C * theta * slope
+            if bound_rejects(cand, agree, fixed, lam, threshold):
+                res.bound_rejected += 1
+            else:
+                res.evaluated += 1
+                Zt_c = fuse_aligned(ZT, cand)
+                P_c = solve_inner_P(Zt_c, H, lam, beta)
+                h_c = inner_value(P_c, Zt_c, H, lam, beta)
+                if h_c <= threshold:
+                    accepted = True
+                    break
             theta *= _ARMIJO_SHRINK
 
         if not accepted:

@@ -79,10 +79,13 @@ def _solve_from_files(container_path, mask_path, kwargs):
                 f"has views 0..{container.V - 1}", param_hint="MASK_PATH",
             )
     per_view = missing_per_view(missing, container.V)
-    result = admm_solve(
-        container.views, container.labels, labeled, per_view,
-        SolverConfig(**kwargs), n_classes=container.c,
-    )
+    try:
+        result = admm_solve(
+            container.views, container.labels, labeled, per_view,
+            SolverConfig(**kwargs), n_classes=container.c,
+        )
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
     unlabeled = np.setdiff1d(np.arange(container.n), labeled)
     return container, labeled, unlabeled, result
 

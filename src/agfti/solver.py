@@ -265,7 +265,10 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
 
     Returns a SolveResult whose diagnostics list one record per outer
     iteration (h value, primal residuals, label movement, weights, penalty,
-    wall seconds, and under step_seconds the seconds of each step in STEPS).
+    wall seconds, under step_seconds the seconds of each step in STEPS, and
+    under line_search the fusion's weight steps, its accepted step sizes and
+    its candidates valued in full or rejected by the lower bound, all zero
+    or empty with frozen weights).
     Non-convergence within max_outer_iters is reported through the converged
     flag, never raised.
     """
@@ -314,6 +317,8 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
             Zt = weighted_fusion_input(Z, Ts, alpha)
             P = solve_inner_P(Zt, H, lam, config.beta)
             h_val = inner_value(P, Zt, H, lam, config.beta)
+            line_search = {"steps": 0, "thetas": [], "evaluated": 0,
+                           "bound_rejected": 0}
         else:
             res = agf_minmax(
                 Z,
@@ -328,6 +333,12 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
                 max_iter=config.max_inner_iters,
             )
             alpha, P, h_val = res.alpha, res.P, res.h
+            line_search = {
+                "steps": res.n_iter,
+                "thetas": [float(t) for t in res.steps if t > 0],
+                "evaluated": res.evaluated,
+                "bound_rejected": res.bound_rejected,
+            }
             # H would otherwise stay alive through the tensor step below,
             # where the solve's memory peaks
             del res
@@ -369,6 +380,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
                 "step_seconds": {
                     step: marks[i + 1] - marks[i] for i, step in enumerate(STEPS)
                 },
+                "line_search": line_search,
             }
         )
         if max(prim, dF) <= config.tol:

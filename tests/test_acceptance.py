@@ -21,6 +21,7 @@ from agfti.agf import (
     grad_h,
     inner_value,
     solve_inner_P,
+    view_agreements,
     weighted_fusion_input,
 )
 from agfti.harness import (
@@ -186,7 +187,7 @@ def test_03_weight_gradient_finite_difference_check():
         Zt = weighted_fusion_input(Zs, Ts, alpha)
         P = solve_inner_P(Zt, H, lam, beta)
         ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
-        g = grad_h(alpha, P, ZTs, lam)
+        g = grad_h(alpha, view_agreements(P, ZTs), lam)
         for a, b in [(0, 1), (1, 2), (0, 2)]:
             w = np.zeros(V)
             w[a], w[b] = 1.0, -1.0

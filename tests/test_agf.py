@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import agfti.agf as agf
 from agfti.agf import (
+    BOUND_MARGIN,
     AgfResult,
     agf_minmax,
+    bound_rejects,
     compute_H,
+    fuse_aligned,
     grad_h,
     inner_value,
     reduced_descent_direction,
     solve_inner_P,
+    view_agreements,
     weighted_fusion_input,
 )
 
@@ -38,7 +43,10 @@ def procrustes(Z, P):
 def minmax_fusing_per_candidate(
     Zs, Ts, F, Q, lam, beta, alpha0=None, P0=None, tol=1e-4, max_iter=50
 ):
-    """agf_minmax's weighted path, fusing every candidate from Zs and Ts anew."""
+    """agf_minmax's weighted path, fusing and valuing every candidate anew.
+
+    No candidate is rejected by a bound, so evaluated counts every try.
+    """
     V = len(Zs)
     alpha = np.full(V, 1.0 / V) if alpha0 is None else np.array(alpha0, dtype=float)
     if P0 is None:
@@ -55,7 +63,8 @@ def minmax_fusing_per_candidate(
         P = solve_inner_P(Zt, H, lam, beta)
         res.H, res.alpha, res.P = H, alpha, P
         h0 = inner_value(P, Zt, H, lam, beta)
-        grad = grad_h(alpha, P, [Z @ T for Z, T in zip(Zs, Ts)], lam)
+        ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
+        grad = grad_h(alpha, view_agreements(P, ZTs), lam)
         g = reduced_descent_direction(grad, alpha)
         if not np.any(g):
             res.converged = True
@@ -67,6 +76,7 @@ def minmax_fusing_per_candidate(
         for _ in range(21):
             cand = np.maximum(alpha + theta * g, 0.0)
             cand /= cand.sum()
+            res.evaluated += 1
             Zt_c = weighted_fusion_input(Zs, Ts, cand)
             P_c = solve_inner_P(Zt_c, H, lam, beta)
             h_c = inner_value(P_c, Zt_c, H, lam, beta)
@@ -200,7 +210,8 @@ class TestGradH:
         alpha = np.array([0.6, 0.4, 0.0])
         Zt = weighted_fusion_input(Zs, Ts, alpha)
         P = solve_inner_P(Zt, H, 4.0, 4.0)
-        g = grad_h(alpha, P, [Z @ T for Z, T in zip(Zs, Ts)], 4.0)
+        ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
+        g = grad_h(alpha, view_agreements(P, ZTs), 4.0)
         assert g[2] == 0.0
 
     def test_zero_lambda(self):
@@ -209,7 +220,7 @@ class TestGradH:
         alpha = np.full(3, 1 / 3)
         P = solve_inner_P(weighted_fusion_input(Zs, Ts, alpha), H, 0.0, 4.0)
         ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
-        assert np.all(grad_h(alpha, P, ZTs, 0.0) == 0.0)
+        assert np.all(grad_h(alpha, view_agreements(P, ZTs), 0.0) == 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -221,7 +232,7 @@ class TestGradH:
             alpha = rand_simplex_interior(rng, 3, floor=0.15)
             Zt = weighted_fusion_input(Zs, Ts, alpha)
             P = solve_inner_P(Zt, H, lam, beta)
-            g = grad_h(alpha, P, ZTs, lam)
+            g = grad_h(alpha, view_agreements(P, ZTs), lam)
             for a, b in [(0, 1), (1, 2), (0, 2)]:
                 w = np.zeros(3)
                 w[a], w[b] = 1.0, -1.0
@@ -375,6 +386,8 @@ class TestAgfMinmaxMatchesPerCandidateFusion:
         assert len(res.alpha_trace) == len(ref.alpha_trace)
         for a, b in zip(res.alpha_trace, ref.alpha_trace):
             assert np.array_equal(a, b)
+        # every try is either valued in full or rejected by the bound
+        assert res.evaluated + res.bound_rejected == ref.evaluated
         # h is the inner value at the returned state, as the solver reads it
         assert res.h == inner_value(
             res.P, weighted_fusion_input(Zs, Ts, res.alpha), res.H, kw["lam"], kw["beta"]
@@ -382,25 +395,123 @@ class TestAgfMinmaxMatchesPerCandidateFusion:
         return res
 
     def test_default_start(self):
-        backtracked = 0
+        backtracked = skipped = 0
         for seed in range(8):
             rng = np.random.default_rng(seed)
             Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=60, m=8, V=3)
             res = self._check(Zs, Ts, F, Q, lam=9.0, beta=4.0)
             backtracked += sum(0 < s < 1 for s in res.steps)
-        # the comparison covers rejected candidates, not only full steps
+            skipped += res.bound_rejected
+        # the comparison covers rejected candidates, not only full steps,
+        # and candidates the bound rejected without valuing them
         assert backtracked > 0
+        assert skipped > 0
 
     def test_warm_start_fixed_budget(self):
+        skipped = 0
         for seed in range(4):
             rng = np.random.default_rng(100 + seed)
             Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=80, m=16, V=2)
             P0 = rand_row_stochastic(rng, 80, 16)
             alpha0 = rand_simplex_interior(rng, 2)
-            self._check(
+            res = self._check(
                 Zs, Ts, F, Q, lam=4.0, beta=4.0, alpha0=alpha0, P0=P0,
                 tol=0.0, max_iter=4,
             )
+            skipped += res.bound_rejected
+        assert skipped > 0
+
+    def test_four_views_sharp_inner_problem(self):
+        # lam = V^2 and a small ridge: the bound rejects most long steps
+        skipped = evaluated = 0
+        for seed in range(4):
+            rng = np.random.default_rng(200 + seed)
+            Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=50, m=12, V=4)
+            res = self._check(
+                Zs, Ts, F, Q, lam=16.0, beta=0.5, tol=0.0, max_iter=12
+            )
+            skipped += res.bound_rejected
+            evaluated += res.evaluated
+        assert skipped > evaluated
+
+
+class TestLineSearchBound:
+    """The lower bound only rejects candidates the full evaluation rejects."""
+
+    def test_margin_keeps_near_ties_evaluated(self):
+        agree = np.array([2.0, 3.0])
+        cand = np.array([0.25, 0.75])
+        lam, fixed = 4.0, 1.5
+        lower = lam * float(cand**2 @ agree) - fixed
+        scale = lam * float(cand**2 @ agree) + fixed
+        # a bound above the threshold by less than the margin proves nothing
+        assert not bound_rejects(
+            cand, agree, fixed, lam, lower - 0.1 * BOUND_MARGIN * scale
+        )
+        assert not bound_rejects(cand, agree, fixed, lam, lower)
+        assert bound_rejects(cand, agree, fixed, lam, lower - 2 * BOUND_MARGIN * scale)
+
+    def test_negative_agreements_widen_the_margin(self):
+        agree = np.array([-2.0, 3.0])
+        cand = np.array([0.5, 0.5])
+        lam, fixed = 4.0, 0.0
+        lower = lam * float(cand**2 @ agree) - fixed
+        # the margin scales with |c_v|: 4 * (0.5 + 0.75), not 4 * 0.25
+        gap = 2 * BOUND_MARGIN * lam * 0.25
+        assert not bound_rejects(cand, agree, fixed, lam, lower - gap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        V=st.integers(2, 4),
+        lam=st.floats(0.5, 50.0),
+        beta=st.floats(0.05, 8.0),
+    )
+    def test_bound_rejections_fail_the_armijo_test(self, seed, V, lam, beta):
+        rng = np.random.default_rng(seed)
+        Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=12, m=5, V=V)
+        ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
+        H = compute_H(F, Q, rand_row_stochastic(rng, 12, 5))
+        alpha = rng.dirichlet(np.ones(V))
+        Zt = fuse_aligned(ZTs, alpha)
+        P = solve_inner_P(Zt, H, lam, beta)
+        h0 = inner_value(P, Zt, H, lam, beta)
+        agree = view_agreements(P, ZTs)
+        grad = grad_h(alpha, agree, lam)
+        g = reduced_descent_direction(grad, alpha)
+        assume(np.any(g))
+        slope = float(grad @ g)
+        fixed = beta * float(np.sum(P * P)) + float(np.sum(H * P))
+        shrinking = g < 0
+        theta = min(1.0, float(np.min(alpha[shrinking] / -g[shrinking])))
+        # every try of a backtracking sequence, past any acceptance
+        for _ in range(agf._MAX_BACKTRACKS + 1):
+            cand = np.maximum(alpha + theta * g, 0.0)
+            cand /= cand.sum()
+            threshold = h0 + agf._ARMIJO_C * theta * slope
+            if bound_rejects(cand, agree, fixed, lam, threshold):
+                Zt_c = fuse_aligned(ZTs, cand)
+                P_c = solve_inner_P(Zt_c, H, lam, beta)
+                assert inner_value(P_c, Zt_c, H, lam, beta) > threshold
+            theta *= agf._ARMIJO_SHRINK
+
+    def test_bound_rejections_use_up_the_backtrack_budget(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=60, m=8, V=3)
+        valued = []
+
+        def every_candidate_fails(P, Zt, H, lam, beta):
+            valued.append(P)
+            h = inner_value(P, Zt, H, lam, beta)
+            # the first call values the current weights; no candidate passes
+            return h if len(valued) == 1 else h + 1e6
+
+        monkeypatch.setattr(agf, "inner_value", every_candidate_fails)
+        res = agf.agf_minmax(Zs, Ts, F, Q, lam=9.0, beta=4.0, max_iter=1)
+        assert res.steps == [0.0]
+        assert res.bound_rejected > 0
+        assert res.evaluated + res.bound_rejected == agf._MAX_BACKTRACKS + 1
+        assert len(valued) == 1 + res.evaluated
 
 
 class TestHConvexity:

@@ -119,6 +119,16 @@ def test_diag_emits_one_record_per_iteration(workspace):
     for row in rows:
         assert row["primal_residual_fro"] >= row["primal_residual_inf"] >= 0.0
         assert sum(row["step_seconds"].values()) <= row["seconds"]
+        search = row["line_search"]
+        assert set(search) == {"steps", "thetas", "evaluated", "bound_rejected"}
+        assert search["steps"] >= 1
+        # one theta per accepted step, each from its own valued candidate
+        assert len(search["thetas"]) <= search["steps"]
+        assert all(0.0 < t <= 1.0 for t in search["thetas"])
+        assert len(search["thetas"]) <= search["evaluated"]
+        assert search["bound_rejected"] >= 0
+    # the weights move at least once on this instance
+    assert sum(len(row["line_search"]["thetas"]) for row in rows) > 0
 
 
 def test_eval_aggregates(workspace):
@@ -223,6 +233,17 @@ def test_train_rejects_mask_naming_an_absent_view(workspace):
     ])
     assert result.exit_code == 2, result.output
     assert "sample 4 is missing from view 2" in result.output
+
+
+def test_train_reports_a_rejected_solver_setting(workspace):
+    result = CliRunner().invoke(main, [
+        "train", workspace["data"], workspace["mask"], "--anchors", "8",
+        "--b-labeled", "0",
+    ])
+    assert result.exit_code == 1
+    assert "Error: b_labeled must be positive, got 0.0" in result.output
+    # click's own exit, not an escaped ValueError
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_threads_env_var_must_be_an_integer(workspace, monkeypatch):

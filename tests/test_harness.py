@@ -385,6 +385,21 @@ class TestExperiment:
         rec = out["variants"]["mixed"]["records"][0]
         assert rec["error"] is None
 
+    def test_baseline_label_propagation_validates_as_the_solver(self):
+        rng = np.random.default_rng(15)
+        cont = random_container(rng, n=30)
+        labeled = np.arange(6)
+        none = [np.array([], dtype=int)] * 2
+        with pytest.raises(ValueError, match="labeled index -1 is outside 0..29"):
+            baseline_label_propagation(
+                cont.views, cont.labels, np.append(labeled, -1), none, m=4, k=2
+            )
+        absent = [np.array([7]), np.array([7])]
+        with pytest.raises(ValueError, match="sample 7 is missing from every view"):
+            baseline_label_propagation(
+                cont.views, cont.labels, labeled, absent, m=4, k=2
+            )
+
     def test_baseline_label_propagation_on_easy_data(self):
         rng = np.random.default_rng(14)
         centers = np.array([[8.0, 0.0], [-8.0, 0.0], [0.0, 8.0]])

@@ -448,6 +448,11 @@ class TestAdmmSolve:
     def test_freeze_weights_keeps_uniform_alpha(self):
         result, _, _ = self._solve(seed=4, freeze_weights=True)
         assert np.all(result.alpha == 0.5)
+        # no line search runs, so every record reports none
+        for row in result.diagnostics:
+            assert row["line_search"] == {
+                "steps": 0, "thetas": [], "evaluated": 0, "bound_rejected": 0,
+            }
 
     def test_freeze_alignment_keeps_identity(self):
         result, _, _ = self._solve(seed=5, freeze_alignment=True)
