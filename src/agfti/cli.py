@@ -31,6 +31,15 @@ def _set_threads(threads):
             os.environ[var] = str(threads)
 
 
+# eager, so the cap is exported before any other option or the command body
+# runs; the commands never see the value
+_threads_option = click.option(
+    "--threads", type=int, default=None, expose_value=False, is_eager=True,
+    callback=lambda ctx, param, value: _set_threads(value),
+    help="BLAS thread cap; overrides AGFTI_THREADS",
+)
+
+
 def _solver_options(fn):
     decorators = [
         click.option("--lambda", "lam", type=float, default=None,
@@ -50,8 +59,7 @@ def _solver_options(fn):
         click.option("--max-iters", "max_outer_iters", type=int, default=50,
                      show_default=True, help="outer iteration cap"),
         click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--threads", type=int, default=None,
-                     help="BLAS thread cap; overrides AGFTI_THREADS"),
+        _threads_option,
     ]
     for dec in reversed(decorators):
         fn = dec(fn)
@@ -117,10 +125,9 @@ def main():
 @click.option("--bridge", type=float, default=0.04, show_default=True)
 @click.option("--csv", "as_csv", is_flag=True,
               help="write a CSV directory instead of the binary container")
-@click.option("--threads", type=int, default=None)
-def synth(out, seed, n_per_class, V, c, vacuum, noise, bridge, as_csv, threads):
+@_threads_option
+def synth(out, seed, n_per_class, V, c, vacuum, noise, bridge, as_csv):
     """Generate a synthetic sub-cluster-problem container."""
-    _set_threads(threads)
     from .harness import save_dataset, save_dataset_csv, synth_scp
 
     container = synth_scp(
@@ -140,10 +147,9 @@ def synth(out, seed, n_per_class, V, c, vacuum, noise, bridge, as_csv, threads):
 @click.option("--vmr", type=float, required=True, help="view missing ratio")
 @click.option("--lar", type=float, required=True, help="label annotation ratio")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=None)
-def mask(container_path, out, vmr, lar, seed, threads):
+@_threads_option
+def mask(container_path, out, vmr, lar, seed):
     """Draw missing-view and label masks for a container."""
-    _set_threads(threads)
     from .harness import MaskSpec, generate_masks, load_container, save_mask
 
     container = load_container(container_path)
@@ -165,9 +171,8 @@ def mask(container_path, out, vmr, lar, seed, threads):
 @click.option("--predictions", "pred_path", type=click.Path(dir_okay=False),
               default=None, help="also dump per-sample predictions as JSON")
 @_solver_options
-def train(container_path, mask_path, out, pred_path, threads, **kwargs):
+def train(container_path, mask_path, out, pred_path, **kwargs):
     """Solve once on a container + mask and report metrics."""
-    _set_threads(threads)
     from .harness import metrics
     from .solver import predict
 
@@ -197,16 +202,15 @@ def train(container_path, mask_path, out, pred_path, threads, **kwargs):
 @click.argument("container_path", type=click.Path(exists=True))
 @click.option("--vmr", type=float, required=True)
 @click.option("--lar", type=float, required=True)
-@click.option("--reps", type=int, default=10, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=10,
+              show_default=True)
 @click.option("--base-seed", type=int, default=0, show_default=True)
 @click.option("--jsonl", type=click.Path(dir_okay=False), default=None,
               help="append per-repetition and aggregate records here")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_solver_options
-def eval_cmd(container_path, vmr, lar, reps, base_seed, jsonl, out, threads,
-             **kwargs):
+def eval_cmd(container_path, vmr, lar, reps, base_seed, jsonl, out, **kwargs):
     """Run K seeded repetitions of mask -> solve -> score."""
-    _set_threads(threads)
     from .harness import load_container, run_experiment
     from .solver import SolverConfig
 
@@ -232,7 +236,8 @@ def eval_cmd(container_path, vmr, lar, reps, base_seed, jsonl, out, threads,
 @click.argument("container_path", type=click.Path(exists=True))
 @click.option("--vmr", type=float, required=True)
 @click.option("--lar", type=float, required=True)
-@click.option("--reps", type=int, default=10, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=10,
+              show_default=True)
 @click.option("--base-seed", type=int, default=0, show_default=True)
 @click.option("--variants", default="full,wo_tv,wo_alpha,wo_ti",
               show_default=True, help="comma-separated variant names")
@@ -240,9 +245,8 @@ def eval_cmd(container_path, vmr, lar, reps, base_seed, jsonl, out, threads,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_solver_options
 def ablate(container_path, vmr, lar, reps, base_seed, variants, jsonl, out,
-           threads, **kwargs):
+           **kwargs):
     """Compare ablation variants under the repetition harness."""
-    _set_threads(threads)
     from .harness import load_container, run_experiment
     from .harness.experiment import STANDARD_VARIANTS
     from .solver import SolverConfig
@@ -255,6 +259,9 @@ def ablate(container_path, vmr, lar, reps, base_seed, variants, jsonl, out,
             known = ", ".join(sorted(STANDARD_VARIANTS))
             raise click.BadParameter(f"unknown variant {name!r}; known: {known}")
         chosen[name] = STANDARD_VARIANTS[name]
+    if not chosen:
+        raise click.BadParameter(f"{variants!r} names no variant",
+                                 param_hint="'--variants'")
 
     container = load_container(container_path)
     results = run_experiment(
@@ -284,9 +291,8 @@ def ablate(container_path, vmr, lar, reps, base_seed, variants, jsonl, out,
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="write JSON lines here instead of stdout")
 @_solver_options
-def diag(container_path, mask_path, out, threads, **kwargs):
+def diag(container_path, mask_path, out, **kwargs):
     """Dump per-iteration solver diagnostics as JSON lines."""
-    _set_threads(threads)
     _, _, _, result = _solve_from_files(container_path, mask_path, kwargs)
     lines = [json.dumps(row, sort_keys=True) for row in result.diagnostics]
     summary = json.dumps({

@@ -15,7 +15,7 @@ import numpy as np
 from ..rng import STREAM_EXPERIMENT, make_generator
 from ..solver import (
     SolverConfig,
-    _validate_inputs,
+    _prepare_inputs,
     admm_solve,
     anchor_graphs,
     one_hot_labels,
@@ -54,14 +54,11 @@ def baseline_label_propagation(
     Labels are fitted with the solver's default b_labeled. The input is
     checked as admm_solve checks it, with the same ValueError messages.
     """
-    views = [np.asarray(X, dtype=np.float64) for X in views]
-    y = np.asarray(y, dtype=np.int64)
-    labeled_idx = np.asarray(labeled_idx, dtype=np.int64)
-    missing = [np.asarray(idx, dtype=np.int64) for idx in missing]
+    views, y, labeled_idx, missing, c = _prepare_inputs(
+        views, y, labeled_idx, missing, n_classes
+    )
     V = len(views)
     n = views[0].shape[0]
-    c = int(n_classes) if n_classes is not None else int(y.max()) + 1
-    _validate_inputs(views, y, labeled_idx, missing, c)
 
     stack = anchor_graphs(views, missing, m, k, seed)
     P_cat = stack.transpose(1, 0, 2).reshape(n, V * m) / V

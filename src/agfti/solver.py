@@ -26,7 +26,7 @@ from .agf import (
 )
 from .graphs import bkhk_anchors, build_bipartite, floored_anchor_degrees
 from .simplex import prox_rows
-from .tensor3 import Tensor3, tubal_shrink
+from .tensor3 import tubal_shrink
 # re-exported: perfbench/tracing.py patches solver.phi
 from .tensor3 import phi  # noqa: F401
 
@@ -160,16 +160,16 @@ def update_G(Z, W, eta, rho):
 
     Z and W are (V, n, m) stacks. Minimizes rho * (sum of per-frequency
     nuclear norms) + eta/2 ||G - Z - W/eta||_F^2, i.e. tubal_shrink at
-    threshold rho/eta of the (n, m, V) tensor whose DFT runs along the
-    sample axis; the result comes back in the (V, n, m) layout.
+    threshold rho/eta of the (n, m, V) transpose, a view without a copy:
+    its axis 0, the samples, is the DFT axis, and each frequency slice is
+    an m x V matrix. The result comes back in the (V, n, m) layout.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     M = Z + W / eta
     if rho == 0:
         return M
-    G = tubal_shrink(Tensor3(M.transpose(1, 2, 0)), rho / eta)
-    return G.data.transpose(2, 0, 1)
+    return tubal_shrink(M.transpose(1, 2, 0), rho / eta).transpose(2, 0, 1)
 
 
 def update_alignment(Z, P):
@@ -214,7 +214,16 @@ def anchor_graphs(views, missing, m, k, seed):
     return Z
 
 
-def _validate_inputs(views, y, labeled_idx, missing, c):
+def _prepare_inputs(views, y, labeled_idx, missing, n_classes):
+    """(views, y, labeled_idx, missing, c) as arrays; ValueError if malformed.
+
+    c is n_classes, or the largest label plus one when that is None.
+    """
+    views = [np.asarray(X, dtype=np.float64) for X in views]
+    y = np.asarray(y, dtype=np.int64)
+    labeled_idx = np.asarray(labeled_idx, dtype=np.int64)
+    missing = [np.asarray(idx, dtype=np.int64) for idx in missing]
+    c = int(n_classes) if n_classes is not None else int(y.max()) + 1
     n = views[0].shape[0]
     V = len(views)
     for v, X in enumerate(views):
@@ -249,6 +258,7 @@ def _validate_inputs(views, y, labeled_idx, missing, c):
             f"every class needs at least one labeled sample; none for "
             f"{missing_classes}"
         )
+    return views, y, labeled_idx, missing, c
 
 
 def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
@@ -273,14 +283,11 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     flag, never raised.
     """
     config = config or SolverConfig()
-    views = [np.asarray(X, dtype=np.float64) for X in views]
-    y = np.asarray(y, dtype=np.int64)
-    labeled_idx = np.asarray(labeled_idx, dtype=np.int64)
-    missing = [np.asarray(idx, dtype=np.int64) for idx in missing]
+    views, y, labeled_idx, missing, c = _prepare_inputs(
+        views, y, labeled_idx, missing, n_classes
+    )
     V = len(views)
     n = views[0].shape[0]
-    c = int(n_classes) if n_classes is not None else int(y.max()) + 1
-    _validate_inputs(views, y, labeled_idx, missing, c)
 
     lam = float(config.lam) if config.lam is not None else float(V * V)
     m, k = config.n_anchors, config.k_neighbors

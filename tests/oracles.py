@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive (quadratic DFT sums, exhaustive active-set
 enumeration, dense (n+m)^2 linear algebra, full-spectrum tensor transforms) and
-shares no code with the package under test beyond numpy itself and the Tensor3
-container. The one exception is project_simplex, a single-vector view of the
-package's prox_rows that only the tests need.
+shares no code with the package under test beyond numpy itself. The one
+exception is project_simplex, a single-vector view of the package's prox_rows
+that only the tests need. The t-SVD algebra works on the Tensor3 type below;
+the package's tubal_shrink takes its plain ``data`` array.
 """
 
 import itertools
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from agfti.simplex import prox_rows
-from agfti.tensor3 import Tensor3
 
 IMAG_RTOL = 1e-8
 
@@ -48,6 +48,27 @@ def matrix_svt(M, tau):
 # needs tubal shrinkage alone, which the package computes on the half
 # spectrum. Every inverse transform checks that the imaginary residual is
 # below IMAG_RTOL of the total norm before dropping it.
+
+
+@dataclass(frozen=True)
+class Tensor3:
+    """Real third-order tensor, slice-major: data[k] is the k-th frontal slice."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data, dtype=float)
+        if arr.ndim != 3:
+            raise ValueError(f"Tensor3 needs a 3-d array, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("Tensor3 entries must be finite")
+        object.__setattr__(self, "data", arr)
+
+    @property
+    def dims(self):
+        """(n1, n2, n3) with n3 the number of frontal slices."""
+        n3, n1, n2 = self.data.shape
+        return (n1, n2, n3)
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,25 @@ def test_ablate_rejects_unknown_variant(workspace):
     assert "unknown variant" in result.output
 
 
+def test_ablate_rejects_a_variant_list_naming_none(workspace):
+    result = CliRunner().invoke(main, [
+        "ablate", workspace["data"], "--vmr", "0.3", "--lar", "0.1",
+        "--variants", ",",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "',' names no variant" in result.output
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_zero_repetitions_rejected(workspace, command):
+    result = CliRunner().invoke(main, [
+        command, workspace["data"], "--vmr", "0.3", "--lar", "0.1",
+        "--reps", "0",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--reps'" in result.output
+
+
 def test_threads_flag_sets_env(workspace, monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)

@@ -1,8 +1,10 @@
-"""The benchmark tracer's lookup sites resolve on the package.
+"""The benchmark tracer's lookup sites resolve on the package, and its hooks
+read what the package passes them.
 
 perfbench/tracing.py times layers by replacing module globals of agfti; a
-site that no longer resolves would otherwise surface only in the slow
-benchmark suite. The tracer is loaded by path and only read.
+site that no longer resolves, or a hook that no longer understands a
+signature, would otherwise surface only in the slow benchmark suite. The
+tracer is loaded by path and only read.
 """
 
 import importlib.util
@@ -13,6 +15,7 @@ import pytest
 import agfti.agf
 import agfti.harness.experiment
 import agfti.solver
+from agfti.harness import MaskSpec, generate_masks, missing_per_view, synth_scp
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # the module keys perfbench/run.py maps its sites onto
@@ -35,3 +38,23 @@ def load_tracing():
 )
 def test_layer_site_resolves(module_key, attr):
     assert callable(getattr(MODULES[module_key], attr, None)), f"{module_key}.{attr}"
+
+
+def test_traced_solve_counts_the_shrinkage_slices():
+    tracing = load_tracing()
+    container = synth_scp(0, n_per_class=20)
+    missing, labeled = generate_masks(
+        container, MaskSpec(vmr=0.3, lar=0.1, seed=0)
+    )
+    tracer = tracing.Tracer()
+    with tracer.patched(MODULES, tracing.LAYER_SITES):
+        result = agfti.solver.admm_solve(
+            container.views, container.labels, labeled,
+            missing_per_view(missing, container.V),
+            agfti.solver.SolverConfig(n_anchors=8, max_outer_iters=5),
+        )
+    assert [s for s in tracer.spans if s[4]] == []
+    shrinks = tracer.calls("tensor3.tubal_shrink")
+    assert shrinks == result.n_iter == 5
+    # one half-spectrum slice per frequency 0 .. n//2 of the sample axis
+    assert tracer.counts["tensor3.svd_slices"] == (container.n // 2 + 1) * shrinks

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agfti.tensor3 import Tensor3, phi, tubal_shrink
+from agfti.tensor3 import phi, tubal_shrink
 
 from oracles import (
+    Tensor3,
     identity_tensor,
     matrix_svt,
     perslice_tnn_oracle,
@@ -108,8 +109,8 @@ class TestTubalShrink:
     def test_tau_zero_is_identity(self):
         rng = np.random.default_rng(17)
         t = rand_tensor(rng, 3, 4, 5)
-        out = tubal_shrink(t, 0.0)
-        assert rel_err(out.data, t.data) < 1e-12
+        out = tubal_shrink(t.data, 0.0)
+        assert rel_err(out / 1e200, t.data / 1e200) < 1e-12
 
     def test_full_shrinkage_gives_zero(self):
         rng = np.random.default_rng(19)
@@ -118,23 +119,23 @@ class TestTubalShrink:
         smax = max(
             np.linalg.svd(spec[k], compute_uv=False).max() for k in range(4)
         )
-        out = tubal_shrink(t, smax / 4 + 1e-9)
-        assert np.abs(out.data).max() < 1e-10
+        out = tubal_shrink(t.data, smax / 4 + 1e-9)
+        assert np.abs(out).max() < 1e-10
 
     def test_n3_one_matches_matrix_svt(self):
         rng = np.random.default_rng(23)
         A = rng.standard_normal((3, 3))
         tau = 0.4
-        out = tubal_shrink(Tensor3(A[None]), tau)
-        assert rel_err(out.data[0], matrix_svt(A, tau)) < 1e-10
+        out = tubal_shrink(A[None], tau)
+        assert rel_err(out[0], matrix_svt(A, tau)) < 1e-10
 
     def test_fourier_singular_values_soft_thresholded(self):
         rng = np.random.default_rng(29)
         t = rand_tensor(rng, 4, 3, 5)
         tau = 0.3
-        out = tubal_shrink(t, tau)
+        out = tubal_shrink(t.data, tau)
         spec_in = np.fft.fft(t.data, axis=0)
-        spec_out = np.fft.fft(out.data, axis=0)
+        spec_out = np.fft.fft(out, axis=0)
         for k in range(5):
             s_in = np.linalg.svd(spec_in[k], compute_uv=False)
             s_out = np.linalg.svd(spec_out[k], compute_uv=False)
@@ -146,21 +147,42 @@ class TestTubalShrink:
         rng = np.random.default_rng(31)
         t = rand_tensor(rng, 3, 3, 4)
         tau = 0.15
-        out = tubal_shrink(t, tau)
+        out = tubal_shrink(t.data, tau)
 
         def objective(G):
             return 4 * tau * tnn(G) + 0.5 * np.linalg.norm(G.data - t.data) ** 2
 
-        base = objective(out)
+        base = objective(Tensor3(out))
         fnorm = np.linalg.norm(t.data)
         for _ in range(100):
             delta = rng.standard_normal(t.data.shape)
             delta *= 0.1 * fnorm * rng.uniform() / np.linalg.norm(delta)
-            assert base <= objective(Tensor3(out.data + delta)) + 1e-10
+            assert base <= objective(Tensor3(out + delta)) + 1e-10
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            tubal_shrink(Tensor3(np.zeros((2, 2, 2))), -0.1)
+            tubal_shrink(np.zeros((2, 2, 2)), -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("tau", [0.01, 100.0])
+    def test_rejects_nonfinite_entry(self, bad, tau):
+        # one bad entry among 1200: unchecked, a NaN spreads over the whole
+        # spectrum, no slice norm exceeds the floor and the result is zeros
+        A = np.random.default_rng(61).standard_normal((10, 12, 10))
+        A[4, 7, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tubal_shrink(A, tau)
+
+    def test_accepts_finite_entries_whose_norms_overflow(self):
+        # the squared norms overflow to inf although every entry is finite
+        rng = np.random.default_rng(67)
+        t = rand_tensor(rng, 3, 4, 5, scale=1e200)
+        out = tubal_shrink(t.data, 0.0)
+        assert rel_err(out / 1e200, t.data / 1e200) < 1e-12
+
+    def test_rejects_non_3d(self):
+        with pytest.raises(ValueError, match="3-d"):
+            tubal_shrink(np.zeros((2, 2)), 0.1)
 
     @pytest.mark.parametrize("n3", [1, 2, 3, 8, 9])
     @pytest.mark.parametrize("rank_deficient", [False, True])
@@ -181,10 +203,10 @@ class TestTubalShrink:
             "middle": 0.5 * float(s.max()) / n3,
             "above_max": 1.01 * float(s.max()) / n3,
         }[level]
-        out = tubal_shrink(t, tau)
+        out = tubal_shrink(t.data, tau)
         ref = tubal_shrink_full_spectrum(t, tau)
-        assert out.data.shape == t.data.shape
-        assert np.linalg.norm(out.data - ref.data) <= 1e-12 * np.linalg.norm(ref.data)
+        assert out.shape == t.data.shape
+        assert np.linalg.norm(out - ref.data) <= 1e-12 * np.linalg.norm(ref.data)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -202,10 +224,10 @@ class TestTubalShrink:
         t = rand_tensor(np.random.default_rng(seed), n1, n2, n3)
         smax = np.linalg.svd(np.fft.fft(t.data, axis=0), compute_uv=False).max()
         tau = frac * float(smax) / n3
-        out = tubal_shrink(t, tau)
+        out = tubal_shrink(t.data, tau)
         ref = tubal_shrink_full_spectrum(t, tau)
-        assert out.data.shape == t.data.shape
-        assert np.linalg.norm(out.data - ref.data) <= 1e-12 * np.linalg.norm(t.data)
+        assert out.shape == t.data.shape
+        assert np.linalg.norm(out - ref.data) <= 1e-12 * np.linalg.norm(t.data)
 
     def test_names_the_slice_whose_svd_fails(self, monkeypatch):
         t = rand_tensor(np.random.default_rng(43), 3, 2, 6)
@@ -223,7 +245,7 @@ class TestTubalShrink:
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         with pytest.raises(np.linalg.LinAlgError, match="frequency slice 2"):
-            tubal_shrink(t, 0.1)
+            tubal_shrink(t.data, 0.1)
 
 
 def rank1_spectrum_tensor(rng, n1, n2, n3, norms):
@@ -268,11 +290,11 @@ class TestShrinkSkip:
         tau = 0.4 / n3
         ref = tubal_shrink_all_slices(t, tau)
         counts = svd_slice_counter(monkeypatch)
-        out = tubal_shrink(t, tau)
-        assert np.array_equal(out.data, ref.data)
+        out = tubal_shrink(t.data, tau)
+        assert np.array_equal(out, ref.data)
         assert sum(counts) == 3
         # the surviving part of each live slice is its norm less t
-        s_out = np.linalg.svd(np.fft.rfft(out.data, axis=0), compute_uv=False)
+        s_out = np.linalg.svd(np.fft.rfft(out, axis=0), compute_uv=False)
         assert np.allclose(s_out[:, 0], [2.6, 0.0, 0.1, 0.0, 1.6], atol=1e-12)
 
     @pytest.mark.parametrize("rel", [-1e-6, -1e-12, 1e-12, 1e-6])
@@ -286,9 +308,9 @@ class TestShrinkSkip:
         tau = 1.3 / (1.0 + rel) / n3
         ref = tubal_shrink_all_slices(t, tau)
         counts = svd_slice_counter(monkeypatch)
-        out = tubal_shrink(t, tau)
-        assert np.array_equal(out.data, ref.data)
-        assert (np.abs(out.data).max() > 0) == (rel > 0)
+        out = tubal_shrink(t.data, tau)
+        assert np.array_equal(out, ref.data)
+        assert (np.abs(out).max() > 0) == (rel > 0)
         assert sum(counts) == (0 if rel == -1e-6 else 1)
 
     def test_dominant_threshold_needs_no_transform(self, monkeypatch):
@@ -299,9 +321,9 @@ class TestShrinkSkip:
             raise AssertionError("rfft called although the threshold dominates")
 
         monkeypatch.setattr(np.fft, "rfft", no_rfft)
-        out = tubal_shrink(t, 1.01 * bound / 7)
-        assert out.data.shape == t.data.shape
-        assert not out.data.any()
+        out = tubal_shrink(t.data, 1.01 * bound / 7)
+        assert out.shape == t.data.shape
+        assert not out.any()
 
     def test_all_dead_slices_need_no_svd(self, monkeypatch):
         # the threshold lies between the largest slice norm and the norm
@@ -313,9 +335,9 @@ class TestShrinkSkip:
         tau = 0.5 * (norms.max() + bound) / 8
         ref = tubal_shrink_all_slices(t, tau)
         counts = svd_slice_counter(monkeypatch)
-        out = tubal_shrink(t, tau)
-        assert np.array_equal(out.data, ref.data)
-        assert not out.data.any()
+        out = tubal_shrink(t.data, tau)
+        assert np.array_equal(out, ref.data)
+        assert not out.any()
         assert counts == []
 
     def test_failure_names_the_original_slice_after_skips(self, monkeypatch):
@@ -336,7 +358,7 @@ class TestShrinkSkip:
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         with pytest.raises(np.linalg.LinAlgError, match="frequency slice 3"):
-            tubal_shrink(t, 0.5 / 8)
+            tubal_shrink(t.data, 0.5 / 8)
 
 
 class TestPhiLayout:
@@ -345,14 +367,14 @@ class TestPhiLayout:
         n, m, V = 6, 4, 3
         mats = [rng.standard_normal((n, m)) for _ in range(V)]
         t = phi(mats)
-        assert t.dims == (m, V, n)
+        assert t.shape == (n, m, V)
         # frontal slice i is the m x V matrix whose column v is row i of Zv
         for i in (0, 3, 5):
             for v in range(V):
-                assert np.array_equal(t.data[i][:, v], mats[v][i])
+                assert np.array_equal(t[i][:, v], mats[v][i])
         # the (n, m) view the solver reads back is the input matrix
         for v in range(V):
-            assert np.array_equal(t.data[:, :, v], mats[v])
+            assert np.array_equal(t[:, :, v], mats[v])
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
@@ -360,6 +382,8 @@ class TestPhiLayout:
 
 
 class TestTensor3Type:
+    """The oracles' tensor type; tubal_shrink checks its own input above."""
+
     def test_rejects_nonfinite(self):
         bad = np.zeros((2, 2, 2))
         bad[0, 0, 0] = np.nan
