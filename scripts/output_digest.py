@@ -13,10 +13,11 @@ records the predictions of every ``baseline_label_propagation`` call.
 
 It prints one line per workload: its name, the SHA-256 over all of its solves
 and baselines in order, and the number of each. Each solve contributes F,
-alpha, P, the final graphs Zs and alignments Ts, every iteration's h,
-primal_residual_inf and delta_F, n_iter and converged; each baseline its
-predictions; a call that raised contributes its error. Two trees whose lines
-match gave the same outputs bit for bit.
+alpha, P, the final graphs Zs and alignments Ts, every iteration's whole
+diagnostics record except its wall-clock fields (seconds, step_seconds),
+n_iter and converged; each baseline its predictions; a call that raised
+contributes its error. Two trees whose lines match gave the same outputs bit
+for bit.
 
 BLAS runs on one thread, pinned before numpy loads, as in the benchmark.
 """
@@ -24,12 +25,15 @@ BLAS runs on one thread, pinned before numpy loads, as in the benchmark.
 import argparse
 import hashlib
 import importlib.util
+import json
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 PIN_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# diagnostics fields that read the clock, so differ between any two runs
+CLOCK_FIELDS = ("seconds", "step_seconds")
 # the pin only takes when it is set before numpy loads
 if "numpy" not in sys.modules:
     os.environ.update(dict.fromkeys(PIN_VARS, "1"))
@@ -116,8 +120,10 @@ def digest(results):
         for arr in (r.F, r.alpha, r.P, r.Zs, r.Ts):
             h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
         for d in r.diagnostics:
-            fields = (d["h"], d["primal_residual_inf"], d["delta_F"])
-            h.update(np.array(fields, dtype=np.float64).tobytes())
+            # json writes each float as its shortest exact repr, so every
+            # bit of every value reaches the hash
+            record = {k: v for k, v in d.items() if k not in CLOCK_FIELDS}
+            h.update(json.dumps(record, sort_keys=True).encode())
         h.update(f"{int(r.n_iter)} {bool(r.converged)}".encode())
     return h.hexdigest()
 

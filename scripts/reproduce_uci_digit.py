@@ -44,10 +44,14 @@ def main():
     )
     block = results["variants"]["full"]
     agg = block["aggregate"]
+    print(json.dumps(agg, indent=2, sort_keys=True))
+    # None when every repetition failed
+    if agg["acc"]["mean"] is None:
+        print(f"\naccuracy: n/a over {args.reps} repetitions "
+              f"({block['failed_reps']} failed)")
+        return
     mean = 100.0 * agg["acc"]["mean"]
     std = 100.0 * agg["acc"]["std"]
-
-    print(json.dumps(agg, indent=2, sort_keys=True))
     print(f"\naccuracy: {mean:.2f} +- {std:.2f} over {args.reps} repetitions "
           f"({block['failed_reps']} failed)")
     if (args.vmr, args.lar, args.anchors) == (0.5, 0.05, 256):

@@ -80,7 +80,9 @@ def main():
         cells = []
         for name in names:
             agg = results["variants"][name]["aggregate"]["acc"]
-            cells.append(f"{agg['mean']:.4f}+-{agg['std']:.4f}")
+            # None when every repetition of the variant failed
+            cells.append("n/a" if agg["mean"] is None
+                         else f"{agg['mean']:.4f}+-{agg['std']:.4f}")
         print(f"{vmr:>5.2f}  {b_mean:.4f}+-{b_std:.4f}  "
               + "  ".join(f"{c:>14}" for c in cells))
 

@@ -188,6 +188,7 @@ def agf_minmax(
     P0=None,
     tol=1e-4,
     max_iter=50,
+    freeze_weights=False,
 ):
     """Alternate H refresh, inner P solve, and a reduced-gradient alpha step.
 
@@ -197,7 +198,8 @@ def agf_minmax(
     when the reduced gradient leaves no descent direction (always so with
     one view), or when the line search finds no decrease (step 0), all
     reported converged, or after max_iter iterations (reported not
-    converged).
+    converged). With freeze_weights it refreshes H and solves for P once at
+    alpha0, then reports converged after no weight step (n_iter 0).
 
     The returned P is always the exact inner maximizer at the returned alpha
     under the returned H, and h is the inner value there. The aligned
@@ -237,13 +239,16 @@ def agf_minmax(
     res.alpha_trace.append(alpha.copy())
 
     for it in range(1, max_iter + 1):
-        res.n_iter = it
         H = compute_H(F, Q, P)
         P = solve_inner_P(Zt, H, lam, beta)
         res.H = H
         res.alpha, res.P = alpha, P
 
         h0 = res.h = inner_value(P, Zt, H, lam, beta)
+        if freeze_weights:
+            res.converged = True
+            break
+        res.n_iter = it
         agree = view_agreements(P, ZT)
         grad = grad_h(alpha, agree, lam)
         g = reduced_descent_direction(grad, alpha)

@@ -108,6 +108,15 @@ def _echo_json(payload, out):
         click.echo(f"wrote {out}")
 
 
+def _fail_without_successful_reps(variants):
+    """Exit non-zero naming each variant whose every repetition failed."""
+    empty = [name for name, block in variants.items()
+             if block["failed_reps"] == len(block["records"])]
+    if empty:
+        raise click.ClickException(
+            f"no successful repetition for variant(s): {', '.join(empty)}")
+
+
 @click.group()
 def main():
     """Anchor-graph fusion with tensorial imputation."""
@@ -230,6 +239,7 @@ def eval_cmd(container_path, vmr, lar, reps, base_seed, jsonl, out, **kwargs):
         "aggregate": block["aggregate"],
     }
     _echo_json(report, out)
+    _fail_without_successful_reps(results["variants"])
 
 
 @main.command()
@@ -283,6 +293,7 @@ def ablate(container_path, vmr, lar, reps, base_seed, variants, jsonl, out,
         },
     }
     _echo_json(report, out)
+    _fail_without_successful_reps(results["variants"])
 
 
 @main.command()

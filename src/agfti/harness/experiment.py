@@ -74,8 +74,8 @@ def _aggregate(records):
     for key in _METRIC_KEYS:
         values = np.array([r["metrics"][key] for r in ok], dtype=np.float64)
         agg[key] = {
-            "mean": float(values.mean()) if values.size else float("nan"),
-            "std": float(values.std()) if values.size else float("nan"),
+            "mean": float(values.mean()) if values.size else None,
+            "std": float(values.std()) if values.size else None,
         }
     return agg
 
@@ -95,7 +95,7 @@ def run_experiment(
     Returns a results record with one block per variant: the per-repetition
     records and mean/std aggregates for every metric. Solver errors inside a
     repetition are captured on its record and counted in failed_reps instead
-    of aborting the run.
+    of aborting the run; with none successful, each mean and std is None.
 
     With jsonl_path, every record and one aggregate line per variant are
     appended to that file, so several calls (one per VMR, say) can share it.

@@ -17,17 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agf import (
-    agf_minmax,
-    compute_H,
-    inner_value,
-    solve_inner_P,
-    weighted_fusion_input,
-)
+from .agf import agf_minmax, solve_inner_P, weighted_fusion_input
 from .graphs import bkhk_anchors, build_bipartite, floored_anchor_degrees
 from .simplex import prox_rows
 from .tensor3 import tubal_shrink
-# re-exported: perfbench/tracing.py patches solver.phi
+# re-exported: perfbench/tracing.py patches solver.compute_H,
+# solver.inner_value and solver.phi
+from .agf import compute_H, inner_value  # noqa: F401
 from .tensor3 import phi  # noqa: F401
 
 
@@ -75,7 +71,6 @@ class SolveResult:
     # (V, n, m) imputed graphs and (V, m, m) alignments; view v is Zs[v]
     Zs: np.ndarray
     Ts: np.ndarray
-    eta: float
     lam: float
     converged: bool
     n_iter: int
@@ -278,7 +273,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     wall seconds, under step_seconds the seconds of each step in STEPS, and
     under line_search the fusion's weight steps, its accepted step sizes and
     its candidates valued in full or rejected by the lower bound, all zero
-    or empty with frozen weights).
+    or empty when agf_minmax, called once per iteration, freezes the weights).
     Non-convergence within max_outer_iters is reported through the converged
     flag, never raised.
     """
@@ -308,47 +303,31 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     diagnostics = []
     converged = False
     n_iter = 0
-    has_missing = any(idx.size for idx in missing)
 
     for it in range(1, config.max_outer_iters + 1):
         n_iter = it
         # one clock reading at the end of each step in STEPS
         marks = [time.perf_counter()]
 
-        if has_missing and not config.skip_imputation:
+        if not config.skip_imputation:
             update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
         marks.append(time.perf_counter())
 
-        if config.freeze_weights:
-            H = compute_H(F, Q, P)
-            Zt = weighted_fusion_input(Z, Ts, alpha)
-            P = solve_inner_P(Zt, H, lam, config.beta)
-            h_val = inner_value(P, Zt, H, lam, config.beta)
-            line_search = {"steps": 0, "thetas": [], "evaluated": 0,
-                           "bound_rejected": 0}
-        else:
-            res = agf_minmax(
-                Z,
-                Ts,
-                F,
-                Q,
-                lam,
-                config.beta,
-                alpha0=alpha,
-                P0=P,
-                tol=config.inner_tol,
-                max_iter=config.max_inner_iters,
-            )
-            alpha, P, h_val = res.alpha, res.P, res.h
-            line_search = {
-                "steps": res.n_iter,
-                "thetas": [float(t) for t in res.steps if t > 0],
-                "evaluated": res.evaluated,
-                "bound_rejected": res.bound_rejected,
-            }
-            # H would otherwise stay alive through the tensor step below,
-            # where the solve's memory peaks
-            del res
+        res = agf_minmax(
+            Z, Ts, F, Q, lam, config.beta, alpha0=alpha, P0=P,
+            tol=config.inner_tol, max_iter=config.max_inner_iters,
+            freeze_weights=config.freeze_weights,
+        )
+        alpha, P, h_val = res.alpha, res.P, res.h
+        line_search = {
+            "steps": res.n_iter,
+            "thetas": [float(t) for t in res.steps if t > 0],
+            "evaluated": res.evaluated,
+            "bound_rejected": res.bound_rejected,
+        }
+        # H would otherwise stay alive through the tensor step below,
+        # where the solve's memory peaks
+        del res
         marks.append(time.perf_counter())
 
         F_prev = F
@@ -401,7 +380,6 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
         alpha=alpha,
         Zs=Z,
         Ts=Ts,
-        eta=eta,
         lam=lam,
         converged=converged,
         n_iter=n_iter,

@@ -370,6 +370,32 @@ class TestAgfMinmax:
             assert a.min() >= 0.0
 
 
+class TestAgfMinmaxFrozenWeights:
+    def test_equals_one_refresh_and_inner_solve(self):
+        for seed in range(4):
+            rng = np.random.default_rng(300 + seed)
+            Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=60, m=8, V=3)
+            P0 = rand_row_stochastic(rng, 60, 8)
+            alpha0 = rand_simplex_interior(rng, 3)
+            lam, beta = 9.0, 4.0
+            res = agf_minmax(
+                Zs, Ts, F, Q, lam, beta, alpha0=alpha0, P0=P0,
+                freeze_weights=True,
+            )
+            # one H refresh and one inner solve, valued, at alpha0
+            H = compute_H(F, Q, P0)
+            Zt = weighted_fusion_input(Zs, Ts, alpha0)
+            P = solve_inner_P(Zt, H, lam, beta)
+            assert np.array_equal(res.P, P)
+            assert np.array_equal(res.H, H)
+            assert res.h == inner_value(P, Zt, H, lam, beta)
+            assert np.array_equal(res.alpha, alpha0)
+            assert res.converged
+            assert res.n_iter == 0
+            assert res.steps == []
+            assert (res.evaluated, res.bound_rejected) == (0, 0)
+
+
 class TestAgfMinmaxMatchesPerCandidateFusion:
     """Fusing from cached Z_v T_v products changes no bit of the solve."""
 

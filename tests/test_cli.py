@@ -190,6 +190,42 @@ def test_zero_repetitions_rejected(workspace, command):
     assert "Invalid value for '--reps'" in result.output
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which strict JSON lacks."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command, extra, failing", [
+    ("eval", [], ["full"]),
+    ("ablate", ["--variants", "full,wo_alpha"], ["full", "wo_alpha"]),
+])
+def test_variant_without_successful_rep_exits_nonzero(
+    workspace, command, extra, failing
+):
+    jsonl_path = workspace["root"] / f"failed-{command}.jsonl"
+    # a zero label weight fails every repetition's label solve
+    result = CliRunner().invoke(main, [
+        command, workspace["data"], "--vmr", "0.3", "--lar", "0.1",
+        "--reps", "1", "--anchors", "8", "--b-labeled", "0",
+        "--jsonl", str(jsonl_path), *extra,
+    ])
+    assert result.exit_code == 1, result.output
+    message = "no successful repetition for variant(s): " + ", ".join(failing)
+    assert message in result.stderr
+    # the report is still printed, with null aggregates
+    report = strict_json(result.stdout)
+    blocks = report["variants"] if command == "ablate" else {"full": report}
+    for name in failing:
+        assert blocks[name]["failed_reps"] == 1
+        for agg in blocks[name]["aggregate"].values():
+            assert agg == {"mean": None, "std": None}
+    lines = [strict_json(line) for line in jsonl_path.read_text().splitlines()]
+    aggregated = [line["variant"] for line in lines if line["type"] == "aggregate"]
+    assert aggregated == failing
+
+
 def test_threads_flag_sets_env(workspace, monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)

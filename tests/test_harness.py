@@ -369,6 +369,7 @@ class TestExperiment:
         block = out["variants"]["full"]
         assert block["failed_reps"] == 1
         assert "frequency slice" in block["records"][0]["error"]
+        assert block["aggregate"]["acc"] == {"mean": None, "std": None}
 
     def test_variant_flags_compose(self):
         cont, config = self._tiny()

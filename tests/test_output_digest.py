@@ -34,18 +34,41 @@ def test_small_runs_repeat_and_name_every_workload():
         assert line.split()[-1] == "baselines=1"
 
 
-def test_perturbed_F_changes_the_digest():
-    od = load_script()
-    rng = np.random.default_rng(0)
-    result = SimpleNamespace(
+def solve_result(rng):
+    """A SolveResult stand-in with one diagnostics record of every field."""
+    record = {
+        "iteration": 1, "h": 1.0, "primal_residual_fro": 0.2,
+        "primal_residual_inf": 0.1, "delta_F": 0.01, "alpha": [0.5, 0.5],
+        "eta": 0.02, "seconds": 0.5,
+        "step_seconds": {"impute": 0.1, "fusion": 0.4},
+        "line_search": {"steps": 2, "thetas": [0.5], "evaluated": 1,
+                        "bound_rejected": 3},
+    }
+    return SimpleNamespace(
         F=rng.random((5, 3)), alpha=np.array([0.5, 0.5]), P=rng.random((5, 4)),
         Zs=rng.random((2, 5, 4)), Ts=rng.random((2, 4, 4)),
-        diagnostics=[{"h": 1.0, "primal_residual_inf": 0.1, "delta_F": 0.01}],
-        n_iter=1, converged=False,
+        diagnostics=[record], n_iter=1, converged=False,
     )
+
+
+def test_perturbed_F_changes_the_digest():
+    od = load_script()
+    result = solve_result(np.random.default_rng(0))
     before = od.digest([result])
     assert od.digest([result]) == before
     result.F[2, 1] = np.nextafter(result.F[2, 1], 2.0)
+    assert od.digest([result]) != before
+
+
+def test_line_search_record_enters_the_digest_and_the_clock_does_not():
+    od = load_script()
+    result = solve_result(np.random.default_rng(1))
+    before = od.digest([result])
+    record = result.diagnostics[0]
+    record["seconds"] = 9.0
+    record["step_seconds"]["fusion"] = 8.0
+    assert od.digest([result]) == before
+    record["line_search"]["steps"] = 3
     assert od.digest([result]) != before
 
 

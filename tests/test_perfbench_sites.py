@@ -58,3 +58,27 @@ def test_traced_solve_counts_the_shrinkage_slices():
     assert shrinks == result.n_iter == 5
     # one half-spectrum slice per frequency 0 .. n//2 of the sample axis
     assert tracer.counts["tensor3.svd_slices"] == (container.n // 2 + 1) * shrinks
+
+
+def test_traced_frozen_solve_fuses_inside_agf_minmax():
+    tracing = load_tracing()
+    container = synth_scp(0, n_per_class=20)
+    missing, labeled = generate_masks(
+        container, MaskSpec(vmr=0.3, lar=0.1, seed=0)
+    )
+    tracer = tracing.Tracer()
+    with tracer.patched(MODULES, tracing.LAYER_SITES):
+        result = agfti.solver.admm_solve(
+            container.views, container.labels, labeled,
+            missing_per_view(missing, container.V),
+            agfti.solver.SolverConfig(
+                n_anchors=8, max_outer_iters=5, freeze_weights=True
+            ),
+        )
+    assert [s for s in tracer.spans if s[4]] == []
+    assert tracer.calls("agf.agf_minmax") == result.n_iter == 5
+    refreshes = [s for s in tracer.spans if s[0] == "agf.compute_H"]
+    assert len(refreshes) == 5
+    for span in refreshes:
+        parent = span[3]
+        assert parent >= 0 and tracer.spans[parent][0] == "agf.agf_minmax"
