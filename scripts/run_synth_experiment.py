@@ -34,7 +34,10 @@ def parse_args():
     p.add_argument("--neighbors", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jsonl", default=None, help="append per-rep records here")
-    return p.parse_args()
+    args = p.parse_args()
+    if args.reps < 1:
+        p.error(f"--reps must be at least 1, got {args.reps}")
+    return args
 
 
 def baseline_accuracy(container, vmr, lar, reps, m, k, base_seed):

@@ -40,30 +40,54 @@ _threads_option = click.option(
 )
 
 
-def _solver_options(fn):
-    decorators = [
-        click.option("--lambda", "lam", type=float, default=None,
-                     help="fusion weight; defaults to V^2"),
-        click.option("--beta-lambda", "beta", type=float, default=4.0,
-                     show_default=True, help="fused-graph ridge weight"),
-        click.option("--rho", type=float, default=100.0, show_default=True,
-                     help="tensor nuclear norm weight"),
-        click.option("--anchors", "n_anchors", type=int, default=16,
-                     show_default=True, help="anchors per view (power of two)"),
-        click.option("--neighbors", "k_neighbors", type=int, default=7,
-                     show_default=True, help="anchor neighbours per sample"),
-        click.option("--b-labeled", type=float, default=100.0,
-                     show_default=True, help="fitting weight on labeled samples"),
-        click.option("--tol", type=float, default=1e-5, show_default=True,
-                     help="outer stopping tolerance"),
-        click.option("--max-iters", "max_outer_iters", type=int, default=50,
-                     show_default=True, help="outer iteration cap"),
-        click.option("--seed", type=int, default=0, show_default=True),
-        _threads_option,
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
+def _stack(*decorators):
+    """One decorator applying the given ones in order, top to bottom."""
+    def apply(fn):
+        for dec in reversed(decorators):
+            fn = dec(fn)
+        return fn
+    return apply
+
+
+_solver_options = _stack(
+    click.option("--lambda", "lam", type=float, default=None,
+                 help="fusion weight; defaults to V^2"),
+    click.option("--beta-lambda", "beta", type=float, default=4.0,
+                 show_default=True, help="fused-graph ridge weight"),
+    click.option("--rho", type=float, default=100.0, show_default=True,
+                 help="tensor nuclear norm weight"),
+    click.option("--anchors", "n_anchors", type=int, default=16,
+                 show_default=True, help="anchors per view (power of two)"),
+    click.option("--neighbors", "k_neighbors", type=int, default=7,
+                 show_default=True, help="anchor neighbours per sample"),
+    click.option("--b-labeled", type=float, default=100.0,
+                 show_default=True, help="fitting weight on labeled samples"),
+    click.option("--tol", type=float, default=1e-5, show_default=True,
+                 help="outer stopping tolerance"),
+    click.option("--max-iters", "max_outer_iters", type=int, default=50,
+                 show_default=True, help="outer iteration cap"),
+    click.option("--seed", type=int, default=0, show_default=True),
+    _threads_option,
+)
+
+_ratio_options = _stack(
+    click.option("--vmr", type=float, required=True, help="view missing ratio"),
+    click.option("--lar", type=float, required=True,
+                 help="label annotation ratio"),
+)
+
+# the repetition protocol shared by eval and ablate
+_experiment_options = _stack(
+    click.argument("container_path", type=click.Path(exists=True)),
+    _ratio_options,
+    click.option("--reps", type=click.IntRange(min=1), default=10,
+                 show_default=True),
+    click.option("--base-seed", type=int, default=0, show_default=True),
+    click.option("--jsonl", type=click.Path(dir_okay=False), default=None,
+                 help="append per-repetition and aggregate records here"),
+    click.option("--out", type=click.Path(dir_okay=False), default=None),
+    _solver_options,
+)
 
 
 def _solve_from_files(container_path, mask_path, kwargs):
@@ -79,14 +103,10 @@ def _solve_from_files(container_path, mask_path, kwargs):
             f"mask covers {len(missing)} samples, the container has "
             f"{container.n}", param_hint="MASK_PATH",
         )
-    for i, views in enumerate(missing):
-        bad = [v for v in views if not 0 <= v < container.V]
-        if bad:
-            raise click.BadParameter(
-                f"sample {i} is missing from view {bad[0]}, the container "
-                f"has views 0..{container.V - 1}", param_hint="MASK_PATH",
-            )
-    per_view = missing_per_view(missing, container.V)
+    try:
+        per_view = missing_per_view(missing, container.V)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="MASK_PATH") from None
     try:
         result = admm_solve(
             container.views, container.labels, labeled, per_view,
@@ -94,8 +114,9 @@ def _solve_from_files(container_path, mask_path, kwargs):
         )
     except ValueError as exc:
         raise click.ClickException(str(exc)) from None
-    unlabeled = np.setdiff1d(np.arange(container.n), labeled)
-    return container, labeled, unlabeled, result
+    # unlabeled in the mask, with a known label (-1 marks an unknown one)
+    scored = np.setdiff1d(np.flatnonzero(container.labels >= 0), labeled)
+    return container, labeled, scored, result
 
 
 def _echo_json(payload, out):
@@ -108,10 +129,37 @@ def _echo_json(payload, out):
         click.echo(f"wrote {out}")
 
 
-def _fail_without_successful_reps(variants):
-    """Exit non-zero naming each variant whose every repetition failed."""
-    empty = [name for name, block in variants.items()
-             if block["failed_reps"] == len(block["records"])]
+def _experiment(variants, flat, container_path, vmr, lar, reps, base_seed,
+                jsonl, out, **kwargs):
+    """Run the repetition protocol per variant and print its report.
+
+    Each variant's block is {failed_reps, aggregate}; flat puts the single
+    variant's block beside the header instead of under "variants". Exits 1
+    naming each variant whose every repetition failed.
+    """
+    from .harness import load_container, run_experiment
+    from .solver import SolverConfig
+
+    container = load_container(container_path)
+    results = run_experiment(
+        container, vmr, lar, reps,
+        solver_config=SolverConfig(**kwargs),
+        variants=variants, base_seed=base_seed, jsonl_path=jsonl,
+    )
+    blocks = {
+        name: {"failed_reps": block["failed_reps"],
+               "aggregate": block["aggregate"]}
+        for name, block in results["variants"].items()
+    }
+    report = {"dataset": container.name, "vmr": vmr, "lar": lar, "reps": reps}
+    if flat:
+        (block,) = blocks.values()
+        report.update(block)
+    else:
+        report["variants"] = blocks
+    _echo_json(report, out)
+    empty = [name for name, block in blocks.items()
+             if block["failed_reps"] == reps]
     if empty:
         raise click.ClickException(
             f"no successful repetition for variant(s): {', '.join(empty)}")
@@ -153,8 +201,7 @@ def synth(out, seed, n_per_class, V, c, vacuum, noise, bridge, as_csv):
 @main.command()
 @click.argument("container_path", type=click.Path(exists=True))
 @click.argument("out", type=click.Path(dir_okay=False))
-@click.option("--vmr", type=float, required=True, help="view missing ratio")
-@click.option("--lar", type=float, required=True, help="label annotation ratio")
+@_ratio_options
 @click.option("--seed", type=int, default=0, show_default=True)
 @_threads_option
 def mask(container_path, out, vmr, lar, seed):
@@ -185,11 +232,11 @@ def train(container_path, mask_path, out, pred_path, **kwargs):
     from .harness import metrics
     from .solver import predict
 
-    container, labeled, unlabeled, result = _solve_from_files(
+    container, labeled, scored, result = _solve_from_files(
         container_path, mask_path, kwargs
     )
     pred = predict(result.F)
-    scores = metrics(pred[unlabeled], container.labels[unlabeled], container.c)
+    scores = metrics(pred[scored], container.labels[scored], container.c)
     report = {
         "dataset": container.name,
         "n": container.n,
@@ -208,58 +255,19 @@ def train(container_path, mask_path, out, pred_path, **kwargs):
 
 
 @main.command("eval")
-@click.argument("container_path", type=click.Path(exists=True))
-@click.option("--vmr", type=float, required=True)
-@click.option("--lar", type=float, required=True)
-@click.option("--reps", type=click.IntRange(min=1), default=10,
-              show_default=True)
-@click.option("--base-seed", type=int, default=0, show_default=True)
-@click.option("--jsonl", type=click.Path(dir_okay=False), default=None,
-              help="append per-repetition and aggregate records here")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_solver_options
-def eval_cmd(container_path, vmr, lar, reps, base_seed, jsonl, out, **kwargs):
+@_experiment_options
+def eval_cmd(**kwargs):
     """Run K seeded repetitions of mask -> solve -> score."""
-    from .harness import load_container, run_experiment
-    from .solver import SolverConfig
-
-    container = load_container(container_path)
-    results = run_experiment(
-        container, vmr, lar, reps,
-        solver_config=SolverConfig(**kwargs),
-        base_seed=base_seed, jsonl_path=jsonl,
-    )
-    block = results["variants"]["full"]
-    report = {
-        "dataset": container.name,
-        "vmr": vmr,
-        "lar": lar,
-        "reps": reps,
-        "failed_reps": block["failed_reps"],
-        "aggregate": block["aggregate"],
-    }
-    _echo_json(report, out)
-    _fail_without_successful_reps(results["variants"])
+    _experiment({"full": {}}, flat=True, **kwargs)
 
 
 @main.command()
-@click.argument("container_path", type=click.Path(exists=True))
-@click.option("--vmr", type=float, required=True)
-@click.option("--lar", type=float, required=True)
-@click.option("--reps", type=click.IntRange(min=1), default=10,
-              show_default=True)
-@click.option("--base-seed", type=int, default=0, show_default=True)
+@_experiment_options
 @click.option("--variants", default="full,wo_tv,wo_alpha,wo_ti",
               show_default=True, help="comma-separated variant names")
-@click.option("--jsonl", type=click.Path(dir_okay=False), default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_solver_options
-def ablate(container_path, vmr, lar, reps, base_seed, variants, jsonl, out,
-           **kwargs):
+def ablate(variants, **kwargs):
     """Compare ablation variants under the repetition harness."""
-    from .harness import load_container, run_experiment
-    from .harness.experiment import STANDARD_VARIANTS
-    from .solver import SolverConfig
+    from .harness import STANDARD_VARIANTS
 
     chosen = {}
     for name in (v.strip() for v in variants.split(",")):
@@ -272,28 +280,7 @@ def ablate(container_path, vmr, lar, reps, base_seed, variants, jsonl, out,
     if not chosen:
         raise click.BadParameter(f"{variants!r} names no variant",
                                  param_hint="'--variants'")
-
-    container = load_container(container_path)
-    results = run_experiment(
-        container, vmr, lar, reps,
-        solver_config=SolverConfig(**kwargs),
-        variants=chosen, base_seed=base_seed, jsonl_path=jsonl,
-    )
-    report = {
-        "dataset": container.name,
-        "vmr": vmr,
-        "lar": lar,
-        "reps": reps,
-        "variants": {
-            name: {
-                "failed_reps": block["failed_reps"],
-                "aggregate": block["aggregate"],
-            }
-            for name, block in results["variants"].items()
-        },
-    }
-    _echo_json(report, out)
-    _fail_without_successful_reps(results["variants"])
+    _experiment(chosen, flat=False, **kwargs)
 
 
 @main.command()

@@ -96,6 +96,8 @@ def run_experiment(
     records and mean/std aggregates for every metric. Solver errors inside a
     repetition are captured on its record and counted in failed_reps instead
     of aborting the run; with none successful, each mean and std is None.
+    A repetition scores the samples its mask leaves unlabeled whose label is
+    known (at least 0); a container's unknown labels (-1) are never scored.
 
     With jsonl_path, every record and one aggregate line per variant are
     appended to that file, so several calls (one per VMR, say) can share it.
@@ -104,13 +106,13 @@ def run_experiment(
     variants = dict(variants) if variants is not None else {"full": {}}
 
     blocks = {name: {"records": [], "failed_reps": 0} for name in variants}
-    all_idx = np.arange(container.n)
+    known = np.flatnonzero(container.labels >= 0)
     for r in range(n_reps):
         seed_r = rep_seed(base_seed, r)
         spec = MaskSpec(vmr=vmr, lar=lar, seed=seed_r)
         missing, labeled = generate_masks(container, spec)
         per_view = missing_per_view(missing, container.V)
-        unlabeled = np.setdiff1d(all_idx, labeled)
+        scored = np.setdiff1d(known, labeled)
         for name, flags in variants.items():
             config = replace(solver_config, seed=seed_r, **flags)
             record = {
@@ -134,9 +136,9 @@ def run_experiment(
                     config,
                     n_classes=container.c,
                 )
-                pred = predict(result.F, unlabeled)
+                pred = predict(result.F, scored)
                 record["metrics"] = metrics(
-                    pred, container.labels[unlabeled], container.c
+                    pred, container.labels[scored], container.c
                 )
                 record["converged"] = result.converged
                 record["n_iter"] = result.n_iter
@@ -148,32 +150,15 @@ def run_experiment(
     for name, block in blocks.items():
         block["aggregate"] = _aggregate(block["records"])
 
-    out = {
-        "dataset": container.name,
-        "vmr": vmr,
-        "lar": lar,
-        "n_reps": n_reps,
-        "base_seed": base_seed,
-        "variants": blocks,
-    }
+    header = {"dataset": container.name, "vmr": vmr, "lar": lar, "n_reps": n_reps}
+    out = {**header, "base_seed": base_seed, "variants": blocks}
     if jsonl_path is not None:
         with open(Path(jsonl_path), "a") as fh:
             for name, block in blocks.items():
                 for record in block["records"]:
                     fh.write(json.dumps(record) + "\n")
-                fh.write(
-                    json.dumps(
-                        {
-                            "type": "aggregate",
-                            "variant": name,
-                            "dataset": container.name,
-                            "vmr": vmr,
-                            "lar": lar,
-                            "n_reps": n_reps,
-                            "failed_reps": block["failed_reps"],
-                            "aggregate": block["aggregate"],
-                        }
-                    )
-                    + "\n"
-                )
+                line = {"type": "aggregate", "variant": name, **header,
+                        "failed_reps": block["failed_reps"],
+                        "aggregate": block["aggregate"]}
+                fh.write(json.dumps(line) + "\n")
     return out

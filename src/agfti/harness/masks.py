@@ -69,10 +69,19 @@ def generate_masks(container, spec):
 
 
 def missing_per_view(missing, V):
-    """Transpose the per-sample missing lists into per-view index arrays."""
+    """Transpose the per-sample missing lists into per-view index arrays.
+
+    Raises ValueError naming the first sample that lists a view outside
+    0..V-1, so a mask drawn for another container is refused here.
+    """
     out = [[] for _ in range(V)]
     for i, views in enumerate(missing):
         for v in views:
+            if not 0 <= v < V:
+                raise ValueError(
+                    f"sample {i} is missing from view {v}, the container "
+                    f"has views 0..{V - 1}"
+                )
             out[v].append(i)
     return [np.array(idx, dtype=np.int64) for idx in out]
 

@@ -13,13 +13,23 @@ import numpy as np
 
 
 def confusion_matrix(pred, truth, n_classes):
-    """counts[i, j] = number of samples with truth i predicted as j."""
+    """counts[i, j] = number of samples with truth i predicted as j.
+
+    Every truth and prediction must be a class index in 0..n_classes-1; an
+    unknown label (-1) is refused, not counted as the last class.
+    """
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
         raise ValueError(
             f"prediction and truth lengths differ: {pred.shape} vs {truth.shape}"
         )
+    for name, labels in (("truth", truth), ("prediction", pred)):
+        bad = labels[(labels < 0) | (labels >= n_classes)]
+        if bad.size:
+            raise ValueError(
+                f"{name} label {bad[0]} is outside 0..{n_classes - 1}"
+            )
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (truth, pred), 1)
     return counts

@@ -4,10 +4,18 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from agfti.cli import _solver_options, main
+from agfti.harness import (
+    DatasetContainer,
+    load_container,
+    load_mask,
+    metrics,
+    save_dataset,
+)
 from agfti.solver import SolverConfig
 
 
@@ -93,6 +101,32 @@ def test_train_reports_metrics(workspace):
     assert set(preds) <= {0, 1, 2}
 
 
+def test_train_scores_only_known_labels(workspace):
+    toy = load_container(workspace["data"])
+    labels = toy.labels.copy()
+    labels[::4] = -1  # unknown
+    root = workspace["root"]
+    data, maskfile = str(root / "unknown.npz"), str(root / "unknown_mask.json")
+    save_dataset(DatasetContainer(toy.views, labels, toy.c, toy.name), data)
+    report_path, pred_path = str(root / "unknown.json"), str(root / "unknown_pred.json")
+    runner = CliRunner()
+    for args in (
+        ["mask", data, maskfile, "--vmr", "0.3", "--lar", "0.1"],
+        ["train", data, maskfile, "--anchors", "8", "--max-iters", "15",
+         "--out", report_path, "--predictions", pred_path],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+
+    with open(report_path) as fh:
+        report = json.load(fh)
+    with open(pred_path) as fh:
+        pred = np.array(json.load(fh)["predictions"])
+    _, _, labeled = load_mask(maskfile)
+    scored = np.setdiff1d(np.flatnonzero(labels >= 0), labeled)
+    assert report["metrics"] == metrics(pred[scored], labels[scored], toy.c)
+
+
 def test_train_stdout_is_json(workspace):
     runner = CliRunner()
     result = runner.invoke(main, [
@@ -159,6 +193,25 @@ def test_ablate_runs_selected_variants(workspace):
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
     assert set(report["variants"]) == {"full", "wo_ti"}
+
+
+def test_eval_is_ablate_of_full(workspace):
+    runner = CliRunner()
+    common = [workspace["data"], "--vmr", "0.3", "--lar", "0.1", "--reps", "2",
+              "--anchors", "8", "--max-iters", "10"]
+    paths = {cmd: workspace["root"] / f"same-{cmd}.jsonl"
+             for cmd in ("eval", "ablate")}
+    evaluated = runner.invoke(main, [
+        "eval", *common, "--jsonl", str(paths["eval"]),
+    ])
+    ablated = runner.invoke(main, [
+        "ablate", *common, "--variants", "full", "--jsonl", str(paths["ablate"]),
+    ])
+    assert evaluated.exit_code == ablated.exit_code == 0, ablated.output
+    ablation = json.loads(ablated.output)
+    full = ablation.pop("variants")["full"]
+    assert json.loads(evaluated.output) == {**ablation, **full}
+    assert paths["eval"].read_text() == paths["ablate"].read_text()
 
 
 def test_ablate_rejects_unknown_variant(workspace):

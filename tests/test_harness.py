@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from agfti.harness import (
     DatasetContainer,
     MaskSpec,
     baseline_label_propagation,
+    confusion_matrix,
     generate_masks,
     load_container,
     load_dataset,
@@ -15,13 +17,14 @@ from agfti.harness import (
     load_mask,
     metrics,
     missing_per_view,
+    rep_seed,
     run_experiment,
     save_dataset,
     save_dataset_csv,
     save_mask,
     synth_scp,
 )
-from agfti.solver import SolverConfig
+from agfti.solver import SolverConfig, admm_solve, predict
 
 
 def random_container(rng, n=12, dims=(3, 5), c=3, name="toy"):
@@ -214,6 +217,14 @@ class TestMasks:
         assert np.array_equal(per_view[1], [2])
         assert np.array_equal(per_view[2], [0])
 
+    @pytest.mark.parametrize("view", [-1, 3])
+    def test_missing_per_view_rejects_a_view_outside_range(self, view):
+        missing = [[0], [], [1, view]]
+        message = (f"sample 2 is missing from view {view}, the container "
+                   "has views 0..2")
+        with pytest.raises(ValueError, match=message):
+            missing_per_view(missing, V=3)
+
 
 class TestMetrics:
     def test_perfect(self):
@@ -257,6 +268,14 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             metrics(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 2)
+
+    @pytest.mark.parametrize("pred, truth, message", [
+        ([0, 1, 2], [0, -1, 2], "truth label -1 is outside 0..2"),
+        ([0, 3, 2], [0, 1, 2], "prediction label 3 is outside 0..2"),
+    ], ids=["truth", "prediction"])
+    def test_label_outside_the_classes_is_refused(self, pred, truth, message):
+        with pytest.raises(ValueError, match=message):
+            confusion_matrix(np.array(pred), np.array(truth), 3)
 
 
 class TestSynthScp:
@@ -370,6 +389,27 @@ class TestExperiment:
         assert block["failed_reps"] == 1
         assert "frequency slice" in block["records"][0]["error"]
         assert block["aggregate"]["acc"] == {"mean": None, "std": None}
+
+    def test_unknown_labels_are_not_scored(self):
+        base = synth_scp(seed=0, n_per_class=40, V=2, c=3)
+        labels = base.labels.copy()
+        labels[::4] = -1  # unknown
+        cont = DatasetContainer(base.views, labels, base.c, base.name)
+        config = SolverConfig(n_anchors=8, k_neighbors=3, max_outer_iters=15)
+        out = run_experiment(cont, vmr=0.3, lar=0.1, n_reps=1, solver_config=config)
+        record = out["variants"]["full"]["records"][0]
+
+        seed = rep_seed(0, 0)
+        missing, labeled = generate_masks(cont, MaskSpec(0.3, 0.1, seed))
+        result = admm_solve(
+            cont.views, cont.labels.astype(np.int64), labeled,
+            missing_per_view(missing, cont.V), replace(config, seed=seed),
+            n_classes=cont.c,
+        )
+        scored = np.setdiff1d(np.flatnonzero(cont.labels >= 0), labeled)
+        assert scored.size < cont.n - labeled.size
+        expected = metrics(predict(result.F)[scored], cont.labels[scored], cont.c)
+        assert record["metrics"] == expected
 
     def test_variant_flags_compose(self):
         cont, config = self._tiny()
