@@ -162,15 +162,12 @@ class AgfResult:
 
     alpha: np.ndarray
     P: np.ndarray
-    H: np.ndarray
     converged: bool
     n_iter: int
-    # inner value at the returned alpha, P and H
+    # inner value at the returned alpha and P under the last H refresh
     h: float | None = None
-    h_trace: list = field(default_factory=list)
+    # accepted step sizes, 0.0 for a line search that found no decrease
     steps: list = field(default_factory=list)
-    deltas: list = field(default_factory=list)
-    alpha_trace: list = field(default_factory=list)
     # line-search candidates valued in full, and those the lower bound
     # rejected without a projection
     evaluated: int = 0
@@ -184,28 +181,29 @@ def agf_minmax(
     Q,
     lam,
     beta,
-    alpha0=None,
-    P0=None,
+    alpha0,
+    P0,
     tol=1e-4,
     max_iter=50,
     freeze_weights=False,
 ):
     """Alternate H refresh, inner P solve, and a reduced-gradient alpha step.
 
-    Every outer iteration recomputes H from (F, Q) and the previous P, solves
-    the inner problem exactly, and takes one Armijo backtracking step on the
-    weights. Stops when the accepted step moves no weight by more than tol,
-    when the reduced gradient leaves no descent direction (always so with
-    one view), or when the line search finds no decrease (step 0), all
-    reported converged, or after max_iter iterations (reported not
-    converged). With freeze_weights it refreshes H and solves for P once at
-    alpha0, then reports converged after no weight step (n_iter 0).
+    Starts from the weights alpha0 and the fused graph P0. Every outer
+    iteration recomputes H from (F, Q) and the previous P, solves the inner
+    problem exactly, and takes one Armijo backtracking step on the weights.
+    Stops when the accepted step moves no weight by more than tol, when the
+    reduced gradient leaves no descent direction (always so with one view),
+    or when the line search finds no decrease (step 0), all reported
+    converged, or after max_iter iterations (reported not converged). With
+    freeze_weights it refreshes H and solves for P once at alpha0, then
+    reports converged after no weight step (n_iter 0).
 
-    The returned P is always the exact inner maximizer at the returned alpha
-    under the returned H, and h is the inner value there. The aligned
-    products Z_v T_v are formed once per call, as one batched product over
-    the view stack; every weight vector the line search tries reuses them.
-    max_iter must be at least 1: without an H refresh there is no h.
+    P is the exact inner maximizer at the returned alpha under the last H
+    refresh, and h is the inner value there. The aligned products Z_v T_v
+    are formed once per call, as one batched product over the view stack;
+    every weight vector the line search tries reuses them. max_iter must be
+    at least 1: without an H refresh there is no h.
 
     A candidate is first checked against the lower bound
     lam sum_v cand_v^2 c_v - beta ||P||^2 - <H, P>, P being the inner
@@ -213,36 +211,26 @@ def agf_minmax(
     bound places above h0 + _ARMIJO_C theta slope + BOUND_MARGIN * scale is
     rejected without being fused or projected; it still uses one of the
     _MAX_BACKTRACKS + 1 tries. Every candidate the bound rejects would fail
-    the Armijo test in full, so the returned state and traces are those of
-    valuing every candidate. evaluated and bound_rejected count the two
-    kinds of candidate.
+    the Armijo test in full, so the returned state is that of valuing every
+    candidate. evaluated and bound_rejected count the two kinds of
+    candidate.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     _check_alignments(Zs, Ts)
     V = len(Zs)
-    alpha = (
-        np.full(V, 1.0 / V)
-        if alpha0 is None
-        else np.asarray(alpha0, dtype=np.float64).copy()
-    )
+    alpha = np.asarray(alpha0, dtype=np.float64).copy()
     if alpha.size != V:
         raise ValueError("one weight per view required")
     ZT = np.matmul(Zs, Ts)
     Zt = fuse_aligned(ZT, alpha)
-    if P0 is None:
-        P = solve_inner_P(Zt, np.zeros_like(Zt), lam, beta)
-    else:
-        P = np.asarray(P0, dtype=np.float64)
+    P = np.asarray(P0, dtype=np.float64)
 
-    res = AgfResult(alpha=alpha, P=P, H=np.zeros_like(P), converged=False, n_iter=0)
-    res.alpha_trace.append(alpha.copy())
+    res = AgfResult(alpha=alpha, P=P, converged=False, n_iter=0)
 
     for it in range(1, max_iter + 1):
         H = compute_H(F, Q, P)
-        P = solve_inner_P(Zt, H, lam, beta)
-        res.H = H
-        res.alpha, res.P = alpha, P
+        P = res.P = solve_inner_P(Zt, H, lam, beta)
 
         h0 = res.h = inner_value(P, Zt, H, lam, beta)
         if freeze_weights:
@@ -281,21 +269,15 @@ def agf_minmax(
             theta *= _ARMIJO_SHRINK
 
         if not accepted:
-            res.h_trace.append((h0, h0))
             res.steps.append(0.0)
-            res.deltas.append(0.0)
             res.converged = True
             break
 
-        delta = float(np.max(np.abs(cand - alpha)))
+        res.steps.append(theta)
+        res.converged = bool(np.max(np.abs(cand - alpha)) <= tol)
         alpha, P, Zt = cand, P_c, Zt_c
         res.alpha, res.P, res.h = alpha, P, h_c
-        res.h_trace.append((h0, h_c))
-        res.steps.append(theta)
-        res.deltas.append(delta)
-        res.alpha_trace.append(alpha.copy())
-        if delta <= tol:
-            res.converged = True
+        if res.converged:
             break
 
     return res

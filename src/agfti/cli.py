@@ -8,6 +8,7 @@ imports the library lazily after _set_threads has run.
 
 import json
 import os
+from contextlib import contextmanager
 
 import click
 
@@ -70,10 +71,12 @@ _solver_options = _stack(
     _threads_option,
 )
 
+# the ranges MaskSpec accepts
 _ratio_options = _stack(
-    click.option("--vmr", type=float, required=True, help="view missing ratio"),
-    click.option("--lar", type=float, required=True,
-                 help="label annotation ratio"),
+    click.option("--vmr", type=click.FloatRange(0, 1, max_open=True),
+                 required=True, help="view missing ratio"),
+    click.option("--lar", type=click.FloatRange(0, 1, min_open=True),
+                 required=True, help="label annotation ratio"),
 )
 
 # the repetition protocol shared by eval and ablate
@@ -90,23 +93,29 @@ _experiment_options = _stack(
 )
 
 
+@contextmanager
+def _refused(param_hint):
+    """Report a ValueError raised inside as a bad value of param_hint (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=param_hint) from None
+
+
 def _solve_from_files(container_path, mask_path, kwargs):
     import numpy as np
 
     from .harness import load_container, load_mask, missing_per_view
     from .solver import SolverConfig, admm_solve
 
-    container = load_container(container_path)
-    _, missing, labeled = load_mask(mask_path)
-    if len(missing) != container.n:
-        raise click.BadParameter(
-            f"mask covers {len(missing)} samples, the container has "
-            f"{container.n}", param_hint="MASK_PATH",
-        )
-    try:
+    with _refused("CONTAINER_PATH"):
+        container = load_container(container_path)
+    with _refused("MASK_PATH"):
+        _, missing, labeled = load_mask(mask_path)
+        if len(missing) != container.n:
+            raise ValueError(f"mask covers {len(missing)} samples, the "
+                             f"container has {container.n}")
         per_view = missing_per_view(missing, container.V)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="MASK_PATH") from None
     try:
         result = admm_solve(
             container.views, container.labels, labeled, per_view,
@@ -140,12 +149,14 @@ def _experiment(variants, flat, container_path, vmr, lar, reps, base_seed,
     from .harness import load_container, run_experiment
     from .solver import SolverConfig
 
-    container = load_container(container_path)
-    results = run_experiment(
-        container, vmr, lar, reps,
-        solver_config=SolverConfig(**kwargs),
-        variants=variants, base_seed=base_seed, jsonl_path=jsonl,
-    )
+    # run_experiment raises ValueError only when drawing masks
+    with _refused("CONTAINER_PATH"):
+        container = load_container(container_path)
+        results = run_experiment(
+            container, vmr, lar, reps,
+            solver_config=SolverConfig(**kwargs),
+            variants=variants, base_seed=base_seed, jsonl_path=jsonl,
+        )
     blocks = {
         name: {"failed_reps": block["failed_reps"],
                "aggregate": block["aggregate"]}
@@ -173,9 +184,9 @@ def main():
 @main.command()
 @click.argument("out", type=click.Path(dir_okay=False))
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--n-per-class", type=int, default=100, show_default=True)
-@click.option("--views", "V", type=int, default=2, show_default=True)
-@click.option("--classes", "c", type=int, default=3, show_default=True)
+@click.option("--n-per-class", type=click.IntRange(1), default=100, show_default=True)
+@click.option("--views", "V", type=click.IntRange(1), default=2, show_default=True)
+@click.option("--classes", "c", type=click.IntRange(1), default=3, show_default=True)
 @click.option("--vacuum", type=float, default=0.55, show_default=True,
               help="fraction of each segment thinned to bridges")
 @click.option("--noise", type=float, default=0.2, show_default=True)
@@ -202,15 +213,16 @@ def synth(out, seed, n_per_class, V, c, vacuum, noise, bridge, as_csv):
 @click.argument("container_path", type=click.Path(exists=True))
 @click.argument("out", type=click.Path(dir_okay=False))
 @_ratio_options
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(0), default=0, show_default=True)
 @_threads_option
 def mask(container_path, out, vmr, lar, seed):
     """Draw missing-view and label masks for a container."""
     from .harness import MaskSpec, generate_masks, load_container, save_mask
 
-    container = load_container(container_path)
     spec = MaskSpec(vmr=vmr, lar=lar, seed=seed)
-    missing, labeled = generate_masks(container, spec)
+    with _refused("CONTAINER_PATH"):
+        container = load_container(container_path)
+        missing, labeled = generate_masks(container, spec)
     save_mask(out, spec, missing, labeled)
     n_incomplete = sum(1 for views in missing if views)
     click.echo(

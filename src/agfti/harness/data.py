@@ -12,7 +12,8 @@ Binary layout (all little-endian):
     per view, n x d_v float64, row-major
 
 The CSV fallback is a directory with view0.csv .. view{V-1}.csv plus
-labels.csv, written at 17 significant digits so doubles round-trip exactly.
+labels.csv, written at 17 significant digits so doubles round-trip exactly;
+labels.csv opens with the class count as a "# c=<c>" line, which loadtxt skips.
 """
 
 import struct
@@ -151,25 +152,27 @@ def save_dataset_csv(container, dirpath):
     dirpath.mkdir(parents=True, exist_ok=True)
     for v, X in enumerate(container.views):
         np.savetxt(dirpath / f"view{v}.csv", X, fmt="%.17g", delimiter=",")
-    np.savetxt(dirpath / "labels.csv", container.labels, fmt="%d")
+    np.savetxt(dirpath / "labels.csv", container.labels, fmt="%d",
+               header=f"c={container.c}")
 
 
-def load_dataset_csv(dirpath, c=None, name=None):
-    """Read the CSV fallback; class count inferred from labels when omitted."""
+def load_dataset_csv(dirpath):
+    """Read the CSV fallback; c is inferred only if labels.csv has no c line."""
     dirpath = Path(dirpath)
-    paths = sorted(
-        dirpath.glob("view*.csv"), key=lambda p: int(p.stem[len("view") :])
-    )
-    if not paths:
+    names = {p.name for p in dirpath.glob("view*.csv")}
+    if not names:
         raise ContainerFormatError(f"no view*.csv files under {dirpath}")
-    views = [np.loadtxt(p, delimiter=",", ndmin=2) for p in paths]
-    labels = np.loadtxt(dirpath / "labels.csv", dtype=np.int64).astype(np.int32)
-    labels = np.atleast_1d(labels)
-    if c is None:
-        c = int(labels.max()) + 1
-    return DatasetContainer(
-        views=views, labels=labels, c=c, name=name or dirpath.name
-    )
+    expected = [f"view{v}.csv" for v in range(len(names))]
+    stray = sorted(names - set(expected))
+    if stray:
+        raise ContainerFormatError(
+            f"unexpected view file {dirpath / stray[0]}; expected {expected}"
+        )
+    views = [np.loadtxt(dirpath / n, delimiter=",", ndmin=2) for n in expected]
+    first = (dirpath / "labels.csv").read_text().partition("\n")[0]
+    labels = np.loadtxt(dirpath / "labels.csv", dtype=np.int64, ndmin=1)
+    c = int(first[4:]) if first.startswith("# c=") else int(labels.max()) + 1
+    return DatasetContainer(views=views, labels=labels, c=c, name=dirpath.name)
 
 
 def load_container(path):

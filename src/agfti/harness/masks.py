@@ -98,10 +98,16 @@ def save_mask(path, spec, missing, labeled):
 
 
 def load_mask(path):
-    payload = json.loads(Path(path).read_text())
-    spec = MaskSpec(
-        vmr=payload["vmr"], lar=payload["lar"], seed=payload["seed"]
-    )
-    missing = [list(views) for views in payload["missing"]]
-    labeled = np.array(payload["labeled"], dtype=np.int64)
+    """Read a save_mask file; ValueError names a parse error or missing field."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        spec = MaskSpec(vmr=payload["vmr"], lar=payload["lar"], seed=payload["seed"])
+        missing = [list(views) for views in payload["missing"]]
+        labeled = np.array(payload["labeled"], dtype=np.int64)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"mask file is not JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"mask file has no {exc} field") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed mask file: {exc}") from None
     return spec, missing, labeled

@@ -325,9 +325,6 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
             "evaluated": res.evaluated,
             "bound_rejected": res.bound_rejected,
         }
-        # H would otherwise stay alive through the tensor step below,
-        # where the solve's memory peaks
-        del res
         marks.append(time.perf_counter())
 
         F_prev = F
@@ -345,11 +342,8 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
         W, eta = update_multiplier(W, gap, eta)
         marks.append(time.perf_counter())
 
-        prim_inf = float(np.abs(gap).max()) if gap.size else 0.0
+        prim_inf = float(np.abs(gap).max())
         prim_fro = float(np.linalg.norm(gap))
-        # the Frobenius norm dominates the entrywise max, so gating on it
-        # guarantees both residual readings sit at or below tol on exit
-        prim = prim_fro
         dF = float(
             np.linalg.norm(F - F_prev) / max(1.0, np.linalg.norm(F_prev))
         )
@@ -369,7 +363,9 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
                 "line_search": line_search,
             }
         )
-        if max(prim, dF) <= config.tol:
+        # the Frobenius norm dominates the entrywise max, so gating on it
+        # guarantees both residual readings sit at or below tol on exit
+        if max(prim_fro, dF) <= config.tol:
             converged = True
             break
 

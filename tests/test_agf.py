@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 import agfti.agf as agf
 from agfti.agf import (
     BOUND_MARGIN,
-    AgfResult,
     agf_minmax,
     bound_rejects,
     compute_H,
@@ -21,6 +20,8 @@ from agfti.agf import (
 )
 
 from oracles import (
+    agf_minmax_with_reference,
+    cold_start,
     dense_bipartite_pieces,
     rand_row_stochastic,
     rand_simplex_interior,
@@ -38,69 +39,6 @@ def h_exact(alpha, Zs, Ts, H, lam, beta):
 def procrustes(Z, P):
     U, _, Vh = np.linalg.svd(Z.T @ P)
     return U @ Vh
-
-
-def minmax_fusing_per_candidate(
-    Zs, Ts, F, Q, lam, beta, alpha0=None, P0=None, tol=1e-4, max_iter=50
-):
-    """agf_minmax's weighted path, fusing and valuing every candidate anew.
-
-    No candidate is rejected by a bound, so evaluated counts every try.
-    """
-    V = len(Zs)
-    alpha = np.full(V, 1.0 / V) if alpha0 is None else np.array(alpha0, dtype=float)
-    if P0 is None:
-        Zt = weighted_fusion_input(Zs, Ts, alpha)
-        P = solve_inner_P(Zt, np.zeros_like(Zt), lam, beta)
-    else:
-        P = np.asarray(P0, dtype=float)
-    res = AgfResult(alpha=alpha, P=P, H=np.zeros_like(P), converged=False, n_iter=0)
-    res.alpha_trace.append(alpha.copy())
-    for it in range(1, max_iter + 1):
-        res.n_iter = it
-        H = compute_H(F, Q, P)
-        Zt = weighted_fusion_input(Zs, Ts, alpha)
-        P = solve_inner_P(Zt, H, lam, beta)
-        res.H, res.alpha, res.P = H, alpha, P
-        h0 = inner_value(P, Zt, H, lam, beta)
-        ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
-        grad = grad_h(alpha, view_agreements(P, ZTs), lam)
-        g = reduced_descent_direction(grad, alpha)
-        if not np.any(g):
-            res.converged = True
-            break
-        slope = float(grad @ g)
-        shrinking = g < 0
-        theta = min(1.0, float(np.min(alpha[shrinking] / -g[shrinking])))
-        accepted = False
-        for _ in range(21):
-            cand = np.maximum(alpha + theta * g, 0.0)
-            cand /= cand.sum()
-            res.evaluated += 1
-            Zt_c = weighted_fusion_input(Zs, Ts, cand)
-            P_c = solve_inner_P(Zt_c, H, lam, beta)
-            h_c = inner_value(P_c, Zt_c, H, lam, beta)
-            if h_c <= h0 + 1e-4 * theta * slope:
-                accepted = True
-                break
-            theta *= 0.5
-        if not accepted:
-            res.h_trace.append((h0, h0))
-            res.steps.append(0.0)
-            res.deltas.append(0.0)
-            res.converged = True
-            break
-        delta = float(np.max(np.abs(cand - alpha)))
-        alpha, P = cand, P_c
-        res.alpha, res.P = alpha, P
-        res.h_trace.append((h0, h_c))
-        res.steps.append(theta)
-        res.deltas.append(delta)
-        res.alpha_trace.append(alpha.copy())
-        if delta <= tol:
-            res.converged = True
-            break
-    return res
 
 
 class TestComputeH:
@@ -299,39 +237,45 @@ class TestAgfMinmax:
     def test_single_view_short_circuit(self):
         rng = np.random.default_rng(9)
         Zs, Ts, F, Q = self._instance(rng, V=1)
-        res = agf_minmax(Zs, Ts, F, Q, lam=1.0, beta=4.0)
+        alpha0, P0 = cold_start(Zs, Ts, 1.0, 4.0)
+        res, ref = agf_minmax_with_reference(
+            Zs, Ts, F, Q, lam=1.0, beta=4.0, alpha0=alpha0, P0=P0
+        )
         assert res.converged
         assert np.array_equal(res.alpha, [1.0])
         assert np.allclose(res.P.sum(axis=1), 1.0, atol=1e-12)
         expected = solve_inner_P(
-            weighted_fusion_input(Zs, Ts, res.alpha), res.H, 1.0, 4.0
+            weighted_fusion_input(Zs, Ts, res.alpha), ref.H, 1.0, 4.0
         )
         assert np.abs(res.P - expected).max() < 1e-14
 
     def test_rejects_weight_count_mismatch(self):
         rng = np.random.default_rng(15)
         Zs, Ts, F, Q = self._instance(rng, V=3)
+        _, P0 = cold_start(Zs, Ts, 9.0, 4.0)
         with pytest.raises(ValueError, match="one weight per view"):
-            agf_minmax(Zs, Ts, F, Q, lam=9.0, beta=4.0, alpha0=[0.5, 0.5])
+            agf_minmax(Zs, Ts, F, Q, lam=9.0, beta=4.0, alpha0=[0.5, 0.5], P0=P0)
 
     def test_rejects_zero_iteration_budget(self):
         rng = np.random.default_rng(16)
         Zs, Ts, F, Q = self._instance(rng, V=2)
+        alpha0, P0 = cold_start(Zs, Ts, 4.0, 4.0)
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            agf_minmax(Zs, Ts, F, Q, lam=4.0, beta=4.0, max_iter=0)
+            agf_minmax(Zs, Ts, F, Q, 4.0, 4.0, alpha0, P0, max_iter=0)
 
     def test_rejects_non_square_alignment(self):
         rng = np.random.default_rng(17)
         Zs, Ts, F, Q = self._instance(rng, V=2)
+        alpha0, P0 = cold_start(Zs, Ts, 4.0, 4.0)
         Ts[1] = Ts[1][:, :-1]
         with pytest.raises(ValueError, match="m x m alignment per view"):
-            agf_minmax(Zs, Ts, F, Q, lam=4.0, beta=4.0)
+            agf_minmax(Zs, Ts, F, Q, 4.0, 4.0, alpha0, P0)
 
     def test_identical_views_stay_uniform(self):
         rng = np.random.default_rng(10)
         Zs, Ts, F, Q = self._instance(rng, V=1)
         Zs, Ts = Zs * 3, Ts * 3
-        res = agf_minmax(Zs, Ts, F, Q, lam=9.0, beta=4.0)
+        res = agf_minmax(Zs, Ts, F, Q, 9.0, 4.0, *cold_start(Zs, Ts, 9.0, 4.0))
         assert res.converged
         assert np.allclose(res.alpha, 1 / 3, atol=1e-12)
 
@@ -339,17 +283,21 @@ class TestAgfMinmax:
         rng = np.random.default_rng(11)
         Zs, Ts, F, Q = self._instance(rng)
         lam, beta = 9.0, 4.0
-        res = agf_minmax(Zs, Ts, F, Q, lam=lam, beta=beta)
+        alpha0, P0 = cold_start(Zs, Ts, lam, beta)
+        res, ref = agf_minmax_with_reference(
+            Zs, Ts, F, Q, lam=lam, beta=beta, alpha0=alpha0, P0=P0
+        )
         assert res.converged
         assert res.n_iter <= 50
         assert abs(res.alpha.sum() - 1.0) <= 1e-10
         assert res.alpha.min() >= 0.0
         assert np.allclose(res.P.sum(axis=1), 1.0, atol=1e-10)
-        if res.deltas:
-            assert res.deltas[-1] <= 1e-4
+        if ref.deltas:
+            assert ref.deltas[-1] <= 1e-4
         # returned P is the exact inner maximizer at the returned weights
+        # under the last H refresh
         expected = solve_inner_P(
-            weighted_fusion_input(Zs, Ts, res.alpha), res.H, lam, beta
+            weighted_fusion_input(Zs, Ts, res.alpha), ref.H, lam, beta
         )
         assert np.abs(res.P - expected).max() < 1e-12
 
@@ -357,15 +305,21 @@ class TestAgfMinmax:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             Zs, Ts, F, Q = self._instance(rng, n=60, m=8, V=3)
-            res = agf_minmax(Zs, Ts, F, Q, lam=9.0, beta=4.0)
-            for before, after in res.h_trace:
+            alpha0, P0 = cold_start(Zs, Ts, 9.0, 4.0)
+            _, ref = agf_minmax_with_reference(
+                Zs, Ts, F, Q, lam=9.0, beta=4.0, alpha0=alpha0, P0=P0
+            )
+            for before, after in ref.h_trace:
                 assert after <= before + 1e-9
 
     def test_weights_stay_on_simplex_every_step(self):
         rng = np.random.default_rng(12)
         Zs, Ts, F, Q = self._instance(rng, n=40, m=8)
-        res = agf_minmax(Zs, Ts, F, Q, lam=9.0, beta=4.0)
-        for a in res.alpha_trace:
+        alpha0, P0 = cold_start(Zs, Ts, 9.0, 4.0)
+        _, ref = agf_minmax_with_reference(
+            Zs, Ts, F, Q, lam=9.0, beta=4.0, alpha0=alpha0, P0=P0
+        )
+        for a in ref.alpha_trace:
             assert abs(a.sum() - 1.0) <= 1e-10
             assert a.min() >= 0.0
 
@@ -387,7 +341,6 @@ class TestAgfMinmaxFrozenWeights:
             Zt = weighted_fusion_input(Zs, Ts, alpha0)
             P = solve_inner_P(Zt, H, lam, beta)
             assert np.array_equal(res.P, P)
-            assert np.array_equal(res.H, H)
             assert res.h == inner_value(P, Zt, H, lam, beta)
             assert np.array_equal(res.alpha, alpha0)
             assert res.converged
@@ -400,23 +353,12 @@ class TestAgfMinmaxMatchesPerCandidateFusion:
     """Fusing from cached Z_v T_v products changes no bit of the solve."""
 
     def _check(self, Zs, Ts, F, Q, **kw):
-        res = agf_minmax(Zs, Ts, F, Q, **kw)
-        ref = minmax_fusing_per_candidate(Zs, Ts, F, Q, **kw)
-        assert np.array_equal(res.alpha, ref.alpha)
-        assert np.array_equal(res.P, ref.P)
-        assert np.array_equal(res.H, ref.H)
-        assert res.h_trace == ref.h_trace
-        assert res.steps == ref.steps
-        assert res.deltas == ref.deltas
-        assert (res.n_iter, res.converged) == (ref.n_iter, ref.converged)
-        assert len(res.alpha_trace) == len(ref.alpha_trace)
-        for a, b in zip(res.alpha_trace, ref.alpha_trace):
-            assert np.array_equal(a, b)
+        res, ref = agf_minmax_with_reference(Zs, Ts, F, Q, **kw)
         # every try is either valued in full or rejected by the bound
         assert res.evaluated + res.bound_rejected == ref.evaluated
         # h is the inner value at the returned state, as the solver reads it
         assert res.h == inner_value(
-            res.P, weighted_fusion_input(Zs, Ts, res.alpha), res.H, kw["lam"], kw["beta"]
+            res.P, weighted_fusion_input(Zs, Ts, res.alpha), ref.H, kw["lam"], kw["beta"]
         )
         return res
 
@@ -425,7 +367,10 @@ class TestAgfMinmaxMatchesPerCandidateFusion:
         for seed in range(8):
             rng = np.random.default_rng(seed)
             Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=60, m=8, V=3)
-            res = self._check(Zs, Ts, F, Q, lam=9.0, beta=4.0)
+            alpha0, P0 = cold_start(Zs, Ts, 9.0, 4.0)
+            res = self._check(
+                Zs, Ts, F, Q, lam=9.0, beta=4.0, alpha0=alpha0, P0=P0
+            )
             backtracked += sum(0 < s < 1 for s in res.steps)
             skipped += res.bound_rejected
         # the comparison covers rejected candidates, not only full steps,
@@ -453,8 +398,10 @@ class TestAgfMinmaxMatchesPerCandidateFusion:
         for seed in range(4):
             rng = np.random.default_rng(200 + seed)
             Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=50, m=12, V=4)
+            alpha0, P0 = cold_start(Zs, Ts, 16.0, 0.5)
             res = self._check(
-                Zs, Ts, F, Q, lam=16.0, beta=0.5, tol=0.0, max_iter=12
+                Zs, Ts, F, Q, lam=16.0, beta=0.5, alpha0=alpha0, P0=P0,
+                tol=0.0, max_iter=12,
             )
             skipped += res.bound_rejected
             evaluated += res.evaluated
@@ -532,8 +479,9 @@ class TestLineSearchBound:
             # the first call values the current weights; no candidate passes
             return h if len(valued) == 1 else h + 1e6
 
+        alpha0, P0 = cold_start(Zs, Ts, 9.0, 4.0)
         monkeypatch.setattr(agf, "inner_value", every_candidate_fails)
-        res = agf.agf_minmax(Zs, Ts, F, Q, lam=9.0, beta=4.0, max_iter=1)
+        res = agf.agf_minmax(Zs, Ts, F, Q, 9.0, 4.0, alpha0, P0, max_iter=1)
         assert res.steps == [0.0]
         assert res.bound_rejected > 0
         assert res.evaluated + res.bound_rejected == agf._MAX_BACKTRACKS + 1

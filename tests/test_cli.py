@@ -15,6 +15,7 @@ from agfti.harness import (
     load_mask,
     metrics,
     save_dataset,
+    save_dataset_csv,
 )
 from agfti.solver import SolverConfig
 
@@ -360,3 +361,86 @@ def test_threads_env_var_must_be_an_integer(workspace, monkeypatch):
     result = CliRunner().invoke(main, ["synth", out])
     assert result.exit_code == 2, result.output
     assert "AGFTI_THREADS must be an integer" in result.output
+
+
+@pytest.mark.parametrize("command, kind, message", [
+    ("eval", "binary", "truncated header"),
+    ("mask", "binary", "truncated header"),
+    ("eval", "csv", "unexpected view file"),
+])
+def test_malformed_container_is_a_bad_parameter(workspace, command, kind, message):
+    root = workspace["root"]
+    if kind == "binary":
+        bad = root / "bad.mvds"
+        bad.write_bytes(b"MVDS")
+    else:
+        bad = root / "gap_csv"
+        toy = load_container(workspace["data"])
+        save_dataset_csv(DatasetContainer([toy.views[0]] * 3, toy.labels, toy.c), bad)
+        (bad / "view1.csv").unlink()
+    args = [command, str(bad)]
+    if command == "mask":
+        args.append(str(root / "unused_mask.json"))
+    result = CliRunner().invoke(main, [*args, "--vmr", "0.3", "--lar", "0.1"])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for CONTAINER_PATH: {message}" in result.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"seed": 0}', "mask file has no 'vmr' field"),
+    ("not json", "mask file is not JSON"),
+])
+def test_malformed_mask_is_a_bad_parameter(workspace, text, message):
+    bad = workspace["root"] / "bad_mask.json"
+    bad.write_text(text)
+    result = CliRunner().invoke(main, ["train", workspace["data"], str(bad)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for MASK_PATH: {message}" in result.output
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("mask", "--vmr", "1.5"),
+    ("eval", "--vmr", "1.5"),
+    ("ablate", "--vmr", "1.5"),
+    ("eval", "--vmr", "-0.1"),
+    ("mask", "--lar", "0"),
+    ("eval", "--lar", "1.5"),
+    ("mask", "--seed", "-1"),
+])
+def test_mask_setting_outside_its_range_is_refused(
+    workspace, command, option, value
+):
+    args = [command, workspace["data"]]
+    if command == "mask":
+        args.append(str(workspace["root"] / "unused_mask.json"))
+    ratios = {"--vmr": "0.3", "--lar": "0.1", option: value}
+    for name, ratio in ratios.items():
+        args += [name, ratio]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+
+
+@pytest.mark.parametrize("option", ["--n-per-class", "--views", "--classes"])
+def test_synth_refuses_a_count_below_one(workspace, option):
+    out = str(workspace["root"] / "empty.npz")
+    result = CliRunner().invoke(main, ["synth", out, option, "0"])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+
+
+@pytest.mark.parametrize("command", ["mask", "eval"])
+def test_missing_views_of_a_one_view_container_are_refused(workspace, command):
+    runner = CliRunner()
+    one = str(workspace["root"] / "one_view.npz")
+    result = runner.invoke(main, [
+        "synth", one, "--views", "1", "--n-per-class", "10",
+    ])
+    assert result.exit_code == 0, result.output
+    args = [command, one]
+    if command == "mask":
+        args.append(str(workspace["root"] / "unused_mask.json"))
+    result = runner.invoke(main, [*args, "--vmr", "0.5", "--lar", "0.1"])
+    assert result.exit_code == 2, result.output
+    assert ("Invalid value for CONTAINER_PATH: cannot generate view masks "
+            "with a single view") in result.output

@@ -109,10 +109,56 @@ class TestContainerIO:
         save_dataset(cont, bin_path)
         save_dataset_csv(cont, csv_dir)
         from_bin = load_dataset(bin_path)
-        from_csv = load_dataset_csv(csv_dir, c=cont.c)
+        from_csv = load_dataset_csv(csv_dir)
+        assert from_csv.c == from_bin.c
         assert np.array_equal(from_bin.labels, from_csv.labels)
         for a, b in zip(from_bin.views, from_csv.views):
             assert np.array_equal(a, b)
+
+    def test_csv_keeps_the_class_count_of_an_unlabeled_class(self, tmp_path):
+        rng = np.random.default_rng(6)
+        views = [rng.standard_normal((6, 2))]
+        labels = np.array([0, 1, 0, 1, -1, -1], dtype=np.int32)
+        with pytest.warns(UserWarning, match=r"classes \[2\]"):
+            cont = DatasetContainer(views=views, labels=labels, c=3)
+            save_dataset_csv(cont, tmp_path / "csv")
+            back = load_dataset_csv(tmp_path / "csv")
+        assert back.c == 3
+        assert back.name == "csv"
+        assert np.array_equal(back.labels, labels)
+        # the class count is a comment line, which np.loadtxt skips
+        text = (tmp_path / "csv" / "labels.csv").read_text()
+        assert text.splitlines()[0] == "# c=3"
+        assert np.array_equal(
+            np.loadtxt(tmp_path / "csv" / "labels.csv", dtype=np.int64), labels
+        )
+
+    def test_csv_without_a_class_count_line_infers_it(self, tmp_path):
+        rng = np.random.default_rng(7)
+        cont = random_container(rng, dims=(2,), c=4)
+        save_dataset_csv(cont, tmp_path)
+        np.savetxt(tmp_path / "labels.csv", cont.labels, fmt="%d")
+        back = load_dataset_csv(tmp_path)
+        assert back.c == int(cont.labels.max()) + 1 == 4
+        assert np.array_equal(back.labels, cont.labels)
+
+    @pytest.mark.parametrize("gone, stray", [
+        ("view1.csv", "view2.csv"),
+        (None, "view_x.csv"),
+    ])
+    def test_csv_view_files_must_be_numbered_from_zero(
+        self, tmp_path, gone, stray
+    ):
+        rng = np.random.default_rng(8)
+        cont = random_container(rng, dims=(2, 3, 2) if gone else (2, 3))
+        save_dataset_csv(cont, tmp_path)
+        if gone:
+            (tmp_path / gone).unlink()
+        else:
+            (tmp_path / stray).write_text("1,2\n")
+        message = f"unexpected view file .*{stray}"
+        with pytest.raises(ContainerFormatError, match=message):
+            load_dataset_csv(tmp_path)
 
     def test_load_container_reads_file_and_directory(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -209,6 +255,19 @@ class TestMasks:
         assert spec2 == spec
         assert missing2 == missing
         assert np.array_equal(labeled2, labeled)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{\"seed\": 0}", "mask file has no 'vmr' field"),
+        ("not json", "mask file is not JSON"),
+        ("[0, 1]", "malformed mask file"),
+        ('{"seed": 0, "vmr": 0.1, "lar": 0.1, "missing": 5, "labeled": []}',
+         "malformed mask file"),
+    ])
+    def test_malformed_mask_file_is_a_value_error(self, tmp_path, text, message):
+        path = tmp_path / "mask.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_mask(path)
 
     def test_missing_per_view(self):
         missing = [[0, 2], [], [1], [0]]
