@@ -6,7 +6,6 @@ propagation baseline, optionally appending every record to a JSONL file.
 """
 
 import argparse
-import json
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from agfti.harness import (
     missing_per_view,
     rep_seed,
     run_experiment,
+    score,
     synth_scp,
 )
 from agfti.harness.experiment import STANDARD_VARIANTS, baseline_label_propagation
@@ -49,12 +49,11 @@ def baseline_accuracy(container, vmr, lar, reps, m, k, base_seed):
             container, MaskSpec(vmr=vmr, lar=lar, seed=seed)
         )
         per_view = missing_per_view(missing, container.V)
-        unlabeled = np.setdiff1d(np.arange(container.n), labeled)
         pred = baseline_label_propagation(
-            container.views, container.labels.astype(np.int64), labeled,
+            container.views, container.labels, labeled,
             per_view, m=m, k=k, seed=seed, n_classes=container.c,
         )
-        accs.append(float((pred[unlabeled] == container.labels[unlabeled]).mean()))
+        accs.append(score(container, pred, labeled)["acc"])
     return float(np.mean(accs)), float(np.std(accs))
 
 

@@ -103,10 +103,13 @@ def _refused(param_hint):
 
 
 def _solve_from_files(container_path, mask_path, kwargs):
-    import numpy as np
+    """(container, labeled, result) of one solve.
 
+    A mask that does not fit the container exits 2 on MASK_PATH; a setting
+    the solver refuses exits 1.
+    """
     from .harness import load_container, load_mask, missing_per_view
-    from .solver import SolverConfig, admm_solve
+    from .solver import SolverConfig, admm_solve, prepare_inputs
 
     with _refused("CONTAINER_PATH"):
         container = load_container(container_path)
@@ -116,6 +119,8 @@ def _solve_from_files(container_path, mask_path, kwargs):
             raise ValueError(f"mask covers {len(missing)} samples, the "
                              f"container has {container.n}")
         per_view = missing_per_view(missing, container.V)
+        prepare_inputs(container.views, container.labels, labeled, per_view,
+                       container.c)
     try:
         result = admm_solve(
             container.views, container.labels, labeled, per_view,
@@ -123,13 +128,11 @@ def _solve_from_files(container_path, mask_path, kwargs):
         )
     except ValueError as exc:
         raise click.ClickException(str(exc)) from None
-    # unlabeled in the mask, with a known label (-1 marks an unknown one)
-    scored = np.setdiff1d(np.flatnonzero(container.labels >= 0), labeled)
-    return container, labeled, scored, result
+    return container, labeled, result
 
 
-def _echo_json(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(text, out):
+    """Print text, or write it with a final newline to out and say so."""
     if out is None:
         click.echo(text)
     else:
@@ -168,7 +171,7 @@ def _experiment(variants, flat, container_path, vmr, lar, reps, base_seed,
         report.update(block)
     else:
         report["variants"] = blocks
-    _echo_json(report, out)
+    _emit(json.dumps(report, indent=2, sort_keys=True), out)
     empty = [name for name, block in blocks.items()
              if block["failed_reps"] == reps]
     if empty:
@@ -241,25 +244,24 @@ def mask(container_path, out, vmr, lar, seed):
 @_solver_options
 def train(container_path, mask_path, out, pred_path, **kwargs):
     """Solve once on a container + mask and report metrics."""
-    from .harness import metrics
+    from .harness import score
     from .solver import predict
 
-    container, labeled, scored, result = _solve_from_files(
+    container, labeled, result = _solve_from_files(
         container_path, mask_path, kwargs
     )
     pred = predict(result.F)
-    scores = metrics(pred[scored], container.labels[scored], container.c)
     report = {
         "dataset": container.name,
         "n": container.n,
         "labeled": int(labeled.size),
-        "metrics": scores,
+        "metrics": score(container, pred, labeled),
         "converged": result.converged,
         "n_iter": result.n_iter,
         "lambda": result.lam,
         "alpha": [float(a) for a in result.alpha],
     }
-    _echo_json(report, out)
+    _emit(json.dumps(report, indent=2, sort_keys=True), out)
     if pred_path is not None:
         with open(pred_path, "w") as fh:
             json.dump({"predictions": [int(p) for p in pred]}, fh)
@@ -303,21 +305,14 @@ def ablate(variants, **kwargs):
 @_solver_options
 def diag(container_path, mask_path, out, **kwargs):
     """Dump per-iteration solver diagnostics as JSON lines."""
-    _, _, _, result = _solve_from_files(container_path, mask_path, kwargs)
-    lines = [json.dumps(row, sort_keys=True) for row in result.diagnostics]
-    summary = json.dumps({
+    _, _, result = _solve_from_files(container_path, mask_path, kwargs)
+    summary = {
         "converged": result.converged,
         "n_iter": result.n_iter,
         "alpha": [float(a) for a in result.alpha],
-    }, sort_keys=True)
-    if out is None:
-        for line in lines:
-            click.echo(line)
-        click.echo(summary)
-    else:
-        with open(out, "w") as fh:
-            fh.write("\n".join(lines + [summary]) + "\n")
-        click.echo(f"wrote {out}")
+    }
+    _emit("\n".join(json.dumps(row, sort_keys=True)
+                    for row in [*result.diagnostics, summary]), out)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from .experiment import (
     baseline_label_propagation,
     rep_seed,
     run_experiment,
+    score,
 )
 from .masks import (
     MaskSpec,
@@ -44,5 +45,6 @@ __all__ = [
     "save_dataset",
     "save_dataset_csv",
     "save_mask",
+    "score",
     "synth_scp",
 ]

@@ -18,7 +18,7 @@ labels.csv opens with the class count as a "# c=<c>" line, which loadtxt skips.
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

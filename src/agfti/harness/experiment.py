@@ -15,11 +15,11 @@ import numpy as np
 from ..rng import STREAM_EXPERIMENT, make_generator
 from ..solver import (
     SolverConfig,
-    _prepare_inputs,
     admm_solve,
     anchor_graphs,
     one_hot_labels,
     predict,
+    prepare_inputs,
     update_labels,
 )
 from .masks import MaskSpec, generate_masks, missing_per_view
@@ -54,7 +54,7 @@ def baseline_label_propagation(
     Labels are fitted with the solver's default b_labeled. The input is
     checked as admm_solve checks it, with the same ValueError messages.
     """
-    views, y, labeled_idx, missing, c = _prepare_inputs(
+    views, y, labeled_idx, missing, c = prepare_inputs(
         views, y, labeled_idx, missing, n_classes
     )
     V = len(views)
@@ -66,6 +66,16 @@ def baseline_label_propagation(
     Y = one_hot_labels(y, labeled_idx, c)
     F, _ = update_labels(P_cat, Y, SolverConfig.b_labeled)
     return predict(F)
+
+
+def score(container, pred, labeled):
+    """metrics of the full-length pred on the rows the mask leaves unlabeled.
+
+    Only rows with a known label (at least 0) are scored; a container's
+    unknown labels (-1) never are.
+    """
+    scored = np.setdiff1d(np.flatnonzero(container.labels >= 0), labeled)
+    return metrics(pred[scored], container.labels[scored], container.c)
 
 
 def _aggregate(records):
@@ -96,8 +106,7 @@ def run_experiment(
     records and mean/std aggregates for every metric. Solver errors inside a
     repetition are captured on its record and counted in failed_reps instead
     of aborting the run; with none successful, each mean and std is None.
-    A repetition scores the samples its mask leaves unlabeled whose label is
-    known (at least 0); a container's unknown labels (-1) are never scored.
+    Each repetition is scored by score, on the rows its mask leaves unlabeled.
 
     With jsonl_path, every record and one aggregate line per variant are
     appended to that file, so several calls (one per VMR, say) can share it.
@@ -106,13 +115,11 @@ def run_experiment(
     variants = dict(variants) if variants is not None else {"full": {}}
 
     blocks = {name: {"records": [], "failed_reps": 0} for name in variants}
-    known = np.flatnonzero(container.labels >= 0)
     for r in range(n_reps):
         seed_r = rep_seed(base_seed, r)
         spec = MaskSpec(vmr=vmr, lar=lar, seed=seed_r)
         missing, labeled = generate_masks(container, spec)
         per_view = missing_per_view(missing, container.V)
-        scored = np.setdiff1d(known, labeled)
         for name, flags in variants.items():
             config = replace(solver_config, seed=seed_r, **flags)
             record = {
@@ -130,16 +137,13 @@ def run_experiment(
             try:
                 result = admm_solve(
                     container.views,
-                    container.labels.astype(np.int64),
+                    container.labels,
                     labeled,
                     per_view,
                     config,
                     n_classes=container.c,
                 )
-                pred = predict(result.F, scored)
-                record["metrics"] = metrics(
-                    pred, container.labels[scored], container.c
-                )
+                record["metrics"] = score(container, predict(result.F), labeled)
                 record["converged"] = result.converged
                 record["n_iter"] = result.n_iter
             except (ValueError, np.linalg.LinAlgError) as exc:

@@ -28,19 +28,17 @@ _SOLO_LENGTH = 8.0
 _NOISE_GROWTH = 1.5
 
 
-def _segment_positions(rng, size, vacuum_width, bridge_frac, left_share):
+def _segment_positions(rng, size, vacuum_width, bridge_frac):
     """Manifold parameters in [0, 1], thinned in the middle band.
 
-    left_share sets how much of the solid mass lands on the low-t side; an
-    uneven split leaves a small far fragment that rarely receives labels of
-    its own, so its classification depends on paths across the vacuum.
+    The solid mass splits evenly, in expectation, between the two sides.
     """
     lo = 0.5 - vacuum_width / 2.0
     hi = 0.5 + vacuum_width / 2.0
     t = np.empty(size)
     bridge = rng.uniform(size=size) < bridge_frac
     n_solid = int((~bridge).sum())
-    left = rng.uniform(size=n_solid) < left_share
+    left = rng.uniform(size=n_solid) < 0.5
     u = rng.uniform(size=n_solid)
     t[~bridge] = np.where(left, u * lo, hi + u * (1.0 - hi))
     t[bridge] = rng.uniform(size=int(bridge.sum()))
@@ -82,7 +80,6 @@ def synth_scp(
     vacuum_width=0.55,
     noise=0.2,
     bridge_frac=0.04,
-    left_share=0.5,
     class_sizes=None,
     name=None,
 ):
@@ -100,9 +97,7 @@ def synth_scp(
         raise ValueError(f"need {c} positive class sizes, got {sizes}")
 
     ts = [
-        _segment_positions(
-            rng, s, float(vacuum_width), float(bridge_frac), float(left_share)
-        )
+        _segment_positions(rng, s, float(vacuum_width), float(bridge_frac))
         for s in sizes
     ]
     labels = np.concatenate(

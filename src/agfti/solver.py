@@ -184,12 +184,9 @@ def update_multiplier(W, gap, eta):
     return W + eta * gap, min(PENALTY_GROWTH * eta, PENALTY_CAP)
 
 
-def predict(F, idx=None):
+def predict(F):
     """Class of each row: argmax, ties to the lowest class index."""
-    pred = np.argmax(np.asarray(F), axis=1)
-    if idx is None:
-        return pred
-    return pred[np.asarray(idx, dtype=np.int64)]
+    return np.argmax(np.asarray(F), axis=1)
 
 
 def anchor_graphs(views, missing, m, k, seed):
@@ -209,7 +206,7 @@ def anchor_graphs(views, missing, m, k, seed):
     return Z
 
 
-def _prepare_inputs(views, y, labeled_idx, missing, n_classes):
+def prepare_inputs(views, y, labeled_idx, missing, n_classes):
     """(views, y, labeled_idx, missing, c) as arrays; ValueError if malformed.
 
     c is n_classes, or the largest label plus one when that is None.
@@ -278,7 +275,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     flag, never raised.
     """
     config = config or SolverConfig()
-    views, y, labeled_idx, missing, c = _prepare_inputs(
+    views, y, labeled_idx, missing, c = prepare_inputs(
         views, y, labeled_idx, missing, n_classes
     )
     V = len(views)

@@ -365,7 +365,7 @@ def suite_grid():
                 container.views, y, labeled, per_view, cfg,
                 n_classes=container.c,
             )
-            pred = predict(result.F, unlabeled)
+            pred = predict(result.F)[unlabeled]
             return _accuracy(pred, y[unlabeled])
 
         for vmr in full_vmrs:

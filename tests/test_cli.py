@@ -330,18 +330,43 @@ def test_train_rejects_mask_drawn_for_another_container(workspace):
     assert "mask covers 90 samples, the container has 120" in result.output
 
 
-def test_train_rejects_mask_naming_an_absent_view(workspace):
+# each edit of the workspace mask (or of its container's labels) and the
+# message it is refused with; {first} is the first labeled sample
+_MASK_FAULTS = {
+    "absent view": "sample 4 is missing from view 2",
+    "labeled index 500": "labeled index 500 is outside 0..119",
+    "missing from both views": "sample 4 is missing from every view",
+    "unknown label": "labeled sample {first} has label -1, outside 0..2",
+}
+
+
+@pytest.mark.parametrize("case", list(_MASK_FAULTS))
+@pytest.mark.parametrize("command", ["train", "diag"])
+def test_mask_not_fitting_the_container_is_refused(workspace, command, case):
+    root = workspace["root"]
+    data = workspace["data"]
     with open(workspace["mask"]) as fh:
         payload = json.load(fh)
-    payload["missing"][4] = [2]
-    bad_mask = str(workspace["root"] / "bad_view_mask.json")
+    first = payload["labeled"][0]
+    if case == "absent view":
+        payload["missing"][4] = [2]
+    elif case == "labeled index 500":
+        payload["labeled"].append(500)
+    elif case == "missing from both views":
+        payload["missing"][4] = [0, 1]
+    else:
+        toy = load_container(data)
+        labels = toy.labels.copy()
+        labels[first] = -1
+        data = str(root / "unknown_first_label.npz")
+        save_dataset(DatasetContainer(toy.views, labels, toy.c, toy.name), data)
+    bad_mask = str(root / "bad_fit_mask.json")
     with open(bad_mask, "w") as fh:
         json.dump(payload, fh)
-    result = CliRunner().invoke(main, [
-        "train", workspace["data"], bad_mask, "--anchors", "8",
-    ])
+    result = CliRunner().invoke(main, [command, data, bad_mask, "--anchors", "8"])
     assert result.exit_code == 2, result.output
-    assert "sample 4 is missing from view 2" in result.output
+    expected = _MASK_FAULTS[case].format(first=first)
+    assert f"Invalid value for MASK_PATH: {expected}" in result.output
 
 
 def test_train_reports_a_rejected_solver_setting(workspace):
