@@ -9,16 +9,12 @@ import argparse
 
 import numpy as np
 
-from agfti.harness import (
-    MaskSpec,
-    generate_masks,
-    missing_per_view,
-    rep_seed,
-    run_experiment,
-    score,
-    synth_scp,
+from agfti.harness import run_experiment, score, synth_scp
+from agfti.harness.experiment import (
+    STANDARD_VARIANTS,
+    baseline_label_propagation,
+    draw_repetition,
 )
-from agfti.harness.experiment import STANDARD_VARIANTS, baseline_label_propagation
 from agfti.solver import SolverConfig
 
 
@@ -44,11 +40,7 @@ def baseline_accuracy(container, vmr, lar, reps, m, k, base_seed):
     """Equal-weight propagation on the masks run_experiment draws per rep."""
     accs = []
     for r in range(reps):
-        seed = rep_seed(base_seed, r)
-        missing, labeled = generate_masks(
-            container, MaskSpec(vmr=vmr, lar=lar, seed=seed)
-        )
-        per_view = missing_per_view(missing, container.V)
+        seed, per_view, labeled = draw_repetition(container, vmr, lar, base_seed, r)
         pred = baseline_label_propagation(
             container.views, container.labels, labeled,
             per_view, m=m, k=k, seed=seed, n_classes=container.c,

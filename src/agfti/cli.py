@@ -1,44 +1,25 @@
-"""Command line front end.
-
-Only click/json/os are imported at module level on purpose: the --threads
-flag (or the AGFTI_THREADS env var) has to land in the BLAS thread-count
-environment variables before numpy is first imported, so every command body
-imports the library lazily after _set_threads has run.
-"""
+"""Command line front end."""
 
 import json
-import os
 from contextlib import contextmanager
 
 import click
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _set_threads(threads):
-    """Export the BLAS thread cap; the CLI flag wins over AGFTI_THREADS."""
-    if threads is None:
-        env = os.environ.get("AGFTI_THREADS", "").strip()
-        try:
-            threads = int(env) if env else None
-        except ValueError:
-            raise click.BadParameter(
-                f"AGFTI_THREADS must be an integer, got {env!r}"
-            ) from None
-    if threads is not None:
-        if threads < 1:
-            raise click.BadParameter("thread count must be >= 1")
-        for var in _THREAD_VARS:
-            os.environ[var] = str(threads)
-
-
-# eager, so the cap is exported before any other option or the command body
-# runs; the commands never see the value
-_threads_option = click.option(
-    "--threads", type=int, default=None, expose_value=False, is_eager=True,
-    callback=lambda ctx, param, value: _set_threads(value),
-    help="BLAS thread cap; overrides AGFTI_THREADS",
+from .harness import (
+    STANDARD_VARIANTS,
+    MaskSpec,
+    generate_masks,
+    load_container,
+    load_mask,
+    missing_per_view,
+    run_experiment,
+    save_dataset,
+    save_dataset_csv,
+    save_mask,
+    score,
+    synth_scp,
 )
+from .solver import SolverConfig, admm_solve, predict, prepare_inputs
 
 
 def _stack(*decorators):
@@ -51,24 +32,25 @@ def _stack(*decorators):
 
 
 _solver_options = _stack(
-    click.option("--lambda", "lam", type=float, default=None,
+    click.option("--lambda", "lam", type=float, default=SolverConfig.lam,
                  help="fusion weight; defaults to V^2"),
-    click.option("--beta-lambda", "beta", type=float, default=4.0,
+    click.option("--beta-lambda", "beta", type=float, default=SolverConfig.beta,
                  show_default=True, help="fused-graph ridge weight"),
-    click.option("--rho", type=float, default=100.0, show_default=True,
+    click.option("--rho", type=float, default=SolverConfig.rho, show_default=True,
                  help="tensor nuclear norm weight"),
-    click.option("--anchors", "n_anchors", type=int, default=16,
+    click.option("--anchors", "n_anchors", type=int, default=SolverConfig.n_anchors,
                  show_default=True, help="anchors per view (power of two)"),
-    click.option("--neighbors", "k_neighbors", type=int, default=7,
-                 show_default=True, help="anchor neighbours per sample"),
-    click.option("--b-labeled", type=float, default=100.0,
+    click.option("--neighbors", "k_neighbors", type=int,
+                 default=SolverConfig.k_neighbors, show_default=True,
+                 help="anchor neighbours per sample"),
+    click.option("--b-labeled", type=float, default=SolverConfig.b_labeled,
                  show_default=True, help="fitting weight on labeled samples"),
-    click.option("--tol", type=float, default=1e-5, show_default=True,
+    click.option("--tol", type=float, default=SolverConfig.tol, show_default=True,
                  help="outer stopping tolerance"),
-    click.option("--max-iters", "max_outer_iters", type=int, default=50,
-                 show_default=True, help="outer iteration cap"),
-    click.option("--seed", type=int, default=0, show_default=True),
-    _threads_option,
+    click.option("--max-iters", "max_outer_iters", type=int,
+                 default=SolverConfig.max_outer_iters, show_default=True,
+                 help="outer iteration cap"),
+    click.option("--seed", type=int, default=SolverConfig.seed, show_default=True),
 )
 
 # the ranges MaskSpec accepts
@@ -108,9 +90,6 @@ def _solve_from_files(container_path, mask_path, kwargs):
     A mask that does not fit the container exits 2 on MASK_PATH; a setting
     the solver refuses exits 1.
     """
-    from .harness import load_container, load_mask, missing_per_view
-    from .solver import SolverConfig, admm_solve, prepare_inputs
-
     with _refused("CONTAINER_PATH"):
         container = load_container(container_path)
     with _refused("MASK_PATH"):
@@ -149,9 +128,6 @@ def _experiment(variants, flat, container_path, vmr, lar, reps, base_seed,
     variant's block beside the header instead of under "variants". Exits 1
     naming each variant whose every repetition failed.
     """
-    from .harness import load_container, run_experiment
-    from .solver import SolverConfig
-
     # run_experiment raises ValueError only when drawing masks
     with _refused("CONTAINER_PATH"):
         container = load_container(container_path)
@@ -196,11 +172,8 @@ def main():
 @click.option("--bridge", type=float, default=0.04, show_default=True)
 @click.option("--csv", "as_csv", is_flag=True,
               help="write a CSV directory instead of the binary container")
-@_threads_option
 def synth(out, seed, n_per_class, V, c, vacuum, noise, bridge, as_csv):
     """Generate a synthetic sub-cluster-problem container."""
-    from .harness import save_dataset, save_dataset_csv, synth_scp
-
     container = synth_scp(
         seed, n_per_class=n_per_class, V=V, c=c,
         vacuum_width=vacuum, noise=noise, bridge_frac=bridge,
@@ -217,11 +190,8 @@ def synth(out, seed, n_per_class, V, c, vacuum, noise, bridge, as_csv):
 @click.argument("out", type=click.Path(dir_okay=False))
 @_ratio_options
 @click.option("--seed", type=click.IntRange(0), default=0, show_default=True)
-@_threads_option
 def mask(container_path, out, vmr, lar, seed):
     """Draw missing-view and label masks for a container."""
-    from .harness import MaskSpec, generate_masks, load_container, save_mask
-
     spec = MaskSpec(vmr=vmr, lar=lar, seed=seed)
     with _refused("CONTAINER_PATH"):
         container = load_container(container_path)
@@ -244,9 +214,6 @@ def mask(container_path, out, vmr, lar, seed):
 @_solver_options
 def train(container_path, mask_path, out, pred_path, **kwargs):
     """Solve once on a container + mask and report metrics."""
-    from .harness import score
-    from .solver import predict
-
     container, labeled, result = _solve_from_files(
         container_path, mask_path, kwargs
     )
@@ -281,8 +248,6 @@ def eval_cmd(**kwargs):
               show_default=True, help="comma-separated variant names")
 def ablate(variants, **kwargs):
     """Compare ablation variants under the repetition harness."""
-    from .harness import STANDARD_VARIANTS
-
     chosen = {}
     for name in (v.strip() for v in variants.split(",")):
         if not name:

@@ -41,8 +41,21 @@ def rep_seed(base_seed, r):
     return int(rng.integers(0, 2**63))
 
 
+def draw_repetition(container, vmr, lar, base_seed, r):
+    """(seed, per_view, labeled) of repetition r.
+
+    seed is the repetition seed; per_view (missing indices per view) and
+    labeled are the masks drawn from it, so every column scored on
+    repetition r sees the same masks.
+    """
+    seed = rep_seed(base_seed, r)
+    missing, labeled = generate_masks(container, MaskSpec(vmr=vmr, lar=lar, seed=seed))
+    return seed, missing_per_view(missing, container.V), labeled
+
+
 def baseline_label_propagation(
-    views, y, labeled_idx, missing, m=16, k=7, seed=0, n_classes=None
+    views, y, labeled_idx, missing, m=SolverConfig.n_anchors,
+    k=SolverConfig.k_neighbors, seed=0, n_classes=None,
 ):
     """Label propagation on the unweighted mean of the per-view graphs.
 
@@ -116,10 +129,7 @@ def run_experiment(
 
     blocks = {name: {"records": [], "failed_reps": 0} for name in variants}
     for r in range(n_reps):
-        seed_r = rep_seed(base_seed, r)
-        spec = MaskSpec(vmr=vmr, lar=lar, seed=seed_r)
-        missing, labeled = generate_masks(container, spec)
-        per_view = missing_per_view(missing, container.V)
+        seed_r, per_view, labeled = draw_repetition(container, vmr, lar, base_seed, r)
         for name, flags in variants.items():
             config = replace(solver_config, seed=seed_r, **flags)
             record = {

@@ -97,13 +97,25 @@ def save_mask(path, spec, missing, labeled):
     Path(path).write_text(json.dumps(payload))
 
 
+def _integers(values, field):
+    """values as a list, or ValueError naming an entry that is not a JSON integer."""
+    values = list(values)
+    for x in values:
+        # bool is an int subclass; JSON true/false is no index
+        if type(x) is not int:
+            raise ValueError(
+                f"malformed mask file: {field} lists {x!r}, not an integer")
+    return values
+
+
 def load_mask(path):
-    """Read a save_mask file; ValueError names a parse error or missing field."""
+    """Read a save_mask file; ValueError names a parse error, a missing field
+    or a listed view or labeled index that is not a JSON integer."""
     try:
         payload = json.loads(Path(path).read_text())
         spec = MaskSpec(vmr=payload["vmr"], lar=payload["lar"], seed=payload["seed"])
-        missing = [list(views) for views in payload["missing"]]
-        labeled = np.array(payload["labeled"], dtype=np.int64)
+        missing = [_integers(views, "missing") for views in payload["missing"]]
+        labeled = np.array(_integers(payload["labeled"], "labeled"), dtype=np.int64)
     except json.JSONDecodeError as exc:
         raise ValueError(f"mask file is not JSON: {exc}") from None
     except KeyError as exc:

@@ -206,15 +206,26 @@ def anchor_graphs(views, missing, m, k, seed):
     return Z
 
 
+def _index_array(idx, name):
+    """idx as a 1-d int64 array; ValueError naming it, not a silent cast."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError(f"{name} must be a 1-d array of integer indices, "
+                         f"got shape {idx.shape} and dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def prepare_inputs(views, y, labeled_idx, missing, n_classes):
     """(views, y, labeled_idx, missing, c) as arrays; ValueError if malformed.
 
-    c is n_classes, or the largest label plus one when that is None.
+    c is n_classes, or the largest label plus one when that is None. The
+    index arrays must be 1-d and of an integer dtype (an empty one of any
+    dtype), so no fraction or boolean mask is read as indices.
     """
     views = [np.asarray(X, dtype=np.float64) for X in views]
     y = np.asarray(y, dtype=np.int64)
-    labeled_idx = np.asarray(labeled_idx, dtype=np.int64)
-    missing = [np.asarray(idx, dtype=np.int64) for idx in missing]
+    labeled_idx = _index_array(labeled_idx, "labeled_idx")
+    missing = [_index_array(idx, f"missing[{v}]") for v, idx in enumerate(missing)]
     c = int(n_classes) if n_classes is not None else int(y.max()) + 1
     n = views[0].shape[0]
     V = len(views)

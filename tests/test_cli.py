@@ -280,28 +280,6 @@ def test_variant_without_successful_rep_exits_nonzero(
     assert aggregated == failing
 
 
-def test_threads_flag_sets_env(workspace, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    runner = CliRunner()
-    out = str(workspace["root"] / "threaded.npz")
-    result = runner.invoke(main, ["synth", out, "--threads", "2"])
-    assert result.exit_code == 0, result.output
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-
-
-def test_threads_env_var_honored(workspace, monkeypatch):
-    monkeypatch.setenv("AGFTI_THREADS", "3")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    runner = CliRunner()
-    out = str(workspace["root"] / "threaded_env.npz")
-    result = runner.invoke(main, ["synth", out])
-    assert result.exit_code == 0, result.output
-    assert os.environ["MKL_NUM_THREADS"] == "3"
-
-
 def test_solver_option_defaults_match_solver_config():
     params = _solver_options(lambda **kwargs: None).__click_params__
     fields = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
@@ -380,14 +358,6 @@ def test_train_reports_a_rejected_solver_setting(workspace):
     assert isinstance(result.exception, SystemExit)
 
 
-def test_threads_env_var_must_be_an_integer(workspace, monkeypatch):
-    monkeypatch.setenv("AGFTI_THREADS", "two")
-    out = str(workspace["root"] / "threaded_bad.npz")
-    result = CliRunner().invoke(main, ["synth", out])
-    assert result.exit_code == 2, result.output
-    assert "AGFTI_THREADS must be an integer" in result.output
-
-
 @pytest.mark.parametrize("command, kind, message", [
     ("eval", "binary", "truncated header"),
     ("mask", "binary", "truncated header"),
@@ -411,9 +381,24 @@ def test_malformed_container_is_a_bad_parameter(workspace, command, kind, messag
     assert f"Invalid value for CONTAINER_PATH: {message}" in result.output
 
 
+_MASK_HEAD = '{"seed": 0, "vmr": 0.1, "lar": 0.1, '
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"seed": 0}', "mask file has no 'vmr' field"),
     ("not json", "mask file is not JSON"),
+    *(pytest.param(_MASK_HEAD + f'"missing": {missing}, "labeled": {labeled}}}',
+                   f"malformed mask file: {field} lists {shown}, not an integer",
+                   id=f"{field}-{shown}")
+      for missing, labeled, field, shown in [
+          ('[["x"]]', "[0]", "missing", "'x'"),
+          ("[[0.5]]", "[0]", "missing", "0.5"),
+          ("[[true]]", "[0]", "missing", "True"),
+          ("[[]]", "[0.5]", "labeled", "0.5"),
+          ("[[]]", '["3"]', "labeled", "'3'"),
+          ("[[]]", "[[1]]", "labeled", "[1]"),
+          ("[[]]", "[false]", "labeled", "False"),
+      ]),
 ])
 def test_malformed_mask_is_a_bad_parameter(workspace, text, message):
     bad = workspace["root"] / "bad_mask.json"

@@ -24,6 +24,7 @@ from agfti.harness import (
     save_mask,
     synth_scp,
 )
+from agfti.harness import experiment
 from agfti.solver import SolverConfig, admm_solve, predict
 
 
@@ -262,6 +263,20 @@ class TestMasks:
         ("[0, 1]", "malformed mask file"),
         ('{"seed": 0, "vmr": 0.1, "lar": 0.1, "missing": 5, "labeled": []}',
          "malformed mask file"),
+        # a view or index that is not a JSON integer: not cast, not compared
+        *(pytest.param(f'{{"seed": 0, "vmr": 0.1, "lar": 0.1, "missing": {missing}, '
+                       f'"labeled": {labeled}}}', f"malformed mask file: {field} lists",
+                       id=f"{field}-{kind}")
+          for missing, labeled, field, kind in [
+              ('[["x"]]', "[0]", "missing", "string"),
+              ("[[0.5]]", "[0]", "missing", "fraction"),
+              ("[[true]]", "[0]", "missing", "boolean"),
+              ("[[1, [0]]]", "[0]", "missing", "list"),
+              ("[[]]", "[0.5]", "labeled", "fraction"),
+              ("[[]]", '["3"]', "labeled", "string"),
+              ("[[]]", "[[1]]", "labeled", "list"),
+              ("[[]]", "[true]", "labeled", "boolean"),
+          ]),
     ])
     def test_malformed_mask_file_is_a_value_error(self, tmp_path, text, message):
         path = tmp_path / "mask.json"
@@ -449,6 +464,25 @@ class TestExperiment:
         assert "frequency slice" in block["records"][0]["error"]
         assert block["aggregate"]["acc"] == {"mean": None, "std": None}
 
+    def test_each_repetition_solves_on_its_drawn_masks(self, monkeypatch):
+        cont, config = self._tiny()
+        solved = []
+
+        def record_masks(views, y, labeled_idx, missing, config, n_classes):
+            solved.append((config.seed, missing, labeled_idx))
+            raise ValueError("not solved")
+
+        monkeypatch.setattr(experiment, "admm_solve", record_masks)
+        run_experiment(cont, vmr=0.3, lar=0.1, n_reps=2, solver_config=config,
+                       base_seed=4)
+        assert len(solved) == 2
+        for r, (seed, per_view, labeled) in enumerate(solved):
+            drawn = experiment.draw_repetition(cont, 0.3, 0.1, 4, r)
+            assert seed == drawn[0] == rep_seed(4, r)
+            for got, want in zip(per_view, drawn[1], strict=True):
+                assert np.array_equal(got, want)
+            assert np.array_equal(labeled, drawn[2])
+
     def test_unknown_labels_are_not_scored(self):
         base = synth_scp(seed=0, n_per_class=40, V=2, c=3)
         labels = base.labels.copy()
@@ -493,6 +527,11 @@ class TestExperiment:
         with pytest.raises(ValueError, match="labeled index -1 is outside 0..29"):
             baseline_label_propagation(
                 cont.views, cont.labels, np.append(labeled, -1), none, m=4, k=2
+            )
+        with pytest.raises(ValueError, match="labeled_idx must be a 1-d array "
+                                             "of integer indices"):
+            baseline_label_propagation(
+                cont.views, cont.labels, labeled + 0.5, none, m=4, k=2
             )
         absent = [np.array([7]), np.array([7])]
         with pytest.raises(ValueError, match="sample 7 is missing from every view"):

@@ -501,6 +501,24 @@ class TestAdmmSolve:
             with pytest.raises(ValueError, match=f"labeled index {bad} "):
                 admm_solve(views, y, labeled_idx, complete, config)
 
+    def test_rejects_non_integer_index_arrays(self):
+        # a fraction used to be truncated, a boolean mask read as indices 0, 1
+        rng = np.random.default_rng(21)
+        views, y = blob_views(rng)
+        labeled_idx = np.concatenate([np.where(y == j)[0][:2] for j in range(3)])
+        complete = [np.array([], dtype=int)] * 2
+        config = SolverConfig(n_anchors=8, k_neighbors=3)
+        for name, labeled, missing in [
+            ("labeled_idx", labeled_idx + 0.5, complete),
+            ("labeled_idx", np.isin(np.arange(y.size), labeled_idx), complete),
+            ("labeled_idx", labeled_idx[None, :], complete),
+            (r"missing\[1\]", labeled_idx, [complete[0], np.array([4.0])]),
+            (r"missing\[0\]", labeled_idx, [np.array([[4]]), complete[1]]),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must be a 1-d array "
+                                                 "of integer indices"):
+                admm_solve(views, y, labeled, missing, config)
+
     def test_rejects_label_outside_class_range(self):
         # used to surface as a bare IndexError from one_hot_labels
         rng = np.random.default_rng(20)
