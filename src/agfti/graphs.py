@@ -10,6 +10,12 @@ neighbor-assignment problem
 whose optimum touches exactly the k nearest anchors when gamma is chosen as
 (k d_(k+1) - sum_{h<=k} d_(h)) / 2.
 
+The tree is built one level at a time rather than one node at a time: all
+splits of a level run as one batch of array operations, so the cost of a
+level no longer grows with its node count in Python calls. The result is the
+one of the depth-first recursion (left child first), bit for bit; see
+bkhk_anchors and build_bipartite for why.
+
 This module only builds graphs. Fusing them into sum_v alpha_v^2 Z_v T_v,
 and valuing the fused input, belongs to agf.py.
 """
@@ -30,43 +36,102 @@ _DEGREE_EPS = 1e-12
 
 
 def pairwise_sq_dists(A, B):
-    """Squared euclidean distances between rows of A and rows of B."""
+    """Squared euclidean distances between rows of A and rows of B.
+
+    A and B may also be equal-length stacks of matrices, giving one distance
+    matrix per pair; each is computed as the two-matrix call would.
+    """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     sq = (
-        (A * A).sum(axis=1)[:, None]
-        - 2.0 * (A @ B.T)
-        + (B * B).sum(axis=1)[None, :]
+        (A * A).sum(axis=-1)[..., :, None]
+        - 2.0 * (A @ np.swapaxes(B, -1, -2))
+        + (B * B).sum(axis=-1)[..., None, :]
     )
     return np.maximum(sq, 0.0)
 
 
-def _balanced_two_means(X, idx, rng):
-    """Split idx into halves of size ceil(s/2) / floor(s/2) around two centers."""
-    s = idx.size
-    pool = min(_SEED_CANDIDATES, s)
-    cand = idx[rng.choice(s, size=pool, replace=False)]
-    dc = pairwise_sq_dists(X[cand], X[cand])
-    # farthest candidate pair; argmax on the flat array breaks ties toward the
-    # lowest flat index
-    i, j = np.unravel_index(int(np.argmax(dc)), dc.shape)
-    c1 = X[cand[i]].astype(np.float64)
-    c2 = X[cand[j]].astype(np.float64)
+def _split_draws(rng, n, depth):
+    """Every split's seeding candidates, drawn in depth-first order.
 
+    Returns one list per level, node positions left to right, each entry the
+    positions within its node that rng.choice picked. A node of s samples has
+    children of ceil(s/2) and floor(s/2), so the sizes, and with them the
+    draws, are known before any split is made.
+    """
+    draws = [[] for _ in range(depth)]
+    stack = [(n, 0)] if depth else []
+    while stack:
+        s, level = stack.pop()
+        draws[level].append(rng.choice(s, size=min(_SEED_CANDIDATES, s), replace=False))
+        if level + 1 < depth:
+            stack.append((s // 2, level + 1))
+            stack.append((s - s // 2, level + 1))
+    return draws
+
+
+def _size_groups(sizes):
+    """(nodes, slots) per distinct node size of a level.
+
+    nodes are the positions of the nodes of that size, left to right, and
+    slots[r] the positions of node nodes[r]'s samples in the level's order.
+    Balanced halving leaves at most two sizes on a level.
+    """
+    start = np.cumsum(sizes) - sizes
+    for s in np.unique(sizes):
+        nodes = np.flatnonzero(sizes == s)
+        yield nodes, start[nodes, None] + np.arange(s)
+
+
+def _sq_dists_to(Xg, c, buf):
+    """((Xg - c) ** 2).sum(axis=-1) per node, through the scratch buf."""
+    np.subtract(Xg, c[:, None, :], out=buf)
+    np.square(buf, out=buf)
+    return buf.sum(axis=-1)
+
+
+def _balanced_two_means(X, members, draws):
+    """Split each row of members into halves of ceil(s/2) / floor(s/2).
+
+    members is (k, s): k nodes of s samples each. draws is (k, p), the
+    candidate positions of each node. Returns the (k, s) boolean mask of the
+    left halves. Each node sweeps until its split repeats, or _MAX_SWEEPS
+    times; a node whose split has repeated is dropped from later sweeps.
+    """
+    k, s = members.shape
     n_left = -(-s // 2)
-    left_mask = None
-    for _ in range(_MAX_SWEEPS):
-        d1 = ((X[idx] - c1) ** 2).sum(axis=1)
-        d2 = ((X[idx] - c2) ** 2).sum(axis=1)
-        order = np.argsort(d1 - d2, kind="stable")
-        mask = np.zeros(s, dtype=bool)
-        mask[order[:n_left]] = True
-        if left_mask is not None and np.array_equal(mask, left_mask):
-            break
-        left_mask = mask
-        c1 = X[idx[left_mask]].mean(axis=0)
-        c2 = X[idx[~left_mask]].mean(axis=0)
-    return idx[left_mask], idx[~left_mask]
+    cand = np.take_along_axis(members, draws, axis=1)
+    # two gathers: one array and its own transpose would send matmul down
+    # its symmetric path, whose bits can differ from the general product's
+    dc = pairwise_sq_dists(X[cand], X[cand])
+    # farthest candidate pair; argmax on each flattened matrix breaks ties
+    # toward the lowest flat index
+    i, j = np.divmod(np.argmax(dc.reshape(k, -1), axis=1), cand.shape[1])
+    rows = np.arange(k)
+    c1 = X[cand[rows, i]]
+    c2 = X[cand[rows, j]]
+
+    Xg = X[members]
+    buf = np.empty_like(Xg)
+    left = np.zeros((k, s), dtype=bool)
+    live = rows
+    for sweep in range(_MAX_SWEEPS):
+        d = _sq_dists_to(Xg, c1, buf) - _sq_dists_to(Xg, c2, buf)
+        order = np.argsort(d, axis=1, kind="stable")
+        mask = np.zeros(order.shape, dtype=bool)
+        np.put_along_axis(mask, order[:, :n_left], True, axis=1)
+        if sweep:
+            moved = (mask != left[live]).any(axis=1)
+            if not moved.all():
+                live, Xg, mask = live[moved], Xg[moved], mask[moved]
+                buf = buf[: live.size]
+                if not live.size:
+                    break
+        left[live] = mask
+        if sweep + 1 < _MAX_SWEEPS:
+            c1 = Xg[mask].reshape(live.size, n_left, -1).mean(axis=1)
+            c2 = Xg[~mask].reshape(live.size, s - n_left, -1).mean(axis=1)
+    return left
 
 
 def bkhk_anchors(X, m, seed, index=0, return_assignment=False):
@@ -87,6 +152,17 @@ def bkhk_anchors(X, m, seed, index=0, return_assignment=False):
 
     Leaf sizes differ by at most one: every leaf holds floor(n/m) or
     ceil(n/m) samples.
+
+    The tree is the one a depth-first recursion builds, left child first,
+    but its levels are split one at a time, each as at most two batches of
+    equal-size nodes. The recursion's only random draws are the seeding
+    candidates of each split, and a split's draw depends only on its node's
+    size, which depends only on n. So every draw is taken up front from the
+    same generator, in the recursion's order, and the batched splits use the
+    draws the recursion would have used. Each node keeps its samples in the
+    recursion's order and every reduction runs per node over the same
+    values, so the anchors and the assignment are the recursion's bit for
+    bit.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -98,20 +174,31 @@ def bkhk_anchors(X, m, seed, index=0, return_assignment=False):
         raise ValueError(f"anchor count {m} exceeds sample count {n}")
 
     rng = make_generator(seed, STREAM_ANCHORS, index=index)
+    depth = m.bit_length() - 1
+    draws = _split_draws(rng, n, depth)
+    # order lists the samples of a level's nodes node after node, each
+    # node's samples in the order the recursion holds them
+    order = np.arange(n)
+    sizes = np.array([n])
+    for level in range(depth):
+        for nodes, slots in _size_groups(sizes):
+            members = order[slots]
+            left = _balanced_two_means(
+                X, members, np.stack([draws[level][p] for p in nodes])
+            )
+            order[slots] = np.concatenate(
+                (members[left].reshape(nodes.size, -1),
+                 members[~left].reshape(nodes.size, -1)),
+                axis=1,
+            )
+        sizes = np.stack((sizes - sizes // 2, sizes // 2), axis=1).ravel()
+
     anchors = np.empty((m, X.shape[1]), dtype=np.float64)
     assignment = np.empty(n, dtype=np.int64)
-    depth = m.bit_length() - 1
-
-    def descend(idx, level, leaf):
-        if level == 0:
-            anchors[leaf] = X[idx].mean(axis=0)
-            assignment[idx] = leaf
-            return leaf + 1
-        left, right = _balanced_two_means(X, idx, rng)
-        leaf = descend(left, level - 1, leaf)
-        return descend(right, level - 1, leaf)
-
-    descend(np.arange(n), depth, 0)
+    for nodes, slots in _size_groups(sizes):
+        members = order[slots]
+        anchors[nodes] = X[members].mean(axis=1)
+        assignment[members] = nodes[:, None]
     if return_assignment:
         return anchors, assignment
     return anchors
@@ -126,7 +213,18 @@ def build_bipartite(X, anchors, k):
         (d_(k+1) - d_(j)) / (k d_(k+1) - sum_{h<=k} d_(h))
 
     and 0 elsewhere. When the denominator vanishes (the k+1 nearest anchors
-    are equidistant) the k nearest share uniform weight 1/k.
+    are equidistant) the k nearest share uniform weight 1/k, ties going to
+    the lowest anchor index.
+
+    Only the k+1 nearest anchors of a row are selected (argpartition) and
+    sorted. The sorted values d_(1..k+1) are the full sort's, so are the
+    weights. Which of several anchors tied at one distance takes which
+    position can differ from the full stable sort, but tied anchors get
+    equal weights, every anchor strictly nearer than d_(k+1) is among the
+    first k either way, and one at exactly d_(k+1) gets +0.0 wherever it
+    lands. Z is therefore the full sort's bit for bit, except on degenerate
+    rows, whose uniform weights depend on which anchors are picked: those
+    rows are sorted in full.
     """
     X = np.asarray(X, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
@@ -136,11 +234,16 @@ def build_bipartite(X, anchors, k):
 
     d = pairwise_sq_dists(X, anchors)
     n = d.shape[0]
-    order = np.argsort(d, axis=1, kind="stable")
-    ds = np.take_along_axis(d, order, axis=1)
+    near = np.argpartition(d, k, axis=1)[:, : k + 1]
+    dn = np.take_along_axis(d, near, axis=1)
+    by_dist = np.argsort(dn, axis=1, kind="stable")
+    order = np.take_along_axis(near, by_dist, axis=1)
+    ds = np.take_along_axis(dn, by_dist, axis=1)
     dk1 = ds[:, k]
     denom = k * dk1 - ds[:, :k].sum(axis=1)
     degenerate = denom <= _DEGENERATE_RTOL * k * dk1
+    if degenerate.any():
+        order[degenerate] = np.argsort(d[degenerate], axis=1, kind="stable")[:, : k + 1]
 
     safe = np.where(degenerate, 1.0, denom)
     weights = (dk1[:, None] - ds[:, :k]) / safe[:, None]

@@ -220,7 +220,8 @@ def prepare_inputs(views, y, labeled_idx, missing, n_classes):
 
     c is n_classes, or the largest label plus one when that is None. The
     index arrays must be 1-d and of an integer dtype (an empty one of any
-    dtype), so no fraction or boolean mask is read as indices.
+    dtype), so no fraction or boolean mask is read as indices, and
+    labeled_idx may list a sample only once.
     """
     views = [np.asarray(X, dtype=np.float64) for X in views]
     y = np.asarray(y, dtype=np.int64)
@@ -246,6 +247,10 @@ def prepare_inputs(views, y, labeled_idx, missing, n_classes):
     if outside.any():
         bad = int(labeled_idx[np.argmax(outside)])
         raise ValueError(f"labeled index {bad} is outside 0..{n - 1}")
+    listed, times = np.unique(labeled_idx, return_counts=True)
+    if np.any(times > 1):
+        bad = int(listed[np.argmax(times > 1)])
+        raise ValueError(f"labeled index {bad} is listed more than once")
     labels = y[labeled_idx]
     outside = (labels < 0) | (labels >= c)
     if outside.any():
@@ -271,7 +276,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     ----------
     views : list of (n, d_v) arrays
     y : (n,) integer labels; only rows in labeled_idx influence training
-    labeled_idx : indices of labeled samples (every class represented)
+    labeled_idx : distinct indices of labeled samples (every class represented)
     missing : per view, the indices of samples absent from that view
     config : SolverConfig
     n_classes : class count; inferred from y when omitted

@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive (quadratic DFT sums, exhaustive active-set
 enumeration, dense (n+m)^2 linear algebra, full-spectrum tensor transforms) and
-shares no code with the package under test beyond numpy itself, with two
+shares no code with the package under test beyond numpy itself, with three
 exceptions. project_simplex is a single-vector view of the package's prox_rows
 that only the tests need. The reference line search, minmax_fusing_per_candidate,
 composes the package's per-step functions of agfti.agf, since what it checks is
 how agf_minmax composes them; it also records the H refreshes and per-step
-traces that agf_minmax does not keep. The t-SVD algebra works on the Tensor3
+traces that agf_minmax does not keep. The recursive anchor tree,
+bkhk_anchors_recursive, draws from the package's agfti.rng generator, since
+it must reproduce the package's draws. The t-SVD algebra works on the Tensor3
 type below; the package's tubal_shrink takes its plain ``data`` array.
 """
 
@@ -27,6 +29,7 @@ from agfti.agf import (
     view_agreements,
     weighted_fusion_input,
 )
+from agfti.rng import STREAM_ANCHORS, make_generator
 from agfti.simplex import prox_rows
 
 IMAG_RTOL = 1e-8
@@ -263,6 +266,87 @@ def prox_rows_stable_argsort(target):
     x = np.maximum(t - theta[:, None], 0.0)
     x /= x.sum(axis=1, keepdims=True)
     return x
+
+
+# The anchor graphs one node and one full sort at a time. The package splits
+# a whole tree level at once and selects neighbours partially; both must
+# agree bit for bit. The constants repeat agfti.graphs' on purpose.
+_SEED_CANDIDATES = 32
+_MAX_SWEEPS = 10
+_DEGENERATE_RTOL = 1e-12
+
+
+def _sq_dists(A, B):
+    sq = (A * A).sum(axis=1)[:, None] - 2.0 * (A @ B.T) + (B * B).sum(axis=1)[None, :]
+    return np.maximum(sq, 0.0)
+
+
+def _balanced_two_means(X, idx, rng):
+    """Split idx into halves of size ceil(s/2) / floor(s/2) around two centres."""
+    s = idx.size
+    cand = idx[rng.choice(s, size=min(_SEED_CANDIDATES, s), replace=False)]
+    dc = _sq_dists(X[cand], X[cand])
+    i, j = np.unravel_index(int(np.argmax(dc)), dc.shape)
+    c1 = X[cand[i]].astype(np.float64)
+    c2 = X[cand[j]].astype(np.float64)
+
+    n_left = -(-s // 2)
+    left_mask = None
+    for _ in range(_MAX_SWEEPS):
+        d1 = ((X[idx] - c1) ** 2).sum(axis=1)
+        d2 = ((X[idx] - c2) ** 2).sum(axis=1)
+        order = np.argsort(d1 - d2, kind="stable")
+        mask = np.zeros(s, dtype=bool)
+        mask[order[:n_left]] = True
+        if left_mask is not None and np.array_equal(mask, left_mask):
+            break
+        left_mask = mask
+        c1 = X[idx[left_mask]].mean(axis=0)
+        c2 = X[idx[~left_mask]].mean(axis=0)
+    return idx[left_mask], idx[~left_mask]
+
+
+def bkhk_anchors_recursive(X, m, seed, index=0, return_assignment=False):
+    """Balanced hierarchical two-means, one split per call, depth first."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    rng = make_generator(seed, STREAM_ANCHORS, index=index)
+    anchors = np.empty((m, X.shape[1]), dtype=np.float64)
+    assignment = np.empty(n, dtype=np.int64)
+
+    def descend(idx, level, leaf):
+        if level == 0:
+            anchors[leaf] = X[idx].mean(axis=0)
+            assignment[idx] = leaf
+            return leaf + 1
+        left, right = _balanced_two_means(X, idx, rng)
+        leaf = descend(left, level - 1, leaf)
+        return descend(right, level - 1, leaf)
+
+    descend(np.arange(n), m.bit_length() - 1, 0)
+    if return_assignment:
+        return anchors, assignment
+    return anchors
+
+
+def build_bipartite_full_sort(X, anchors, k):
+    """k-neighbour anchor weights from a full stable argsort of every row."""
+    X = np.asarray(X, dtype=np.float64)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    d = _sq_dists(X, anchors)
+    n, m = d.shape
+    order = np.argsort(d, axis=1, kind="stable")
+    ds = np.take_along_axis(d, order, axis=1)
+    dk1 = ds[:, k]
+    denom = k * dk1 - ds[:, :k].sum(axis=1)
+    degenerate = denom <= _DEGENERATE_RTOL * k * dk1
+    safe = np.where(degenerate, 1.0, denom)
+    weights = (dk1[:, None] - ds[:, :k]) / safe[:, None]
+    weights[degenerate] = 1.0 / k
+    Z = np.zeros((n, m), dtype=np.float64)
+    np.put_along_axis(Z, order[:, :k], weights, axis=1)
+    Z /= Z.sum(axis=1, keepdims=True)
+    return Z
 
 
 def fusion_input_per_view(Zs, Ts, alpha):

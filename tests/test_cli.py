@@ -315,6 +315,7 @@ _MASK_FAULTS = {
     "labeled index 500": "labeled index 500 is outside 0..119",
     "missing from both views": "sample 4 is missing from every view",
     "unknown label": "labeled sample {first} has label -1, outside 0..2",
+    "labeled list doubled": "labeled index {lowest} is listed more than once",
 }
 
 
@@ -332,6 +333,8 @@ def test_mask_not_fitting_the_container_is_refused(workspace, command, case):
         payload["labeled"].append(500)
     elif case == "missing from both views":
         payload["missing"][4] = [0, 1]
+    elif case == "labeled list doubled":
+        payload["labeled"] *= 2
     else:
         toy = load_container(data)
         labels = toy.labels.copy()
@@ -343,7 +346,7 @@ def test_mask_not_fitting_the_container_is_refused(workspace, command, case):
         json.dump(payload, fh)
     result = CliRunner().invoke(main, [command, data, bad_mask, "--anchors", "8"])
     assert result.exit_code == 2, result.output
-    expected = _MASK_FAULTS[case].format(first=first)
+    expected = _MASK_FAULTS[case].format(first=first, lowest=min(payload["labeled"]))
     assert f"Invalid value for MASK_PATH: {expected}" in result.output
 
 

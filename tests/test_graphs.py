@@ -1,12 +1,19 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agfti.harness
+import agfti.solver
 from agfti.agf import weighted_fusion_input
 from agfti.graphs import bkhk_anchors, build_bipartite, pairwise_sq_dists
 
 from oracles import (
+    bkhk_anchors_recursive,
+    build_bipartite_full_sort,
     fusion_input_per_view,
     rand_orthogonal,
     rand_row_stochastic,
@@ -133,6 +140,87 @@ class TestBuildBipartite:
             build_bipartite(X, anchors, k=0)
         with pytest.raises(ValueError):
             build_bipartite(X, anchors, k=4)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_graphs_match_references(X, m, k, seed, index=0):
+    """Anchors, leaves and Z equal the recursive, full-sort references' bits."""
+    anchors, leaves = bkhk_anchors(X, m, seed, index=index, return_assignment=True)
+    ref, ref_leaves = bkhk_anchors_recursive(
+        X, m, seed, index=index, return_assignment=True
+    )
+    assert anchors.tobytes() == ref.tobytes()
+    assert leaves.tobytes() == ref_leaves.tobytes()
+    if k is not None:
+        Z = build_bipartite(X, anchors, k)
+        assert Z.tobytes() == build_bipartite_full_sort(X, anchors, k).tobytes()
+
+
+class TestLevelwiseMatchesRecursion:
+    """The level-at-a-time tree and the partial kNN give the references' bits."""
+
+    @pytest.mark.parametrize("name", ["fuse-m256", "frozen-v6", "ablate-402"])
+    def test_small_workload_views(self, name):
+        workloads = load_workloads()
+        w = workloads.get(name, small=True)
+        problem = workloads.Problem(w, workloads.problem_seed(0, 0), agfti)
+        views = problem.container.views
+        config = problem.config
+        for per_view, _ in problem.masks:
+            for v, X in enumerate(views):
+                present = np.setdiff1d(np.arange(X.shape[0]), per_view[v])
+                assert_graphs_match_references(
+                    X[present], config.n_anchors, config.k_neighbors,
+                    config.seed, index=v,
+                )
+
+    @pytest.mark.parametrize("d", [2, 30, 100])
+    def test_random_data(self, d):
+        X = np.random.default_rng(d).standard_normal((300, d))
+        assert_graphs_match_references(X, 32, 7, seed=11, index=1)
+
+    @pytest.mark.parametrize("n, m, k", [
+        (203, 16, 7),   # leaves of 12 and 13 samples
+        (37, 32, 7),    # leaves of 1 and 2 samples
+        (17, 1, None),  # no split; Z needs m > k >= 1
+        (64, 64, 7),    # one sample per leaf
+        (48, 16, 15),   # k = m - 1
+    ])
+    def test_tree_shapes(self, n, m, k):
+        X = np.random.default_rng(n + m).standard_normal((n, 3))
+        assert_graphs_match_references(X, m, k, seed=5)
+
+    @pytest.mark.parametrize("distinct", [1, 3, 40])
+    def test_duplicated_rows(self, distinct):
+        # ties in the farthest-pair seeding, the split order and the kNN
+        rng = np.random.default_rng(distinct)
+        rows = rng.standard_normal((distinct, 4))
+        X = rows[rng.integers(0, distinct, 150)]
+        assert_graphs_match_references(X, 16, 7, seed=2)
+        assert_graphs_match_references(X, 16, 15, seed=2)
+
+    def test_degenerate_row_takes_the_lowest_tied_anchors(self):
+        # the sample at the origin has squared distances 2, 1, 2, 1, ...: its
+        # k+1 = 4 nearest anchors are equidistant, so it gets uniform weight
+        # on anchors 1, 3 and 5, the lowest indices among the four tied ones
+        anchors = np.array([
+            [1.0, 1.0], [1.0, 0.0], [-1.0, 1.0], [0.0, 1.0],
+            [-1.0, -1.0], [-1.0, 0.0], [1.0, -1.0], [0.0, -1.0],
+        ])
+        X = np.array([[0.0, 0.0], [0.3, 0.1]])
+        Z = build_bipartite(X, anchors, k=3)
+        assert Z.tobytes() == build_bipartite_full_sort(X, anchors, k=3).tobytes()
+        assert np.array_equal(np.flatnonzero(Z[0]), [1, 3, 5])
+        assert np.allclose(Z[0, [1, 3, 5]], 1 / 3)
 
 
 class TestWeightedFusionInput:

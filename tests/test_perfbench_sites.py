@@ -82,3 +82,23 @@ def test_traced_frozen_solve_fuses_inside_agf_minmax():
     for span in refreshes:
         parent = span[3]
         assert parent >= 0 and tracer.spans[parent][0] == "agf.agf_minmax"
+
+
+@pytest.mark.parametrize("V", [2, 3])
+def test_traced_solve_records_one_setup_span_per_view(V):
+    # setup_s is the time of these spans; a solve that stopped calling the
+    # graph builders through solver would read a setup time of 0
+    tracing = load_tracing()
+    container = synth_scp(0, V=V, n_per_class=20)
+    missing, labeled = generate_masks(
+        container, MaskSpec(vmr=0.3, lar=0.1, seed=0)
+    )
+    tracer = tracing.Tracer()
+    with tracer.patched(MODULES, tracing.LAYER_SITES):
+        agfti.solver.admm_solve(
+            container.views, container.labels, labeled,
+            missing_per_view(missing, container.V),
+            agfti.solver.SolverConfig(n_anchors=8, max_outer_iters=1),
+        )
+    assert tracer.calls("graphs.bkhk_anchors") == V
+    assert tracer.calls("graphs.build_bipartite") == V

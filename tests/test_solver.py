@@ -501,6 +501,17 @@ class TestAdmmSolve:
             with pytest.raises(ValueError, match=f"labeled index {bad} "):
                 admm_solve(views, y, labeled_idx, complete, config)
 
+    def test_rejects_repeated_labeled_index(self):
+        # a repeat used to count twice in the reported number of labels
+        rng = np.random.default_rng(20)
+        views, y = blob_views(rng)
+        labeled_idx = np.concatenate([np.where(y == j)[0][:2] for j in range(3)])
+        complete = [np.array([], dtype=int)] * 2
+        config = SolverConfig(n_anchors=8, k_neighbors=3)
+        repeated = int(labeled_idx[3])
+        with pytest.raises(ValueError, match=f"labeled index {repeated} is listed more"):
+            admm_solve(views, y, np.append(labeled_idx, repeated), complete, config)
+
     def test_rejects_non_integer_index_arrays(self):
         # a fraction used to be truncated, a boolean mask read as indices 0, 1
         rng = np.random.default_rng(21)
