@@ -68,10 +68,13 @@ def _check_alignments(Zs, Ts):
 
 def fuse_aligned(ZTs, alpha):
     """sum_v alpha_v^2 ZT_v over aligned products ZT_v = Z_v T_v, in view order."""
-    out = None
+    out = term = None
     for ZT, a in zip(ZTs, np.asarray(alpha, dtype=np.float64)):
-        term = (a * a) * ZT
-        out = term if out is None else out + term
+        if out is None:
+            out = (a * a) * ZT
+        else:
+            term = np.multiply(a * a, ZT, out=term)
+            out += term
     return out
 
 
@@ -95,7 +98,10 @@ def solve_inner_P(Z_tilde, H, lam, beta):
         raise ValueError(f"beta must be positive, got {beta}")
     Z_tilde = np.asarray(Z_tilde, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
-    return prox_rows((lam * Z_tilde - H) / (2.0 * beta))
+    target = lam * Z_tilde
+    target -= H
+    target /= 2.0 * beta
+    return prox_rows(target)
 
 
 def inner_value(P, Z_tilde, H, lam, beta):
@@ -266,6 +272,8 @@ def agf_minmax(
                 if h_c <= threshold:
                     accepted = True
                     break
+                # free the rejected candidate before the next one is built
+                del Zt_c, P_c
             theta *= _ARMIJO_SHRINK
 
         if not accepted:

@@ -33,6 +33,8 @@ def prox_rows(target):
     if t.ndim != 2:
         raise ValueError(f"prox_rows needs a 2-d array, got shape {t.shape}")
     m = t.shape[1]
+    if m == 0:
+        raise ValueError("prox_rows needs rows of width at least 1, got width 0")
     # a non-finite entry makes its row sum non-finite, so only a non-finite
     # sum (or an overflow) needs the entrywise pass
     s = t.sum(axis=1)

@@ -158,10 +158,16 @@ def update_G(Z, W, eta, rho):
     threshold rho/eta of the (n, m, V) transpose, a view without a copy:
     its axis 0, the samples, is the DFT axis, and each frequency slice is
     an m x V matrix. The result comes back in the (V, n, m) layout.
+
+    M = Z + W/eta is built in one new stack, and the shrinkage holds its
+    spectrum and its output beside it, so the step's memory is about two
+    stacks above M: the half spectrum of the sample axis takes about the
+    bytes of the real stack.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    M = Z + W / eta
+    M = W / eta
+    M += Z
     if rho == 0:
         return M
     return tubal_shrink(M.transpose(1, 2, 0), rho / eta).transpose(2, 0, 1)
@@ -344,6 +350,9 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
         F, Q = update_labels(P, Y, config.b_labeled)
         marks.append(time.perf_counter())
 
+        # the previous G is dead once the imputation has read it: drop it
+        # before the shrinkage, the solve's largest allocation
+        del G
         G = update_G(Z, W, eta, config.rho)
         marks.append(time.perf_counter())
 
@@ -357,6 +366,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
 
         prim_inf = float(np.abs(gap).max())
         prim_fro = float(np.linalg.norm(gap))
+        del gap
         dF = float(
             np.linalg.norm(F - F_prev) / max(1.0, np.linalg.norm(F_prev))
         )

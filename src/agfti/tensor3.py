@@ -22,12 +22,21 @@ zero without a transform, and a slice whose Frobenius norm is at most that
 skips its SVD. The margin, far above the ~1e-13 relative rounding of the norms
 and the FFT, keeps the skip to slices whose computed singular values the full
 computation would also have zeroed, so the result is the same bit for bit.
+
+The live slices are factorised SHRINK_BATCH at a time, and each batch's
+shrunk product is written back into the spectrum, so the SVD factors of the
+whole spectrum are never held at once. The shrinkage's memory is the
+spectrum plus the output, about twice the input: the half spectrum's
+n3//2+1 complex slices take about as many bytes as the real input.
 """
 
 import numpy as np
 
 # relative margin below the threshold under which a norm bound proves a zero
 SKIP_MARGIN = 1e-8
+# frequency slices per batched SVD: a batch's factors stay small beside the
+# spectrum, and the batch is large enough to keep the per-call overhead low
+SHRINK_BATCH = 64
 
 
 def phi(mats):
@@ -83,25 +92,27 @@ def tubal_shrink(A, tau):
     keep = _slice_norms(spec.real, spec.imag) > floor
     if not keep.any():
         return np.zeros(A.shape)
-    all_live = keep.all()
+    # shrunk in place a batch at a time: a fresh output spectrum, or the
+    # factors of every slice at once, would raise the peak
+    spec[~keep] = 0.0
+    live = np.flatnonzero(keep)
+    for start in range(0, live.size, SHRINK_BATCH):
+        batch = live[start:start + SHRINK_BATCH]
+        spec[batch] = _shrink_slices(spec[batch], t, batch)
+    return np.fft.irfft(spec, n=n3, axis=0)
+
+
+def _shrink_slices(S, t, freqs):
+    """U (max(s - t, 0) Vh) of every slice of S; freqs name the slices in errors."""
     try:
-        U, s, Vh = np.linalg.svd(spec if all_live else spec[keep], full_matrices=False)
+        U, s, Vh = np.linalg.svd(S, full_matrices=False)
     except np.linalg.LinAlgError:
-        for k in np.flatnonzero(keep):
+        for k, slice_ in zip(freqs, S):
             try:
-                np.linalg.svd(spec[k], full_matrices=False)
+                np.linalg.svd(slice_, full_matrices=False)
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(
                     f"SVD failed to converge on frequency slice {k}"
                 ) from exc
         raise
-    shrunk = np.maximum(s - t, 0.0)[..., None] * Vh
-    if all_live:
-        spec = U @ shrunk
-    else:
-        # written in place: a fresh output spectrum would raise the peak
-        spec[~keep] = 0.0
-        spec[keep] = U @ shrunk
-    # the factors are the largest arrays alive; free them before the inverse
-    del U, Vh, shrunk
-    return np.fft.irfft(spec, n=n3, axis=0)
+    return U @ (np.maximum(s - t, 0.0)[..., None] * Vh)

@@ -1,0 +1,75 @@
+"""Memory of the graph shrinkage: how many stack-sized arrays live at once.
+
+The solver's largest allocations are (V, n, m) stacks. These tests pin how
+many of them the shrinkage step holds, by tracemalloc (numpy reports its
+array buffers to it) and by weak references to the stacks the loop drops.
+"""
+
+import tracemalloc
+import weakref
+from contextlib import contextmanager
+
+import numpy as np
+
+import agfti.solver
+from agfti.harness import MaskSpec, generate_masks, missing_per_view, synth_scp
+from agfti.tensor3 import tubal_shrink
+
+
+@contextmanager
+def traced():
+    """Trace allocations for the block, leaving an outer trace running."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    try:
+        yield
+    finally:
+        if not outer:
+            tracemalloc.stop()
+
+
+def test_all_live_shrinkage_holds_the_spectrum_and_the_output():
+    # every one of the 501 frequency slices is live; the spectrum and the
+    # output are about one input each, and a batch's factors are small
+    A = np.random.default_rng(0).standard_normal((1000, 16, 4))
+    with traced():
+        entry, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = tubal_shrink(A, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    assert np.abs(out - A).max() > 0
+    assert peak - entry <= 2.5 * A.nbytes
+
+
+def test_solve_drops_the_previous_G_and_the_last_gap_before_the_shrinkage(
+    monkeypatch,
+):
+    container = synth_scp(0, V=6, c=3, n_per_class=20)
+    missing, labeled = generate_masks(container, MaskSpec(vmr=0.5, lar=0.1, seed=0))
+    update_G = agfti.solver.update_G
+    update_multiplier = agfti.solver.update_multiplier
+    # weak references to the G each shrinkage returned and each gap the
+    # multiplier read; all must be dead when the next shrinkage starts
+    dropped = []
+    shrinks = []
+
+    def watched_update_G(Z, W, eta, rho):
+        shrinks.append([name for name, ref in dropped if ref() is not None])
+        G = update_G(Z, W, eta, rho)
+        dropped.append(("G", weakref.ref(G)))
+        return G
+
+    def watched_update_multiplier(W, gap, eta):
+        dropped.append(("gap", weakref.ref(gap)))
+        return update_multiplier(W, gap, eta)
+
+    monkeypatch.setattr(agfti.solver, "update_G", watched_update_G)
+    monkeypatch.setattr(agfti.solver, "update_multiplier", watched_update_multiplier)
+    result = agfti.solver.admm_solve(
+        container.views, container.labels, labeled,
+        missing_per_view(missing, container.V),
+        agfti.solver.SolverConfig(n_anchors=8, max_outer_iters=4, freeze_weights=True),
+    )
+    assert result.n_iter == len(shrinks) == 4
+    assert shrinks == [[]] * 4

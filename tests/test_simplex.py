@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,18 @@ class TestProxRows:
         out = prox_rows(rng.standard_normal((40, 6)) * 10)
         assert out.min() >= 0.0
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-10
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_rejects_rows_of_width_zero(self, rows):
+        # the simplex has no point without coordinates; refused before any
+        # reduction warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="width 0"):
+                prox_rows(np.zeros((rows, 0)))
+
+    def test_no_rows_keep_their_width(self):
+        assert prox_rows(np.zeros((0, 5))).shape == (0, 5)
 
 
 def matrices(elements, max_rows=6, max_cols=12):

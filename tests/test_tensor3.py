@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agfti.tensor3 import phi, tubal_shrink
+from agfti import tensor3
+from agfti.tensor3 import SHRINK_BATCH, phi, tubal_shrink
 
 from oracles import (
     Tensor3,
@@ -397,3 +398,59 @@ class TestTensor3Type:
     def test_dims(self):
         t = Tensor3(np.zeros((5, 3, 2)))
         assert t.dims == (3, 2, 5)
+
+
+class TestShrinkBatches:
+    """Live slices are factorised in batches; the output is the all-slice body's."""
+
+    @pytest.mark.parametrize("n3", [300, 301])
+    def test_more_live_slices_than_one_batch(self, monkeypatch, n3):
+        # 151 half-spectrum slices, all live: three batched SVDs
+        t = rand_tensor(np.random.default_rng(n3), 4, 3, n3)
+        s = np.linalg.svd(np.fft.rfft(t.data, axis=0), compute_uv=False)
+        tau = 0.5 * float(s[:, 0].min()) / n3
+        ref = tubal_shrink_all_slices(t, tau)
+        counts = svd_slice_counter(monkeypatch)
+        out = tubal_shrink(t.data, tau)
+        assert np.array_equal(out, ref.data)
+        assert counts == [SHRINK_BATCH, SHRINK_BATCH, 151 - 2 * SHRINK_BATCH]
+
+    @pytest.mark.parametrize("n3", [300, 301])
+    def test_dead_slices_across_the_batch_edges(self, monkeypatch, n3):
+        # every odd frequency is dead, so a dead slice lies on each side of
+        # the last live frequency of a batch and of the next batch's first
+        # (126 and 128 with batches of 64)
+        norms = np.where(np.arange(151) % 2 == 1, 0.01, 2.0)
+        t = rank1_spectrum_tensor(np.random.default_rng(n3), 4, 3, n3, norms)
+        tau = 0.5 / n3
+        ref = tubal_shrink_all_slices(t, tau)
+        counts = svd_slice_counter(monkeypatch)
+        out = tubal_shrink(t.data, tau)
+        assert np.array_equal(out, ref.data)
+        assert counts == [SHRINK_BATCH, 76 - SHRINK_BATCH]
+
+    def test_failure_in_a_later_batch_names_the_original_slice(self, monkeypatch):
+        # live frequencies 0 2 | 3 5 | 7 in batches of two; the second batch
+        # fails and its per-slice retries fail at frequency 5
+        norms = [2.0, 0.01, 3.0, 1.5, 0.01, 2.5, 0.01, 1.0, 0.01]
+        t = rank1_spectrum_tensor(np.random.default_rng(61), 3, 2, 16, norms)
+        monkeypatch.setattr(tensor3, "SHRINK_BATCH", 2)
+        svd = np.linalg.svd
+        batch_calls = []
+        slice_calls = []
+
+        def failing_svd(a, *args, **kwargs):
+            if a.ndim == 3:
+                batch_calls.append(a)
+                if len(batch_calls) == 2:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            else:
+                slice_calls.append(a)
+                if len(slice_calls) > 1:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(np.linalg.LinAlgError, match="frequency slice 5"):
+            tubal_shrink(t.data, 0.5 / 16)
+        assert len(batch_calls) == 2
