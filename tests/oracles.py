@@ -2,14 +2,17 @@
 
 Everything here is deliberately naive (quadratic DFT sums, exhaustive active-set
 enumeration, dense (n+m)^2 linear algebra, full-spectrum tensor transforms) and
-shares no code with the package under test beyond numpy itself, with three
+shares no code with the package under test beyond numpy itself, with four
 exceptions. project_simplex is a single-vector view of the package's prox_rows
 that only the tests need. The reference line search, minmax_fusing_per_candidate,
 composes the package's per-step functions of agfti.agf, since what it checks is
 how agf_minmax composes them; it also records the H refreshes and per-step
 traces that agf_minmax does not keep. The recursive anchor tree,
 bkhk_anchors_recursive, draws from the package's agfti.rng generator, since
-it must reproduce the package's draws. The t-SVD algebra works on the Tensor3
+it must reproduce the package's draws. The all-slice shrinkage
+tubal_shrink_gram_all_slices runs the package's slice kernel on every
+frequency slice at once, since what it checks is how tubal_shrink skips and
+batches the slices; the SVD references check the kernel. The t-SVD algebra works on the Tensor3
 type below; the package's tubal_shrink takes its plain ``data`` array.
 """
 
@@ -31,6 +34,7 @@ from agfti.agf import (
 )
 from agfti.rng import STREAM_ANCHORS, make_generator
 from agfti.simplex import prox_rows
+from agfti.tensor3 import _shrink_slices
 
 IMAG_RTOL = 1e-8
 
@@ -210,14 +214,28 @@ def tubal_shrink_all_slices(f: Tensor3, tau: float) -> Tensor3:
     """Half-spectrum tubal shrinkage that transforms and SVDs every slice.
 
     rfft, one batched SVD over all n3//2+1 frequency slices, soft threshold
-    at n3 * tau, irfft: the package's tubal_shrink without its skips, which
-    must agree with it bit for bit.
+    at n3 * tau, irfft: the SVD route that the package's Gram route must
+    agree with at the rounding level.
     """
     n3 = f.data.shape[0]
     spec = np.fft.rfft(f.data, axis=0)
     U, s, Vh = np.linalg.svd(spec, full_matrices=False)
     shrunk = np.maximum(s - n3 * tau, 0.0)
     return Tensor3(np.fft.irfft(U @ (shrunk[..., None] * Vh), n=n3, axis=0))
+
+
+def tubal_shrink_gram_all_slices(f: Tensor3, tau: float) -> Tensor3:
+    """Half-spectrum tubal shrinkage that transforms and shrinks every slice.
+
+    rfft, the package's slice kernel (Gram eigendecomposition with its SVD
+    fallback) over all n3//2+1 frequency slices in one batch, irfft: the
+    package's tubal_shrink without its skips and batches, which must agree
+    with it bit for bit.
+    """
+    n3 = f.data.shape[0]
+    spec = np.fft.rfft(f.data, axis=0)
+    shrunk = _shrink_slices(spec, n3 * tau, np.arange(spec.shape[0]))
+    return Tensor3(np.fft.irfft(shrunk, n=n3, axis=0))
 
 
 def simplex_qp_oracle(t):

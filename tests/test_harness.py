@@ -449,15 +449,16 @@ class TestExperiment:
     def test_failed_shrinkage_svd_is_recorded_per_rep(self, monkeypatch):
         cont = synth_scp(seed=0, n_per_class=20, V=2, c=3)
         config = SolverConfig(n_anchors=8, k_neighbors=3, rho=1e-4)
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
-        def svd_failing_on_complex(a, *args, **kwargs):
-            # only tubal shrinkage factorises complex (spectrum) slices
+        def eigh_failing_on_complex(a, *args, **kwargs):
+            # only tubal shrinkage factorises complex (spectrum) slices, by
+            # the eigendecomposition of their Gram matrices
             if np.iscomplexobj(a):
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(a, *args, **kwargs)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", svd_failing_on_complex)
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on_complex)
         out = run_experiment(cont, vmr=0.3, lar=0.1, n_reps=1, solver_config=config)
         block = out["variants"]["full"]
         assert block["failed_reps"] == 1

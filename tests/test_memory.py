@@ -29,10 +29,9 @@ def traced():
             tracemalloc.stop()
 
 
-def test_all_live_shrinkage_holds_the_spectrum_and_the_output():
-    # every one of the 501 frequency slices is live; the spectrum and the
+def assert_all_live_shrinkage_holds_two_stacks(A):
+    # every one of the n//2+1 frequency slices is live; the spectrum and the
     # output are about one input each, and a batch's factors are small
-    A = np.random.default_rng(0).standard_normal((1000, 16, 4))
     with traced():
         entry, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -40,6 +39,19 @@ def test_all_live_shrinkage_holds_the_spectrum_and_the_output():
         _, peak = tracemalloc.get_traced_memory()
     assert np.abs(out - A).max() > 0
     assert peak - entry <= 2.5 * A.nbytes
+
+
+def test_all_live_shrinkage_holds_the_spectrum_and_the_output():
+    assert_all_live_shrinkage_holds_two_stacks(
+        np.random.default_rng(0).standard_normal((1000, 16, 4))
+    )
+
+
+def test_all_live_shrinkage_of_a_solver_shaped_stack():
+    # the (n, m, V) view of a (V, n, m) stack of six 64-anchor graphs, as
+    # update_G shrinks it: 64 x 6 frequency slices
+    Z = np.random.default_rng(0).standard_normal((6, 1000, 64))
+    assert_all_live_shrinkage_holds_two_stacks(Z.transpose(1, 2, 0))
 
 
 def test_solve_drops_the_previous_G_and_the_last_gap_before_the_shrinkage(

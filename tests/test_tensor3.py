@@ -17,6 +17,7 @@ from oracles import (
     tnn,
     tubal_shrink_all_slices,
     tubal_shrink_full_spectrum,
+    tubal_shrink_gram_all_slices,
 )
 
 
@@ -231,21 +232,25 @@ class TestTubalShrink:
         assert np.linalg.norm(out - ref.data) <= 1e-12 * np.linalg.norm(t.data)
 
     def test_names_the_slice_whose_svd_fails(self, monkeypatch):
+        # the slices' Gram eigendecomposition is what factorises them
         t = rand_tensor(np.random.default_rng(43), 3, 2, 6)
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
         slice_calls = []
 
-        def failing_svd(a, *args, **kwargs):
+        def failing_eigh(a, *args, **kwargs):
             # the batched call fails, then per-slice retries fail from slice 2
             if a.ndim == 3:
-                raise np.linalg.LinAlgError("SVD did not converge")
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
             slice_calls.append(a)
             if len(slice_calls) > 2:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(a, *args, **kwargs)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        with pytest.raises(np.linalg.LinAlgError, match="frequency slice 2"):
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match="eigendecomposition failed to converge on frequency slice 2",
+        ):
             tubal_shrink(t.data, 0.1)
 
 
@@ -265,21 +270,31 @@ def rank1_spectrum_tensor(rng, n1, n2, n3, norms):
     return Tensor3(np.fft.irfft(spec, n=n3, axis=0))
 
 
-def svd_slice_counter(monkeypatch):
-    """Record how many matrices every np.linalg.svd call factorizes."""
-    svd = np.linalg.svd
+def slice_counter(monkeypatch, name="eigh"):
+    """Record how many matrices every np.linalg.<name> call factorizes."""
+    factor = getattr(np.linalg, name)
     counts = []
 
-    def counting_svd(a, *args, **kwargs):
+    def counting(a, *args, **kwargs):
         counts.append(1 if a.ndim == 2 else a.shape[0])
-        return svd(a, *args, **kwargs)
+        return factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, name, counting)
     return counts
 
 
+def assert_near_svd_route(out, t, tau):
+    """out agrees with the SVD route of every slice at the rounding level."""
+    ref = tubal_shrink_all_slices(t, tau)
+    assert np.linalg.norm(out - ref.data) <= 1e-12 * np.linalg.norm(t.data)
+
+
 class TestShrinkSkip:
-    """The skipped work is provably zero: outputs equal the all-slice body."""
+    """The skipped work is provably zero: outputs equal the all-slice body.
+
+    The all-slice body runs the package's Gram kernel on every slice, so the
+    slice counts are eigendecompositions; the SVD route checks the kernel.
+    """
 
     @pytest.mark.parametrize("n3", [8, 9])
     def test_mixed_dead_and_live_slices(self, monkeypatch, n3):
@@ -289,10 +304,11 @@ class TestShrinkSkip:
         norms = [3.0, 0.05, 0.5, 0.1, 2.0]
         t = rank1_spectrum_tensor(np.random.default_rng(n3), 4, 3, n3, norms)
         tau = 0.4 / n3
-        ref = tubal_shrink_all_slices(t, tau)
-        counts = svd_slice_counter(monkeypatch)
+        ref = tubal_shrink_gram_all_slices(t, tau)
+        counts = slice_counter(monkeypatch)
         out = tubal_shrink(t.data, tau)
         assert np.array_equal(out, ref.data)
+        assert_near_svd_route(out, t, tau)
         assert sum(counts) == 3
         # the surviving part of each live slice is its norm less t
         s_out = np.linalg.svd(np.fft.rfft(out, axis=0), compute_uv=False)
@@ -307,10 +323,11 @@ class TestShrinkSkip:
         norms[2] = 1.3
         t = rank1_spectrum_tensor(np.random.default_rng(5), 5, 3, n3, norms)
         tau = 1.3 / (1.0 + rel) / n3
-        ref = tubal_shrink_all_slices(t, tau)
-        counts = svd_slice_counter(monkeypatch)
+        ref = tubal_shrink_gram_all_slices(t, tau)
+        counts = slice_counter(monkeypatch)
         out = tubal_shrink(t.data, tau)
         assert np.array_equal(out, ref.data)
+        assert_near_svd_route(out, t, tau)
         assert (np.abs(out).max() > 0) == (rel > 0)
         assert sum(counts) == (0 if rel == -1e-6 else 1)
 
@@ -334,10 +351,11 @@ class TestShrinkSkip:
         bound = sum(np.linalg.norm(t.data[i]) for i in range(8))
         assert norms.max() < bound
         tau = 0.5 * (norms.max() + bound) / 8
-        ref = tubal_shrink_all_slices(t, tau)
-        counts = svd_slice_counter(monkeypatch)
+        ref = tubal_shrink_gram_all_slices(t, tau)
+        counts = slice_counter(monkeypatch)
         out = tubal_shrink(t.data, tau)
         assert np.array_equal(out, ref.data)
+        assert_near_svd_route(out, t, tau)
         assert not out.any()
         assert counts == []
 
@@ -346,18 +364,18 @@ class TestShrinkSkip:
         # and that is frequency 3, not the live subset's index 1
         norms = [0.01, 0.01, 2.0, 3.0, 0.01]
         t = rank1_spectrum_tensor(np.random.default_rng(59), 3, 2, 8, norms)
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
         slice_calls = []
 
-        def failing_svd(a, *args, **kwargs):
+        def failing_eigh(a, *args, **kwargs):
             if a.ndim == 3:
-                raise np.linalg.LinAlgError("SVD did not converge")
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
             slice_calls.append(a)
             if len(slice_calls) > 1:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(a, *args, **kwargs)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(np.linalg.LinAlgError, match="frequency slice 3"):
             tubal_shrink(t.data, 0.5 / 8)
 
@@ -409,10 +427,11 @@ class TestShrinkBatches:
         t = rand_tensor(np.random.default_rng(n3), 4, 3, n3)
         s = np.linalg.svd(np.fft.rfft(t.data, axis=0), compute_uv=False)
         tau = 0.5 * float(s[:, 0].min()) / n3
-        ref = tubal_shrink_all_slices(t, tau)
-        counts = svd_slice_counter(monkeypatch)
+        ref = tubal_shrink_gram_all_slices(t, tau)
+        counts = slice_counter(monkeypatch)
         out = tubal_shrink(t.data, tau)
         assert np.array_equal(out, ref.data)
+        assert_near_svd_route(out, t, tau)
         assert counts == [SHRINK_BATCH, SHRINK_BATCH, 151 - 2 * SHRINK_BATCH]
 
     @pytest.mark.parametrize("n3", [300, 301])
@@ -423,10 +442,11 @@ class TestShrinkBatches:
         norms = np.where(np.arange(151) % 2 == 1, 0.01, 2.0)
         t = rank1_spectrum_tensor(np.random.default_rng(n3), 4, 3, n3, norms)
         tau = 0.5 / n3
-        ref = tubal_shrink_all_slices(t, tau)
-        counts = svd_slice_counter(monkeypatch)
+        ref = tubal_shrink_gram_all_slices(t, tau)
+        counts = slice_counter(monkeypatch)
         out = tubal_shrink(t.data, tau)
         assert np.array_equal(out, ref.data)
+        assert_near_svd_route(out, t, tau)
         assert counts == [SHRINK_BATCH, 76 - SHRINK_BATCH]
 
     def test_failure_in_a_later_batch_names_the_original_slice(self, monkeypatch):
@@ -435,22 +455,132 @@ class TestShrinkBatches:
         norms = [2.0, 0.01, 3.0, 1.5, 0.01, 2.5, 0.01, 1.0, 0.01]
         t = rank1_spectrum_tensor(np.random.default_rng(61), 3, 2, 16, norms)
         monkeypatch.setattr(tensor3, "SHRINK_BATCH", 2)
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
         batch_calls = []
+        slice_calls = []
+
+        def failing_eigh(a, *args, **kwargs):
+            if a.ndim == 3:
+                batch_calls.append(a)
+                if len(batch_calls) == 2:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            else:
+                slice_calls.append(a)
+                if len(slice_calls) > 1:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(np.linalg.LinAlgError, match="frequency slice 5"):
+            tubal_shrink(t.data, 0.5 / 16)
+        assert len(batch_calls) == 2
+
+
+def spectrum_tensor(rng, n1, n2, n3, svals):
+    """Real tensor whose frequency slice k has the singular values svals[k].
+
+    Each slice has random orthonormal singular vectors, real for slices 0
+    and (for even n3) n3/2, as in any real tensor's spectrum.
+    """
+    half = n3 // 2 + 1
+    r = min(n1, n2)
+    spec = np.empty((half, n1, n2), dtype=complex)
+    for k in range(half):
+        imag = 0 if k == 0 or 2 * k == n3 else 1j
+
+        def orthonormal(n):
+            a = rng.standard_normal((n, r)) + imag * rng.standard_normal((n, r))
+            return np.linalg.qr(a)[0]
+
+        s = np.asarray(svals[k], dtype=float)
+        spec[k] = orthonormal(n1) @ (s[:, None] * orthonormal(n2).conj().T)
+    return Tensor3(np.fft.irfft(spec, n=n3, axis=0))
+
+
+def shrink_without_fallback(monkeypatch, A, tau):
+    """tubal_shrink with the SVD fallback switched off: the plain Gram route."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor3, "GRAM_FLOOR", 0.0)
+        return tubal_shrink(A, tau)
+
+
+class TestGramRoute:
+    """The Gram eigendecomposition agrees with the SVD route, or hands over to it."""
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("frac", [1e-4, 0.05, 0.5])
+    def test_solver_shaped_slices(self, monkeypatch, wide, frac):
+        # the solver's layout: a (V, n, m) stack of anchor graphs, rows on
+        # the simplex over 64 anchors, shrunk as its (n, m, V) view; the
+        # wide case is the (n, V, m) view
+        rng = np.random.default_rng(71)
+        Z = rng.random((6, 101, 64)) ** 4
+        Z /= Z.sum(axis=2, keepdims=True)
+        A = Z.transpose(1, 0, 2) if wide else Z.transpose(1, 2, 0)
+        t = Tensor3(np.ascontiguousarray(A))
+        s = np.linalg.svd(np.fft.rfft(A, axis=0), compute_uv=False)
+        tau = frac * float(s.max()) / 101
+        live = int((np.linalg.norm(s, axis=1) > 101 * tau).sum())
+        eighs = slice_counter(monkeypatch)
+        svds = slice_counter(monkeypatch, "svd")
+        out = tubal_shrink(A, tau)
+        assert sum(eighs) == live > 0
+        assert svds == []
+        ref = tubal_shrink_full_spectrum(t, tau).data
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(A).max()
+
+    def test_singular_value_just_above_a_small_threshold(self, monkeypatch):
+        # s_max / t = 1e7: the last singular value, 0.1% above t, has a Gram
+        # eigenvalue 1e-14 of the largest, which the Gram matrix's rounding
+        # swamps; the SVD fallback keeps its 0.001
+        n3, half = 8, 5
+        svals = [[1e7, 3e6, 1e6, 2e5, 5e4, 1.001]] * half
+        t = spectrum_tensor(np.random.default_rng(73), 64, 6, n3, svals)
+        tau = 1.0 / n3
+        ref = tubal_shrink_full_spectrum(t, tau).data
+        scale = np.abs(t.data).max()
+        plain = shrink_without_fallback(monkeypatch, t.data, tau)
+        assert np.abs(plain - ref).max() > 1e-12 * scale
+        svds = slice_counter(monkeypatch, "svd")
+        out = tubal_shrink(t.data, tau)
+        assert sum(svds) == half
+        assert np.abs(out - ref).max() <= 1e-12 * scale
+
+    def test_rank_deficient_slices_take_the_svd_fallback(self, monkeypatch):
+        # rank 3 of 6, the third singular value 1e-8 of the largest and
+        # twice t: its Gram eigenvalue sits in the rounding of the three
+        # zero ones, so only the SVD fallback keeps its 5e-9
+        n3, half = 9, 5
+        svals = [[3.0, 1.0, 1e-8, 0.0, 0.0, 0.0]] * half
+        t = spectrum_tensor(np.random.default_rng(79), 64, 6, n3, svals)
+        tau = 5e-9 / n3
+        ref = tubal_shrink_full_spectrum(t, tau).data
+        scale = np.abs(t.data).max()
+        plain = shrink_without_fallback(monkeypatch, t.data, tau)
+        assert np.abs(plain - ref).max() > 1e-12 * scale
+        svds = slice_counter(monkeypatch, "svd")
+        out = tubal_shrink(t.data, tau)
+        assert sum(svds) == half
+        assert np.abs(out - ref).max() <= 1e-12 * scale
+
+    def test_names_the_slice_whose_fallback_svd_fails(self, monkeypatch):
+        # every slice takes the fallback; the batched SVD fails, then the
+        # per-slice retries fail from the second live frequency on
+        svals = [[3.0, 1.0, 1e-8, 0.0, 0.0, 0.0]] * 5
+        t = spectrum_tensor(np.random.default_rng(83), 64, 6, 9, svals)
+        svd = np.linalg.svd
         slice_calls = []
 
         def failing_svd(a, *args, **kwargs):
             if a.ndim == 3:
-                batch_calls.append(a)
-                if len(batch_calls) == 2:
-                    raise np.linalg.LinAlgError("SVD did not converge")
-            else:
-                slice_calls.append(a)
-                if len(slice_calls) > 1:
-                    raise np.linalg.LinAlgError("SVD did not converge")
+                raise np.linalg.LinAlgError("SVD did not converge")
+            slice_calls.append(a)
+            if len(slice_calls) > 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        with pytest.raises(np.linalg.LinAlgError, match="frequency slice 5"):
-            tubal_shrink(t.data, 0.5 / 16)
-        assert len(batch_calls) == 2
+        with pytest.raises(
+            np.linalg.LinAlgError, match="SVD failed to converge on frequency slice 1"
+        ):
+            tubal_shrink(t.data, 5e-9 / 9)
