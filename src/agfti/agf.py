@@ -208,8 +208,9 @@ def agf_minmax(
     P is the exact inner maximizer at the returned alpha under the last H
     refresh, and h is the inner value there. The aligned products Z_v T_v
     are formed once per call, as one batched product over the view stack;
-    every weight vector the line search tries reuses them. max_iter must be
-    at least 1: without an H refresh there is no h.
+    every weight vector the line search tries reuses them. A frozen call
+    forms them one at a time as it fuses them, and holds none. max_iter
+    must be at least 1: without an H refresh there is no h.
 
     A candidate is first checked against the lower bound
     lam sum_v cand_v^2 c_v - beta ||P||^2 - <H, P>, P being the inner
@@ -228,7 +229,9 @@ def agf_minmax(
     alpha = np.asarray(alpha0, dtype=np.float64).copy()
     if alpha.size != V:
         raise ValueError("one weight per view required")
-    ZT = np.matmul(Zs, Ts)
+    # a frozen call only fuses the products once, so it forms each as its
+    # term is added, as weighted_fusion_input does; the stack is never held
+    ZT = map(np.matmul, Zs, Ts) if freeze_weights else np.matmul(Zs, Ts)
     Zt = fuse_aligned(ZT, alpha)
     P = np.asarray(P0, dtype=np.float64)
 
