@@ -255,19 +255,34 @@ def build_bipartite(X, anchors, k):
     return Z
 
 
+class ZeroDegreeWarning(RuntimeWarning):
+    """Anchors of zero degree had their degree floored at 1e-12.
+
+    anchors is the number floored, or in a summary the most floored at once.
+    """
+
+    def __init__(self, message, anchors=0):
+        super().__init__(message)
+        self.anchors = anchors
+
+
 def floored_anchor_degrees(P):
     """Column sums of P, with zero-degree anchors floored at 1e-12.
 
     An anchor that no sample points to would divide by zero wherever anchor
     labels are degree-normalized; flooring keeps those terms finite (and
-    large), and a RuntimeWarning reports how many anchors it touched.
+    large), and a ZeroDegreeWarning reports how many anchors it touched.
     """
     col = P.sum(axis=0)
-    if np.any(col < _DEGREE_EPS):
+    zero = col < _DEGREE_EPS
+    if zero.any():
+        anchors = int(zero.sum())
         warnings.warn(
-            f"{int(np.sum(col < _DEGREE_EPS))} anchor(s) have zero degree in the "
-            "fused graph; flooring their degree at 1e-12",
-            RuntimeWarning,
+            ZeroDegreeWarning(
+                f"{anchors} anchor(s) have zero degree in the fused graph; "
+                "flooring their degree at 1e-12",
+                anchors,
+            ),
             stacklevel=3,
         )
         col = np.maximum(col, _DEGREE_EPS)

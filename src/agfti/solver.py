@@ -13,12 +13,19 @@ W share that layout, and the alignments are one (V, m, m) array.
 """
 
 import time
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agf import agf_minmax, solve_inner_P, weighted_fusion_input
-from .graphs import bkhk_anchors, build_bipartite, floored_anchor_degrees
+from .graphs import (
+    ZeroDegreeWarning,
+    bkhk_anchors,
+    build_bipartite,
+    floored_anchor_degrees,
+)
 from .simplex import prox_rows
 from .tensor3 import tubal_shrink
 # re-exported: perfbench/tracing.py patches solver.compute_H,
@@ -275,6 +282,44 @@ def prepare_inputs(views, y, labeled_idx, missing, n_classes):
     return views, y, labeled_idx, missing, c
 
 
+@contextmanager
+def _one_zero_degree_warning():
+    """Report the block's floored zero-degree anchors in one warning at its end.
+
+    Every degree computation that floors anchors warns, and a solve makes
+    at least two per iteration. Their ZeroDegreeWarnings are collected, and
+    one summary gives how many computations floored and the most anchors
+    floored at once. Every other warning is re-emitted unchanged.
+    """
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ZeroDegreeWarning)
+            yield
+    finally:
+        floored = []
+        for w in caught:
+            if issubclass(w.category, ZeroDegreeWarning):
+                floored.append(w.message.anchors)
+            else:
+                warnings.warn_explicit(
+                    w.message, w.category, w.filename, w.lineno, source=w.source
+                )
+        if floored:
+            most = max(floored)
+            # stack: this generator, contextlib's exit and decorator frames,
+            # then the caller of the decorated solve
+            warnings.warn(
+                ZeroDegreeWarning(
+                    f"{len(floored)} degree computation(s) of the solve floored "
+                    f"zero-degree anchors, at most {most} at once, at 1e-12",
+                    most,
+                ),
+                stacklevel=4,
+            )
+
+
+@_one_zero_degree_warning()
 def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     """Run the full alternating solver on multi-view data with missing rows.
 
@@ -294,7 +339,8 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     its candidates valued in full or rejected by the lower bound, all zero
     or empty when agf_minmax, called once per iteration, freezes the weights).
     Non-convergence within max_outer_iters is reported through the converged
-    flag, never raised.
+    flag, never raised. Zero-degree anchors floored anywhere in the solve
+    are reported by one ZeroDegreeWarning when it ends.
     """
     config = config or SolverConfig()
     views, y, labeled_idx, missing, c = prepare_inputs(

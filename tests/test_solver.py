@@ -1,6 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import agfti.agf
+import agfti.solver
+from agfti.graphs import ZeroDegreeWarning, floored_anchor_degrees
+from agfti.harness import MaskSpec, generate_masks, missing_per_view, synth_scp
 from agfti.solver import (
     SolverConfig,
     admm_solve,
@@ -552,3 +558,60 @@ class TestAdmmSolve:
     def test_lambda_defaults_to_V_squared(self):
         result, _, _ = self._solve(seed=7)
         assert result.lam == pytest.approx(4.0)
+
+
+class TestZeroDegreeSummary:
+    """A solve reports the anchors it floored in one warning, at its end."""
+
+    def _solve(self):
+        # 64 anchors for 90 samples: the fused graph leaves anchors unused
+        container = synth_scp(0, V=3, c=3, n_per_class=30)
+        missing, labeled = generate_masks(
+            container, MaskSpec(vmr=0.5, lar=0.05, seed=0)
+        )
+        return admm_solve(
+            container.views, container.labels, labeled,
+            missing_per_view(missing, container.V),
+            SolverConfig(n_anchors=64, max_outer_iters=10),
+        )
+
+    def test_one_warning_per_solve(self, monkeypatch):
+        # the anchors each degree computation of the solve floors
+        floored = []
+
+        def recording(P):
+            floored.append(int((P.sum(axis=0) < 1e-12).sum()))
+            return floored_anchor_degrees(P)
+
+        monkeypatch.setattr(agfti.solver, "floored_anchor_degrees", recording)
+        monkeypatch.setattr(agfti.agf, "floored_anchor_degrees", recording)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self._solve()
+        calls = [n for n in floored if n]
+        assert len(calls) > 1
+        assert [w.category for w in caught] == [ZeroDegreeWarning]
+        summary = caught[0]
+        assert summary.message.anchors == max(calls)
+        assert str(summary.message).startswith(
+            f"{len(calls)} degree computation(s) of the solve floored"
+        )
+        # attributed to the line that called admm_solve
+        assert summary.filename == __file__
+
+    def test_other_warnings_pass_through_unchanged(self, monkeypatch):
+        def warning_multiplier(W, gap, eta):
+            warnings.warn("multiplier probe", UserWarning)
+            return update_multiplier(W, gap, eta)
+
+        monkeypatch.setattr(agfti.solver, "update_multiplier", warning_multiplier)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = self._solve()
+        probes = [w for w in caught if w.category is UserWarning]
+        assert len(probes) == result.n_iter
+        line = warning_multiplier.__code__.co_firstlineno + 1
+        for w in probes:
+            assert str(w.message) == "multiplier probe"
+            assert (w.filename, w.lineno) == (__file__, line)
+        assert sum(w.category is ZeroDegreeWarning for w in caught) == 1
