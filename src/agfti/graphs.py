@@ -261,7 +261,7 @@ class ZeroDegreeWarning(RuntimeWarning):
     anchors is the number floored, or in a summary the most floored at once.
     """
 
-    def __init__(self, message, anchors=0):
+    def __init__(self, message, anchors):
         super().__init__(message)
         self.anchors = anchors
 
