@@ -6,6 +6,7 @@ from contextlib import contextmanager
 import click
 
 from .harness import (
+    BASELINE,
     STANDARD_VARIANTS,
     MaskSpec,
     generate_masks,
@@ -225,6 +226,7 @@ def train(container_path, mask_path, out, pred_path, **kwargs):
         "metrics": score(container, pred, labeled),
         "converged": result.converged,
         "n_iter": result.n_iter,
+        "degenerate": result.degenerate,
         "lambda": result.lam,
         "alpha": [float(a) for a in result.alpha],
     }
@@ -245,17 +247,18 @@ def eval_cmd(**kwargs):
 @main.command()
 @_experiment_options
 @click.option("--variants", default="full,wo_tv,wo_alpha,wo_ti",
-              show_default=True, help="comma-separated variant names")
+              show_default=True, help=f"comma-separated names, or {BASELINE}")
 def ablate(variants, **kwargs):
     """Compare ablation variants under the repetition harness."""
+    known = {**STANDARD_VARIANTS, BASELINE: {}}
     chosen = {}
     for name in (v.strip() for v in variants.split(",")):
         if not name:
             continue
-        if name not in STANDARD_VARIANTS:
-            known = ", ".join(sorted(STANDARD_VARIANTS))
-            raise click.BadParameter(f"unknown variant {name!r}; known: {known}")
-        chosen[name] = STANDARD_VARIANTS[name]
+        if name not in known:
+            raise click.BadParameter(f"unknown variant {name!r}; known: "
+                                     f"{', '.join(sorted(known))}")
+        chosen[name] = known[name]
     if not chosen:
         raise click.BadParameter(f"{variants!r} names no variant",
                                  param_hint="'--variants'")

@@ -10,6 +10,7 @@ from .data import (
     save_dataset_csv,
 )
 from .experiment import (
+    BASELINE,
     STANDARD_VARIANTS,
     baseline_label_propagation,
     rep_seed,
@@ -27,6 +28,7 @@ from .metrics import confusion_matrix, metrics
 from .synth import synth_scp
 
 __all__ = [
+    "BASELINE",
     "ContainerFormatError",
     "DatasetContainer",
     "MaskSpec",

@@ -3,7 +3,8 @@
 Each repetition r derives its own 63-bit seed from the base seed through a
 dedicated generator substream, then uses it for both the masks and the
 solver's anchor selection. Ablation variants are declared as SolverConfig
-flag overrides, so they compose freely.
+flag overrides, so they compose freely; the reserved variant BASELINE scores
+baseline_label_propagation on the same masks.
 """
 
 import json
@@ -31,6 +32,8 @@ STANDARD_VARIANTS = {
     "wo_alpha": {"freeze_weights": True},
     "wo_ti": {"skip_imputation": True},
 }
+# the variant name that scores the equal-weight propagation baseline
+BASELINE = "baseline"
 
 _METRIC_KEYS = ("acc", "prec_macro", "rec_macro", "f1_macro", "prec_micro", "f1_micro")
 
@@ -120,6 +123,13 @@ def run_experiment(
     repetition are captured on its record and counted in failed_reps instead
     of aborting the run; with none successful, each mean and std is None.
     Each repetition is scored by score, on the rows its mask leaves unlabeled.
+    A solve's record carries its converged, n_iter and degenerate flags.
+
+    The variant named BASELINE runs baseline_label_propagation instead of a
+    solve, on the same masks, with its flags ignored: of solver_config only
+    n_anchors and k_neighbors reach it, with the repetition seed, and it
+    fits labels with the default b_labeled. Its records keep the same shape,
+    with converged, n_iter and degenerate None.
 
     With jsonl_path, every record and one aggregate line per variant are
     appended to that file, so several calls (one per VMR, say) can share it.
@@ -131,7 +141,6 @@ def run_experiment(
     for r in range(n_reps):
         seed_r, per_view, labeled = draw_repetition(container, vmr, lar, base_seed, r)
         for name, flags in variants.items():
-            config = replace(solver_config, seed=seed_r, **flags)
             record = {
                 "type": "rep",
                 "variant": name,
@@ -143,19 +152,24 @@ def run_experiment(
                 "metrics": None,
                 "converged": None,
                 "n_iter": None,
+                "degenerate": None,
             }
             try:
-                result = admm_solve(
-                    container.views,
-                    container.labels,
-                    labeled,
-                    per_view,
-                    config,
-                    n_classes=container.c,
-                )
-                record["metrics"] = score(container, predict(result.F), labeled)
-                record["converged"] = result.converged
-                record["n_iter"] = result.n_iter
+                if name == BASELINE:
+                    pred = baseline_label_propagation(
+                        container.views, container.labels, labeled, per_view,
+                        m=solver_config.n_anchors, k=solver_config.k_neighbors,
+                        seed=seed_r, n_classes=container.c,
+                    )
+                else:
+                    config = replace(solver_config, seed=seed_r, **flags)
+                    result = admm_solve(container.views, container.labels, labeled,
+                                        per_view, config, n_classes=container.c)
+                    pred = predict(result.F)
+                    record["converged"] = result.converged
+                    record["n_iter"] = result.n_iter
+                    record["degenerate"] = result.degenerate
+                record["metrics"] = score(container, pred, labeled)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 record["error"] = f"{type(exc).__name__}: {exc}"
                 blocks[name]["failed_reps"] += 1

@@ -81,6 +81,8 @@ class SolveResult:
     lam: float
     converged: bool
     n_iter: int
+    # c >= 2 and every unlabeled row predicts the same class
+    degenerate: bool
     diagnostics: list = field(default_factory=list)
 
 
@@ -339,8 +341,10 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     its candidates valued in full or rejected by the lower bound, all zero
     or empty when agf_minmax, called once per iteration, freezes the weights).
     Non-convergence within max_outer_iters is reported through the converged
-    flag, never raised. Zero-degree anchors floored anywhere in the solve
-    are reported by one ZeroDegreeWarning when it ends.
+    flag, never raised, and a collapse of every unlabeled sample into one
+    class through the degenerate flag, which a converged run can carry.
+    Zero-degree anchors floored anywhere in the solve are reported by one
+    ZeroDegreeWarning when it ends.
     """
     config = config or SolverConfig()
     views, y, labeled_idx, missing, c = prepare_inputs(
@@ -438,6 +442,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
             converged = True
             break
 
+    unlabeled_classes = np.unique(np.delete(predict(F), labeled_idx))
     return SolveResult(
         F=F,
         Q=Q,
@@ -448,5 +453,6 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
         lam=lam,
         converged=converged,
         n_iter=n_iter,
+        degenerate=c >= 2 and unlabeled_classes.size == 1,
         diagnostics=diagnostics,
     )

@@ -65,6 +65,9 @@ SHRINK_BATCH = 64
 # working accuracy; a slice that needs one goes through the SVD fallback
 GRAM_FLOOR = 1e-6
 _TINY = np.finfo(float).tiny
+# a frontal norm sum below this may hide squares that underflowed, so its
+# skip test is not trusted; 2^-400 leaves the largest square far above tiny
+_SMALL_NORMS = 2.0 ** -400
 
 
 def phi(mats):
@@ -100,7 +103,8 @@ def tubal_shrink(A, tau):
     returns zeros without a transform, and only the frequency slices whose
     Frobenius norm exceeds that floor are factorised, by the Gram
     eigendecomposition or the SVD fallback of the module docstring. The
-    output equals the all-slice computation bit for bit.
+    output equals the all-slice computation bit for bit. A norm sum below
+    _SMALL_NORMS may hide underflow: A and tau are then scaled up by 2^k.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 3:
@@ -115,6 +119,12 @@ def tubal_shrink(A, tau):
     total = _slice_norms(A).sum()
     if not np.isfinite(total) and not np.isfinite(A).all():
         raise ValueError("tubal_shrink entries must be finite")
+    if total < _SMALL_NORMS:
+        # the shrinkage is positively homogeneous: shrink A and t scaled by
+        # the power of two that brings A's largest entry into [0.5, 1)
+        exp = np.frexp(max(A.max(initial=0.0), -A.min(initial=0.0)))[1]
+        if exp < 0:
+            return np.ldexp(tubal_shrink(np.ldexp(A, -exp), np.ldexp(tau, -exp)), exp)
     if total <= floor:
         return np.zeros(A.shape)
     spec = np.fft.rfft(A, axis=0)

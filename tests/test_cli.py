@@ -100,6 +100,11 @@ def test_train_reports_metrics(workspace):
         preds = json.load(fh)["predictions"]
     assert len(preds) == 120
     assert set(preds) <= {0, 1, 2}
+    # the flag says whether the unlabeled samples all got one class
+    with open(workspace["mask"]) as fh:
+        labeled = set(json.load(fh)["labeled"])
+    unlabeled = {p for i, p in enumerate(preds) if i not in labeled}
+    assert report["degenerate"] is (len(unlabeled) == 1)
 
 
 def test_train_scores_only_known_labels(workspace):
@@ -196,6 +201,32 @@ def test_ablate_runs_selected_variants(workspace):
     assert set(report["variants"]) == {"full", "wo_ti"}
 
 
+def test_ablate_scores_the_baseline_variant(workspace):
+    jsonl_path = workspace["root"] / "baseline.jsonl"
+    result = CliRunner().invoke(main, [
+        "ablate", workspace["data"], "--vmr", "0.3", "--lar", "0.1",
+        "--reps", "2", "--anchors", "8", "--max-iters", "10",
+        "--variants", "full,baseline", "--jsonl", str(jsonl_path),
+    ])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert set(report["variants"]) == {"full", "baseline"}
+    baseline = report["variants"]["baseline"]
+    assert baseline["failed_reps"] == 0
+    assert 0.0 <= baseline["aggregate"]["acc"]["mean"] <= 1.0
+    lines = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
+    reps = [line for line in lines
+            if line["type"] == "rep" and line["variant"] == "baseline"]
+    assert [line["rep"] for line in reps] == [0, 1]
+    for line in reps:
+        assert line["converged"] is line["n_iter"] is line["degenerate"] is None
+    # each repetition's baseline and solve share its seed, so its masks
+    full = [line for line in lines if line["type"] == "rep" and line["variant"] == "full"]
+    assert [line["seed"] for line in full] == [line["seed"] for line in reps]
+    aggregated = [line["variant"] for line in lines if line["type"] == "aggregate"]
+    assert aggregated == ["full", "baseline"]
+
+
 def test_eval_is_ablate_of_full(workspace):
     runner = CliRunner()
     common = [workspace["data"], "--vmr", "0.3", "--lar", "0.1", "--reps", "2",
@@ -223,6 +254,7 @@ def test_ablate_rejects_unknown_variant(workspace):
     ])
     assert result.exit_code != 0
     assert "unknown variant" in result.output
+    assert "known: baseline, full, wo_alpha, wo_ti, wo_tv" in result.output
 
 
 def test_ablate_rejects_a_variant_list_naming_none(workspace):

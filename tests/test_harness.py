@@ -520,6 +520,44 @@ class TestExperiment:
         rec = out["variants"]["mixed"]["records"][0]
         assert rec["error"] is None
 
+    def test_baseline_variant_scores_propagation_on_the_drawn_masks(self):
+        cont, config = self._tiny()
+        out = run_experiment(
+            cont, vmr=0.3, lar=0.1, n_reps=2, solver_config=config,
+            variants={"full": {}, experiment.BASELINE: {}}, base_seed=4,
+        )
+        block = out["variants"]["baseline"]
+        assert block["failed_reps"] == 0
+        for r, record in enumerate(block["records"]):
+            seed, per_view, labeled = experiment.draw_repetition(cont, 0.3, 0.1, 4, r)
+            pred = baseline_label_propagation(
+                cont.views, cont.labels, labeled, per_view,
+                m=config.n_anchors, k=config.k_neighbors, seed=seed,
+                n_classes=cont.c,
+            )
+            assert record["metrics"] == experiment.score(cont, pred, labeled)
+            assert record["seed"] == seed
+            assert record["converged"] is record["n_iter"] is None
+            assert record["degenerate"] is None
+        # the solves beside it carry their flags
+        for record in out["variants"]["full"]["records"]:
+            assert record["n_iter"] >= 1
+            assert record["degenerate"] in (True, False)
+
+    def test_baseline_variant_records_its_error(self, monkeypatch):
+        cont, config = self._tiny()
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("anchor Schur complement is singular")
+
+        monkeypatch.setattr(experiment, "baseline_label_propagation", singular)
+        out = run_experiment(cont, vmr=0.3, lar=0.1, n_reps=1, solver_config=config,
+                             variants={"baseline": {}})
+        block = out["variants"]["baseline"]
+        assert block["failed_reps"] == 1
+        assert block["records"][0]["error"] == (
+            "LinAlgError: anchor Schur complement is singular")
+
     def test_baseline_label_propagation_validates_as_the_solver(self):
         rng = np.random.default_rng(15)
         cont = random_container(rng, n=30)

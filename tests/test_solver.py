@@ -6,7 +6,14 @@ import pytest
 import agfti.agf
 import agfti.solver
 from agfti.graphs import ZeroDegreeWarning, floored_anchor_degrees
-from agfti.harness import MaskSpec, generate_masks, missing_per_view, synth_scp
+from agfti.harness import (
+    DatasetContainer,
+    MaskSpec,
+    generate_masks,
+    missing_per_view,
+    synth_scp,
+)
+from agfti.harness.experiment import draw_repetition
 from agfti.solver import (
     SolverConfig,
     admm_solve,
@@ -615,3 +622,52 @@ class TestZeroDegreeSummary:
             assert str(w.message) == "multiplier probe"
             assert (w.filename, w.lineno) == (__file__, line)
         assert sum(w.category is ZeroDegreeWarning for w in caught) == 1
+
+
+class TestSolveHealth:
+    """What a finished solve says about its own answer."""
+
+    @pytest.mark.parametrize("m, degenerate", [(256, True), (64, False)])
+    def test_one_class_collapse_is_flagged(self, m, degenerate):
+        # at 256 anchors this solve gives all 381 unlabeled samples class 1
+        # and still reports convergence; at 64 anchors it predicts all three
+        container = synth_scp(0, n_per_class=134)
+        seed, per_view, labeled = draw_repetition(container, 0.5, 0.05, 0, 0)
+        result = admm_solve(
+            container.views, container.labels, labeled, per_view,
+            SolverConfig(n_anchors=m, seed=seed), n_classes=container.c,
+        )
+        unlabeled = np.delete(predict(result.F), labeled)
+        assert result.converged
+        assert result.degenerate is degenerate
+        assert (np.unique(unlabeled).size == 1) is degenerate
+
+    def test_degenerate_needs_two_classes(self):
+        rng = np.random.default_rng(0)
+        views = [rng.standard_normal((20, 2)) for _ in range(2)]
+        none = [np.array([], dtype=int)] * 2
+        result = admm_solve(
+            views, np.zeros(20, dtype=int), np.arange(3), none,
+            SolverConfig(n_anchors=4, k_neighbors=2, max_outer_iters=2),
+        )
+        assert not result.degenerate
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_weights_are_worst_case_on_a_noise_view(self, seed):
+        # view 2 replaced by Gaussian noise of its own spread: the min-max
+        # fusion's weights are the adversary's, so the noise view, which
+        # agrees least with the fused graph, gets the largest weight
+        container = synth_scp(seed, n_per_class=134, V=3)
+        noise = np.random.default_rng(seed).standard_normal(
+            container.views[2].shape
+        ) * container.views[2].std()
+        views = [*container.views[:2], noise]
+        noisy = DatasetContainer(views, container.labels, container.c,
+                                 container.name)
+        rep, per_view, labeled = draw_repetition(noisy, 0.3, 0.05, seed, 0)
+        result = admm_solve(
+            views, container.labels, labeled, per_view,
+            SolverConfig(n_anchors=64, seed=rep), n_classes=container.c,
+        )
+        # [0.321, 0.327, 0.352] on seed 0, [0.321, 0.325, 0.354] on seed 1
+        assert result.alpha[2] > result.alpha[:2].max() + 0.02

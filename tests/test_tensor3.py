@@ -182,6 +182,21 @@ class TestTubalShrink:
         out = tubal_shrink(t.data, 0.0)
         assert rel_err(out / 1e200, t.data / 1e200) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310])
+    @pytest.mark.parametrize("frac", [0.0, 0.3])
+    def test_entries_whose_squares_underflow(self, scale, frac):
+        # every squared entry underflows, so the unscaled norm sum is zero
+        # and the skip would return zeros; at tau 0 the input comes back
+        A = np.random.default_rng(0).standard_normal((5, 4, 3)) * scale
+        tau = frac * scale
+        out = tubal_shrink(A, tau)
+        ref = tubal_shrink_all_slices(Tensor3(A), tau).data
+        # max-norms: a Frobenius norm of these entries underflows too
+        assert np.abs(ref).max() > 0.5 * scale
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        if frac == 0.0:
+            assert np.abs(out - A).max() <= 1e-12 * np.abs(A).max()
+
     def test_rejects_non_3d(self):
         with pytest.raises(ValueError, match="3-d"):
             tubal_shrink(np.zeros((2, 2)), 0.1)
