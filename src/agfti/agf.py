@@ -241,11 +241,18 @@ def agf_minmax(
         H = compute_H(F, Q, P)
         P = res.P = solve_inner_P(Zt, H, lam, beta)
 
-        h0 = res.h = inner_value(P, Zt, H, lam, beta)
         if freeze_weights:
+            res.h = inner_value(P, Zt, H, lam, beta)
             res.converged = True
             break
         res.n_iter = it
+        # P's inner value and the part of it no weight enters, from one sum
+        # of each product, in inner_value's expressions
+        pz = float(np.sum(P * Zt))
+        pp = float(np.sum(P * P))
+        hp = float(np.sum(H * P))
+        h0 = res.h = lam * pz - beta * pp - hp
+        fixed = beta * pp + hp
         agree = view_agreements(P, ZT)
         grad = grad_h(alpha, agree, lam)
         g = reduced_descent_direction(grad, alpha)
@@ -257,8 +264,6 @@ def agf_minmax(
         # largest step keeping every weight nonnegative
         shrinking = g < 0
         theta = min(1.0, float(np.min(alpha[shrinking] / -g[shrinking])))
-        # the terms of P's inner value that no weight enters
-        fixed = beta * float(np.sum(P * P)) + float(np.sum(H * P))
 
         accepted = False
         for _ in range(_MAX_BACKTRACKS + 1):

@@ -16,6 +16,7 @@ import numpy as np
 from ..rng import STREAM_EXPERIMENT, make_generator
 from ..solver import (
     SolverConfig,
+    _checked_graphs,
     admm_solve,
     anchor_graphs,
     one_hot_labels,
@@ -58,7 +59,7 @@ def draw_repetition(container, vmr, lar, base_seed, r):
 
 def baseline_label_propagation(
     views, y, labeled_idx, missing, m=SolverConfig.n_anchors,
-    k=SolverConfig.k_neighbors, seed=0, n_classes=None,
+    k=SolverConfig.k_neighbors, seed=0, n_classes=None, graphs=None,
 ):
     """Label propagation on the unweighted mean of the per-view graphs.
 
@@ -69,6 +70,9 @@ def baseline_label_propagation(
     weighting, no alignment: the control all harness comparisons run against.
     Labels are fitted with the solver's default b_labeled. The input is
     checked as admm_solve checks it, with the same ValueError messages.
+    graphs, when given, is the stack anchor_graphs(views, missing, m, k,
+    seed) returns; it is read, never copied or written, and another shape
+    raises ValueError.
     """
     views, y, labeled_idx, missing, c = prepare_inputs(
         views, y, labeled_idx, missing, n_classes
@@ -76,12 +80,31 @@ def baseline_label_propagation(
     V = len(views)
     n = views[0].shape[0]
 
-    stack = anchor_graphs(views, missing, m, k, seed)
+    if graphs is None:
+        stack = anchor_graphs(views, missing, m, k, seed)
+    else:
+        stack = _checked_graphs(graphs, V, n, m)
     P_cat = stack.transpose(1, 0, 2).reshape(n, V * m) / V
 
     Y = one_hot_labels(y, labeled_idx, c)
     F, _ = update_labels(P_cat, Y, SolverConfig.b_labeled)
     return predict(F)
+
+
+def _repetition_graphs(container, per_view, labeled, m, k, seed):
+    """The anchor graphs the columns of a repetition share, or the error.
+
+    The inputs are checked first, as admm_solve and the baseline check them
+    before they build, so every column records the error that building its
+    own stack would have raised.
+    """
+    try:
+        views, _, _, missing, _ = prepare_inputs(
+            container.views, container.labels, labeled, per_view, container.c
+        )
+        return anchor_graphs(views, missing, m, k, seed)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return exc
 
 
 def score(container, pred, labeled):
@@ -133,6 +156,11 @@ def run_experiment(
 
     With jsonl_path, every record and one aggregate line per variant are
     appended to that file, so several calls (one per VMR, say) can share it.
+
+    The anchor graphs of a repetition are built once for each
+    (n_anchors, k_neighbors) its columns use, which is once unless a variant
+    overrides those fields, and every such column reads that stack. When the
+    build raises, each of those columns records its error.
     """
     solver_config = solver_config or SolverConfig()
     variants = dict(variants) if variants is not None else {"full": {}}
@@ -140,6 +168,8 @@ def run_experiment(
     blocks = {name: {"records": [], "failed_reps": 0} for name in variants}
     for r in range(n_reps):
         seed_r, per_view, labeled = draw_repetition(container, vmr, lar, base_seed, r)
+        # (n_anchors, k_neighbors) -> that stack, or the error building it
+        stacks = {}
         for name, flags in variants.items():
             record = {
                 "type": "rep",
@@ -154,17 +184,27 @@ def run_experiment(
                 "n_iter": None,
                 "degenerate": None,
             }
+            # the baseline ignores its flags
+            config = replace(solver_config, seed=seed_r,
+                             **({} if name == BASELINE else flags))
+            key = (config.n_anchors, config.k_neighbors)
+            if key not in stacks:
+                stacks[key] = _repetition_graphs(container, per_view, labeled,
+                                                 *key, seed_r)
+            graphs = stacks[key]
             try:
+                if isinstance(graphs, Exception):
+                    raise graphs
                 if name == BASELINE:
                     pred = baseline_label_propagation(
                         container.views, container.labels, labeled, per_view,
-                        m=solver_config.n_anchors, k=solver_config.k_neighbors,
-                        seed=seed_r, n_classes=container.c,
+                        m=config.n_anchors, k=config.k_neighbors, seed=seed_r,
+                        n_classes=container.c, graphs=graphs,
                     )
                 else:
-                    config = replace(solver_config, seed=seed_r, **flags)
                     result = admm_solve(container.views, container.labels, labeled,
-                                        per_view, config, n_classes=container.c)
+                                        per_view, config, n_classes=container.c,
+                                        graphs=graphs)
                     pred = predict(result.F)
                     record["converged"] = result.converged
                     record["n_iter"] = result.n_iter

@@ -221,6 +221,15 @@ def anchor_graphs(views, missing, m, k, seed):
     return Z
 
 
+def _checked_graphs(graphs, V, n, m):
+    """graphs as a float64 array, read without a copy; ValueError unless (V, n, m)."""
+    graphs = np.asarray(graphs, dtype=np.float64)
+    if graphs.shape != (V, n, m):
+        raise ValueError(f"graphs has shape {graphs.shape}, expected the "
+                         f"(views, samples, anchors) stack {(V, n, m)}")
+    return graphs
+
+
 def _index_array(idx, name):
     """idx as a 1-d int64 array; ValueError naming it, not a silent cast."""
     idx = np.asarray(idx)
@@ -322,7 +331,8 @@ def _one_zero_degree_warning():
 
 
 @_one_zero_degree_warning()
-def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
+def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
+               graphs=None):
     """Run the full alternating solver on multi-view data with missing rows.
 
     Parameters
@@ -333,6 +343,10 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     missing : per view, the indices of samples absent from that view
     config : SolverConfig
     n_classes : class count; inferred from y when omitted
+    graphs : optional (V, n, n_anchors) stack, the one
+        anchor_graphs(views, missing, config.n_anchors, config.k_neighbors,
+        config.seed) returns, so that several solves on the same masks build
+        it once. The solve works on a copy; another shape raises ValueError.
 
     Returns a SolveResult whose diagnostics list one record per outer
     iteration (h value, primal residuals, label movement, weights, penalty,
@@ -356,7 +370,11 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None):
     lam = float(config.lam) if config.lam is not None else float(V * V)
     m, k = config.n_anchors, config.k_neighbors
 
-    Z = anchor_graphs(views, missing, m, k, config.seed)
+    if graphs is None:
+        Z = anchor_graphs(views, missing, m, k, config.seed)
+    else:
+        # imputation writes rows of Z in place
+        Z = _checked_graphs(graphs, V, n, m).copy()
     Ts = np.tile(np.eye(m), (V, 1, 1))
     alpha = np.full(V, 1.0 / V)
     G = np.zeros((V, n, m))

@@ -25,7 +25,7 @@ from agfti.harness import (
     synth_scp,
 )
 from agfti.harness import experiment
-from agfti.solver import SolverConfig, admm_solve, predict
+from agfti.solver import SolverConfig, admm_solve, anchor_graphs, predict
 
 
 def random_container(rng, n=12, dims=(3, 5), c=3, name="toy"):
@@ -469,20 +469,107 @@ class TestExperiment:
         cont, config = self._tiny()
         solved = []
 
-        def record_masks(views, y, labeled_idx, missing, config, n_classes):
-            solved.append((config.seed, missing, labeled_idx))
+        def record_masks(views, y, labeled_idx, missing, config, n_classes, graphs):
+            solved.append((config.seed, missing, labeled_idx, graphs))
             raise ValueError("not solved")
 
         monkeypatch.setattr(experiment, "admm_solve", record_masks)
         run_experiment(cont, vmr=0.3, lar=0.1, n_reps=2, solver_config=config,
                        base_seed=4)
         assert len(solved) == 2
-        for r, (seed, per_view, labeled) in enumerate(solved):
+        for r, (seed, per_view, labeled, graphs) in enumerate(solved):
             drawn = experiment.draw_repetition(cont, 0.3, 0.1, 4, r)
             assert seed == drawn[0] == rep_seed(4, r)
             for got, want in zip(per_view, drawn[1], strict=True):
                 assert np.array_equal(got, want)
             assert np.array_equal(labeled, drawn[2])
+            assert np.array_equal(graphs, anchor_graphs(
+                cont.views, drawn[1], config.n_anchors, config.k_neighbors, seed))
+
+    def test_columns_on_shared_graphs_match_independent_calls(self, monkeypatch):
+        cont, config = self._tiny()
+        kept = []
+
+        def keeping(*args, **kwargs):
+            kept.append(admm_solve(*args, **kwargs))
+            return kept[-1]
+
+        monkeypatch.setattr(experiment, "admm_solve", keeping)
+        variants = {**experiment.STANDARD_VARIANTS, experiment.BASELINE: {}}
+        out = run_experiment(cont, vmr=0.3, lar=0.1, n_reps=2, solver_config=config,
+                             variants=variants, base_seed=3)
+        shared = iter(kept)
+        for r in range(2):
+            seed, per_view, labeled = experiment.draw_repetition(cont, 0.3, 0.1, 3, r)
+            for name, flags in variants.items():
+                if name == experiment.BASELINE:
+                    pred = baseline_label_propagation(
+                        cont.views, cont.labels, labeled, per_view,
+                        m=config.n_anchors, k=config.k_neighbors, seed=seed,
+                        n_classes=cont.c,
+                    )
+                    flags = dict.fromkeys(("converged", "n_iter", "degenerate"))
+                else:
+                    result = admm_solve(cont.views, cont.labels, labeled, per_view,
+                                        replace(config, seed=seed, **flags),
+                                        n_classes=cont.c)
+                    assert np.array_equal(next(shared).F, result.F), (name, r)
+                    pred = predict(result.F)
+                    flags = {"converged": result.converged, "n_iter": result.n_iter,
+                             "degenerate": result.degenerate}
+                record = out["variants"][name]["records"][r]
+                assert record["error"] is None
+                assert record["metrics"] == experiment.score(cont, pred, labeled)
+                assert {key: record[key] for key in flags} == flags, (name, r)
+        assert next(shared, None) is None
+
+    def test_graphs_are_built_once_per_anchor_setting(self, monkeypatch):
+        cont, config = self._tiny()
+        built = []
+
+        def counting(views, missing, m, k, seed):
+            built.append((m, k, seed))
+            return anchor_graphs(views, missing, m, k, seed)
+
+        monkeypatch.setattr(experiment, "anchor_graphs", counting)
+        variants = {**experiment.STANDARD_VARIANTS, experiment.BASELINE: {},
+                    "m4": {"n_anchors": 4}}
+        out = run_experiment(cont, vmr=0.3, lar=0.1, n_reps=2, solver_config=config,
+                             variants=variants)
+        seeds = [rep_seed(0, r) for r in range(2)]
+        assert built == [(m, 3, s) for s in seeds for m in (8, 4)]
+        # the column with its own anchor count solves on its own stack
+        seed, per_view, labeled = experiment.draw_repetition(cont, 0.3, 0.1, 0, 1)
+        result = admm_solve(cont.views, cont.labels, labeled, per_view,
+                            replace(config, seed=seed, n_anchors=4), n_classes=cont.c)
+        record = out["variants"]["m4"]["records"][1]
+        assert record["metrics"] == experiment.score(cont, predict(result.F), labeled)
+        assert record["n_iter"] == result.n_iter
+
+    def test_a_failed_shared_build_is_every_columns_error(self):
+        # 64 anchors exceed the samples left in view 0 at VMR 0.7
+        cont, config = self._tiny()
+        config = replace(config, n_anchors=64)
+        variants = {**experiment.STANDARD_VARIANTS, experiment.BASELINE: {}}
+        out = run_experiment(cont, vmr=0.7, lar=0.1, n_reps=2, solver_config=config,
+                             variants=variants)
+        for r in range(2):
+            seed, per_view, labeled = experiment.draw_repetition(cont, 0.7, 0.1, 0, r)
+            with pytest.raises(ValueError) as solver_error:
+                admm_solve(cont.views, cont.labels, labeled, per_view,
+                           replace(config, seed=seed), n_classes=cont.c)
+            with pytest.raises(ValueError) as baseline_error:
+                baseline_label_propagation(cont.views, cont.labels, labeled, per_view,
+                                           m=64, k=config.k_neighbors, seed=seed,
+                                           n_classes=cont.c)
+            expected = f"ValueError: {solver_error.value}"
+            assert expected == f"ValueError: {baseline_error.value}"
+            assert expected.startswith("ValueError: anchor count 64 exceeds sample "
+                                       f"count {cont.n - per_view[0].size}")
+            for name in variants:
+                assert out["variants"][name]["records"][r]["error"] == expected, name
+        for block in out["variants"].values():
+            assert block["failed_reps"] == 2
 
     def test_unknown_labels_are_not_scored(self):
         base = synth_scp(seed=0, n_per_class=40, V=2, c=3)
@@ -577,6 +664,21 @@ class TestExperiment:
             baseline_label_propagation(
                 cont.views, cont.labels, labeled, absent, m=4, k=2
             )
+
+    def test_baseline_label_propagation_reads_given_graphs(self):
+        cont, config = self._tiny()
+        seed, per_view, labeled = experiment.draw_repetition(cont, 0.3, 0.1, 0, 0)
+        graphs = anchor_graphs(cont.views, per_view, 8, 3, seed)
+        before = graphs.copy()
+        kwargs = {"m": 8, "k": 3, "seed": seed, "n_classes": cont.c}
+        pred = baseline_label_propagation(cont.views, cont.labels, labeled, per_view,
+                                          graphs=graphs, **kwargs)
+        assert np.array_equal(graphs, before)
+        assert np.array_equal(pred, baseline_label_propagation(
+            cont.views, cont.labels, labeled, per_view, **kwargs))
+        with pytest.raises(ValueError, match=r"graphs has shape \(2, 90, 4\)"):
+            baseline_label_propagation(cont.views, cont.labels, labeled, per_view,
+                                       graphs=graphs[:, :, :4], **kwargs)
 
     def test_baseline_label_propagation_on_easy_data(self):
         rng = np.random.default_rng(14)

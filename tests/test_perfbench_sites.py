@@ -15,7 +15,15 @@ import pytest
 import agfti.agf
 import agfti.harness.experiment
 import agfti.solver
-from agfti.harness import MaskSpec, generate_masks, missing_per_view, synth_scp
+from agfti.harness import (
+    BASELINE,
+    STANDARD_VARIANTS,
+    MaskSpec,
+    generate_masks,
+    missing_per_view,
+    run_experiment,
+    synth_scp,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # the module keys perfbench/run.py maps its sites onto
@@ -102,3 +110,26 @@ def test_traced_solve_records_one_setup_span_per_view(V):
         )
     assert tracer.calls("graphs.bkhk_anchors") == V
     assert tracer.calls("graphs.build_bipartite") == V
+
+
+@pytest.mark.parametrize("V", [2, 3])
+def test_untraced_experiment_keeps_every_solve_and_its_setup(V):
+    # the benchmark's untraced run_experiment call: one SolveResult kept per
+    # solver column and repetition, and one anchor build per view per
+    # repetition, shared by the columns, the baseline's included
+    tracing = load_tracing()
+    container = synth_scp(0, V=V, n_per_class=20)
+    config = agfti.solver.SolverConfig(n_anchors=8, k_neighbors=3, max_outer_iters=3)
+    variants = {**STANDARD_VARIANTS, BASELINE: {}}
+    tracer = tracing.Tracer()
+    with tracer.patched(MODULES, tracing.SOLVE_SITES + tracing.SETUP_SITES):
+        out = run_experiment(container, 0.3, 0.1, 2, solver_config=config,
+                             variants=variants)
+    assert [s for s in tracer.spans if s[4]] == []
+    # solves run repetition by repetition, columns in order
+    columns = [(name, r) for r in range(2) for name in STANDARD_VARIANTS]
+    assert [res.n_iter for res in tracer.results] == [
+        out["variants"][name]["records"][r]["n_iter"] for name, r in columns
+    ]
+    assert tracer.calls("graphs.bkhk_anchors") == V * 2
+    assert tracer.calls("graphs.build_bipartite") == V * 2

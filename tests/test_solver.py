@@ -17,6 +17,7 @@ from agfti.harness.experiment import draw_repetition
 from agfti.solver import (
     SolverConfig,
     admm_solve,
+    anchor_graphs,
     one_hot_labels,
     predict,
     update_alignment,
@@ -476,6 +477,37 @@ class TestAdmmSolve:
         r2, _, _ = self._solve(seed=6)
         assert np.array_equal(r1.F, r2.F)
         assert np.array_equal(r1.alpha, r2.alpha)
+
+    def test_given_graphs_are_copied_and_solved_as_built(self):
+        rng = np.random.default_rng(2)
+        views, y = blob_views(rng)
+        labeled_idx = np.concatenate([np.where(y == j)[0][:2] for j in range(3)])
+        missing = [np.arange(0, 12), np.arange(30, 42)]
+        config = SolverConfig(n_anchors=8, k_neighbors=3, seed=2, max_outer_iters=10)
+        graphs = anchor_graphs(views, missing, 8, 3, 2)
+        before = graphs.copy()
+        given = admm_solve(views, y, labeled_idx, missing, config, graphs=graphs)
+        built = admm_solve(views, y, labeled_idx, missing, config)
+        # imputation rewrote the missing rows of the solve's copy only
+        assert np.array_equal(graphs, before)
+        assert not np.array_equal(given.Zs, graphs)
+        for name in ("F", "Q", "P", "alpha", "Zs", "Ts"):
+            assert np.array_equal(getattr(given, name), getattr(built, name)), name
+        assert given.n_iter == built.n_iter
+
+    @pytest.mark.parametrize("shape", [(2, 60, 4), (2, 59, 8), (1, 60, 8), (60, 8)])
+    def test_rejects_graphs_of_another_shape(self, shape):
+        rng = np.random.default_rng(0)
+        views, y = blob_views(rng)
+        labeled_idx = np.concatenate([np.where(y == j)[0][:2] for j in range(3)])
+        missing = [np.array([], dtype=int)] * 2
+        config = SolverConfig(n_anchors=8, k_neighbors=3)
+        graphs = np.full(shape, 1.0 / shape[-1])
+        with pytest.raises(ValueError, match="expected the .* stack \\(2, 60, 8\\)"):
+            admm_solve(views, y, labeled_idx, missing, config, graphs=graphs)
+        # the inputs are checked before the graphs
+        with pytest.raises(ValueError, match="labeled_idx must be a 1-d array"):
+            admm_solve(views, y, labeled_idx + 0.5, missing, config, graphs=graphs)
 
     def test_rejects_class_without_labels(self):
         rng = np.random.default_rng(17)
