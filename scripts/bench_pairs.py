@@ -11,7 +11,10 @@ tree holding the change). For each seed the script runs
 once in each tree, the parent first on odd seeds and the change first on even
 ones, so drift in the machine's load falls on both sides. It reads the
 end-to-end metrics from each run's last output line and their direction and
-regression bound from the change tree's BENCHMARK.json.
+regression bound from the change tree's BENCHMARK.json. From the report line
+before it, each side of a pair also records the share of solves that
+converged and the outer iterations of one pass, so a change to the solve
+shows its convergence next to its time; neither is gated or summarised.
 
 BENCH_<label>.json is written into the change tree. It holds one section per
 workload: every pair, and per metric each side's quartiles, the pairs the
@@ -41,22 +44,35 @@ def parse_seeds(text):
     return seeds
 
 
+def parse_run(stdout):
+    """(record, environment) from the output of one perfbench/run.py run.
+
+    The record holds the gated metrics and the correct, failed and attempted
+    counts of the last line, and from the report line before it the share
+    of solves that converged and the outer iterations of one pass over the
+    input sets; those two are recorded, not gated or summarised.
+    """
+    lines = stdout.strip().splitlines()
+    report = json.loads(lines[-2])["report"]
+    result = json.loads(lines[-1])
+    record = {name: m["value"] for name, m in result["metrics"].items()}
+    record.update(
+        correct=result["correct"], failed=result["failed"], attempted=result["attempted"],
+        converged_frac=report["end_to_end"]["converged_frac"]["value"],
+        outer_iters=sum(report["outer_iters_per_set"]),
+    )
+    env = {k: report["environment"].get(k) for k in ENV_KEYS}
+    return record, env
+
+
 def run_side(tree, workload, seed, seconds):
-    """One benchmark run in a tree: (end-to-end record, environment)."""
+    """One benchmark run in a tree: (record, environment), as parse_run reads them."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed in {tree}:\n{proc.stderr}")
-    lines = proc.stdout.strip().splitlines()
-    report = json.loads(lines[-2])["report"]
-    result = json.loads(lines[-1])
-    record = {name: m["value"] for name, m in result["metrics"].items()}
-    record.update(
-        correct=result["correct"], failed=result["failed"], attempted=result["attempted"]
-    )
-    env = {k: report["environment"].get(k) for k in ENV_KEYS}
-    return record, env
+    return parse_run(proc.stdout)
 
 
 def summarize(pairs, metrics):

@@ -175,9 +175,12 @@ class AgfResult:
     # accepted step sizes, 0.0 for a line search that found no decrease
     steps: list = field(default_factory=list)
     # line-search candidates valued in full, and those the lower bound
-    # rejected without a projection
+    # rejected without a projection; levels skipped by start_level are neither
     evaluated: int = 0
     bound_rejected: int = 0
+    # level j of the last accepted step, whose theta is theta_max 2^-j; 0
+    # when no step was accepted
+    level: int = 0
 
 
 def agf_minmax(
@@ -192,6 +195,7 @@ def agf_minmax(
     tol=1e-4,
     max_iter=50,
     freeze_weights=False,
+    start_level=0,
 ):
     """Alternate H refresh, inner P solve, and a reduced-gradient alpha step.
 
@@ -212,18 +216,34 @@ def agf_minmax(
     forms them one at a time as it fuses them, and holds none. max_iter
     must be at least 1: without an H refresh there is no h.
 
+    A weight step tries the steps theta_max 2^-j on the levels j up to
+    _MAX_BACKTRACKS, theta_max = min(1, largest step keeping every weight
+    nonnegative), and accepts the first that passes the Armijo test. The
+    first weight step of the call starts at level start_level, every later
+    one at level 0; level reports the level of the last accepted step. A
+    caller that carries a level from one call to the next (admm_solve passes
+    one less than the last accepted level) skips the long steps its previous
+    search rejected. The acceptable steps along the ray normally form an
+    interval, so a search accepting at a level at or below start_level
+    accepts the same theta as one started at 0.
+
     A candidate is first checked against the lower bound
     lam sum_v cand_v^2 c_v - beta ||P||^2 - <H, P>, P being the inner
     maximizer at the current weights (see bound_rejects). A candidate the
     bound places above h0 + _ARMIJO_C theta slope + BOUND_MARGIN * scale is
     rejected without being fused or projected; it still uses one of the
-    _MAX_BACKTRACKS + 1 tries. Every candidate the bound rejects would fail
-    the Armijo test in full, so the returned state is that of valuing every
-    candidate. evaluated and bound_rejected count the two kinds of
-    candidate.
+    tried levels. Every candidate the bound rejects would fail the Armijo
+    test in full, so the returned state is that of valuing every candidate.
+    evaluated and bound_rejected count the candidates tried, valued in full
+    and rejected by the bound; a level skipped by start_level counts as
+    neither.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0 <= start_level <= _MAX_BACKTRACKS:
+        raise ValueError(
+            f"start_level must be in 0..{_MAX_BACKTRACKS}, got {start_level}"
+        )
     _check_alignments(Zs, Ts)
     V = len(Zs)
     alpha = np.asarray(alpha0, dtype=np.float64).copy()
@@ -261,12 +281,15 @@ def agf_minmax(
             break
         slope = float(grad @ g)
 
-        # largest step keeping every weight nonnegative
+        # largest step keeping every weight nonnegative, scaled down to the
+        # first level tried; powers of two scale it exactly
         shrinking = g < 0
         theta = min(1.0, float(np.min(alpha[shrinking] / -g[shrinking])))
+        start = start_level if it == 1 else 0
+        theta *= _ARMIJO_SHRINK ** start
 
         accepted = False
-        for _ in range(_MAX_BACKTRACKS + 1):
+        for level in range(start, _MAX_BACKTRACKS + 1):
             cand = np.maximum(alpha + theta * g, 0.0)
             cand /= cand.sum()
             threshold = h0 + _ARMIJO_C * theta * slope
@@ -290,6 +313,7 @@ def agf_minmax(
             break
 
         res.steps.append(theta)
+        res.level = level
         res.converged = bool(np.max(np.abs(cand - alpha)) <= tol)
         alpha, P, Zt = cand, P_c, Zt_c
         res.alpha, res.P, res.h = alpha, P, h_c

@@ -62,7 +62,7 @@ class SolverConfig:
     tol: float = 1e-5
     max_outer_iters: int = 50
     inner_tol: float = 1e-4
-    max_inner_iters: int = 50
+    max_inner_iters: int = 1
     seed: int = 0
     freeze_alignment: bool = False
     freeze_weights: bool = False
@@ -352,8 +352,12 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     iteration (h value, primal residuals, label movement, weights, penalty,
     wall seconds, under step_seconds the seconds of each step in STEPS, and
     under line_search the fusion's weight steps, its accepted step sizes and
-    its candidates valued in full or rejected by the lower bound, all zero
-    or empty when agf_minmax, called once per iteration, freezes the weights).
+    the line-search candidates it tried, valued in full (evaluated) or
+    rejected by the lower bound (bound_rejected), all zero or empty when
+    agf_minmax, called once per iteration, freezes the weights). Each call's
+    first weight step starts its search one level above the previous call's
+    last accepted step (at the top after a search that found no decrease),
+    and the longer steps it so skips count as neither.
     Non-convergence within max_outer_iters is reported through the converged
     flag, never raised, and a collapse of every unlabeled sample into one
     class through the degenerate flag, which a converged run can carry.
@@ -390,6 +394,8 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     diagnostics = []
     converged = False
     n_iter = 0
+    # the line-search level the next fusion call's first weight step starts at
+    level = 0
 
     for it in range(1, config.max_outer_iters + 1):
         n_iter = it
@@ -403,9 +409,12 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
         res = agf_minmax(
             Z, Ts, F, Q, lam, config.beta, alpha0=alpha, P0=P,
             tol=config.inner_tol, max_iter=config.max_inner_iters,
-            freeze_weights=config.freeze_weights,
+            freeze_weights=config.freeze_weights, start_level=level,
         )
         alpha, P, h_val = res.alpha, res.P, res.h
+        # one level above the last accepted step; back to the top after a
+        # search that found no decrease
+        level = max(0, res.level - 1) if res.steps and res.steps[-1] else 0
         line_search = {
             "steps": res.n_iter,
             "thetas": [float(t) for t in res.steps if t > 0],

@@ -391,8 +391,8 @@ def cold_start(Zs, Ts, lam, beta):
 class MinmaxTrace:
     """The reference line search's state and history.
 
-    alpha, P, h, converged, n_iter, steps and evaluated are the fields of
-    agf_minmax's result. H is the last H refresh; h_trace holds one
+    alpha, P, h, converged, n_iter, steps, evaluated and level are the
+    fields of agf_minmax's result. H is the last H refresh; h_trace holds one
     (h before, h after) pair per weight step, deltas the largest weight
     change of each step, alpha_trace the starting weights and then those
     after each accepted step.
@@ -406,17 +406,20 @@ class MinmaxTrace:
     n_iter: int = 0
     steps: list = field(default_factory=list)
     evaluated: int = 0
+    level: int = 0
     h_trace: list = field(default_factory=list)
     deltas: list = field(default_factory=list)
     alpha_trace: list = field(default_factory=list)
 
 
 def minmax_fusing_per_candidate(
-    Zs, Ts, F, Q, lam, beta, alpha0, P0, tol=1e-4, max_iter=50
+    Zs, Ts, F, Q, lam, beta, alpha0, P0, tol=1e-4, max_iter=50, start_level=0
 ):
     """agf_minmax's weighted path, fusing and valuing every candidate anew.
 
-    No candidate is rejected by a bound, so evaluated counts every try.
+    No candidate is rejected by a bound, so evaluated counts every try. The
+    first weight step tries the levels start_level..20, every later one the
+    levels 0..20, level j being the step theta_max * 0.5**j.
     """
     alpha = np.array(alpha0, dtype=float)
     P = np.asarray(P0, dtype=float)
@@ -436,9 +439,10 @@ def minmax_fusing_per_candidate(
             break
         slope = float(grad @ g)
         shrinking = g < 0
-        theta = min(1.0, float(np.min(alpha[shrinking] / -g[shrinking])))
+        theta_max = min(1.0, float(np.min(alpha[shrinking] / -g[shrinking])))
         accepted = False
-        for _ in range(21):
+        for level in range(start_level if it == 1 else 0, 21):
+            theta = theta_max * 0.5**level
             cand = np.maximum(alpha + theta * g, 0.0)
             cand /= cand.sum()
             ref.evaluated += 1
@@ -448,7 +452,6 @@ def minmax_fusing_per_candidate(
             if h_c <= h0 + 1e-4 * theta * slope:
                 accepted = True
                 break
-            theta *= 0.5
         if not accepted:
             ref.h_trace.append((h0, h0))
             ref.steps.append(0.0)
@@ -460,6 +463,7 @@ def minmax_fusing_per_candidate(
         ref.alpha, ref.P, ref.h = alpha, P, h_c
         ref.h_trace.append((h0, h_c))
         ref.steps.append(theta)
+        ref.level = level
         ref.deltas.append(delta)
         ref.alpha_trace.append(alpha.copy())
         if delta <= tol:
@@ -471,8 +475,8 @@ def minmax_fusing_per_candidate(
 def agf_minmax_with_reference(Zs, Ts, F, Q, **kw):
     """agf_minmax and minmax_fusing_per_candidate on one instance.
 
-    Asserts that the two agree bit for bit on alpha, P, h, steps, n_iter and
-    converged, so the reference's H and traces describe the package's solve
+    Asserts that the two agree bit for bit on alpha, P, h, steps, level,
+    n_iter and converged, so the reference's H and traces describe the package's solve
     too, and returns (result, reference).
     """
     res = agf_minmax(Zs, Ts, F, Q, **kw)
@@ -481,6 +485,7 @@ def agf_minmax_with_reference(Zs, Ts, F, Q, **kw):
     assert np.array_equal(res.P, ref.P)
     assert res.h == ref.h
     assert res.steps == ref.steps
+    assert res.level == ref.level
     assert (res.n_iter, res.converged) == (ref.n_iter, ref.converged)
     return res, ref
 

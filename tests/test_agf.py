@@ -392,6 +392,20 @@ class TestAgfMinmaxMatchesPerCandidateFusion:
             skipped += res.bound_rejected
         assert skipped > 0
 
+    @pytest.mark.parametrize("start_level", [0, 3, 8])
+    def test_start_level(self, start_level):
+        tries = 0
+        for seed in range(4):
+            rng = np.random.default_rng(400 + seed)
+            Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=60, m=8, V=3)
+            alpha0, P0 = cold_start(Zs, Ts, 9.0, 4.0)
+            res = self._check(
+                Zs, Ts, F, Q, lam=9.0, beta=4.0, alpha0=alpha0, P0=P0,
+                tol=0.0, max_iter=4, start_level=start_level,
+            )
+            tries += res.evaluated + res.bound_rejected
+        assert tries > 0
+
     def test_four_views_sharp_inner_problem(self):
         # lam = V^2 and a small ridge: the bound rejects most long steps
         skipped = evaluated = 0
@@ -486,6 +500,57 @@ class TestLineSearchBound:
         assert res.bound_rejected > 0
         assert res.evaluated + res.bound_rejected == agf._MAX_BACKTRACKS + 1
         assert len(valued) == res.evaluated
+
+
+class TestStartLevel:
+    """The first weight step's search skips the levels below start_level."""
+
+    def _one_step(self, seed, start_level=0):
+        rng = np.random.default_rng(500 + seed)
+        Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=60, m=8, V=3)
+        alpha0, P0 = cold_start(Zs, Ts, 9.0, 4.0)
+        return agf_minmax(
+            Zs, Ts, F, Q, 9.0, 4.0, alpha0, P0, max_iter=1,
+            start_level=start_level,
+        )
+
+    def test_start_at_or_below_the_accepted_level_keeps_the_step(self):
+        longest = 0
+        for seed in range(8):
+            top = self._one_step(seed)
+            assert top.steps[0] > 0
+            longest = max(longest, top.level)
+            for s in range(1, top.level + 1):
+                res = self._one_step(seed, start_level=s)
+                assert res.steps == top.steps
+                assert res.level == top.level
+                assert np.array_equal(res.alpha, top.alpha)
+                assert np.array_equal(res.P, top.P)
+                assert res.h == top.h
+                # the s levels above the start are not tried
+                assert (res.evaluated + res.bound_rejected
+                        == top.evaluated + top.bound_rejected - s)
+        # some search backtracked, so some start skipped a level
+        assert longest >= 2
+
+    @pytest.mark.parametrize("start_level", [5, agf._MAX_BACKTRACKS])
+    def test_search_without_decrease_ends_at_the_last_level(
+        self, monkeypatch, start_level
+    ):
+        def every_candidate_fails(P, Zt, H, lam, beta):
+            return inner_value(P, Zt, H, lam, beta) + 1e6
+
+        monkeypatch.setattr(agf, "inner_value", every_candidate_fails)
+        res = self._one_step(0, start_level=start_level)
+        assert res.steps == [0.0]
+        assert res.level == 0
+        assert (res.evaluated + res.bound_rejected
+                == agf._MAX_BACKTRACKS + 1 - start_level)
+
+    @pytest.mark.parametrize("start_level", [-1, agf._MAX_BACKTRACKS + 1])
+    def test_rejects_a_level_off_the_grid(self, start_level):
+        with pytest.raises(ValueError, match="start_level must be in 0..20"):
+            self._one_step(0, start_level=start_level)
 
 
 class TestHConvexity:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,31 @@ class TestSummarize:
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("1-10") == list(range(1, 11))
     assert bench_pairs.parse_seeds("3") == [3]
+
+
+def test_parse_run_reads_both_lines():
+    report = {
+        "environment": {"nproc": 2, "numpy": "2.0", "seed": 3},
+        "end_to_end": {
+            "wall_s": {"value": 1.5},
+            "converged_frac": {"value": 0.75},
+        },
+        "outer_iters_per_set": [206, 205, 209],
+    }
+    last = {
+        "correct": True,
+        "attempted": 24,
+        "failed": 0,
+        "metrics": {"wall_s": {"value": 1.5, "unit": "s"},
+                    "acc": {"value": 0.9, "unit": "ratio"}},
+    }
+    stdout = "\n".join(["progress", json.dumps({"report": report}), json.dumps(last)])
+    record, env = bench_pairs.parse_run(stdout + "\n")
+    assert record == {
+        "wall_s": 1.5, "acc": 0.9, "correct": True, "failed": 0, "attempted": 24,
+        "converged_frac": 0.75, "outer_iters": 620,
+    }
+    # every environment key, None where the report lacks it
+    assert env == {"blas_thread_pin": None, "nproc": 2, "numpy": "2.0",
+                   "openblas": None, "python": None}
+

@@ -599,11 +599,65 @@ class TestAdmmSolve:
         assert result.lam == pytest.approx(4.0)
 
 
+class TestCarriedLineSearchLevel:
+    """Each fusion call starts its search one level above the last accepted step."""
+
+    def _solve(self, monkeypatch, fail_call=None):
+        # (start level, accepted level, steps, candidates tried) of each call
+        calls = []
+        original = agfti.solver.agf_minmax
+        inner_value = agfti.agf.inner_value
+
+        def recording(*args, **kwargs):
+            if len(calls) == fail_call:
+                # every candidate of this call's search fails the Armijo test
+                with monkeypatch.context() as m:
+                    m.setattr(agfti.agf, "inner_value",
+                              lambda *a: inner_value(*a) + 1e6)
+                    res = original(*args, **kwargs)
+            else:
+                res = original(*args, **kwargs)
+            calls.append((kwargs["start_level"], res.level, res.steps,
+                          res.evaluated + res.bound_rejected))
+            return res
+
+        monkeypatch.setattr(agfti.solver, "agf_minmax", recording)
+        views, y = blob_views(np.random.default_rng(1), c=3, V=3)
+        labeled = np.concatenate([np.flatnonzero(y == j)[:2] for j in range(3)])
+        none = [np.array([], dtype=int)] * 3
+        admm_solve(views, y, labeled, none,
+                   SolverConfig(n_anchors=16, k_neighbors=3, max_outer_iters=12))
+        return calls
+
+    def test_no_step_tries_a_level_above_the_carried_one(self, monkeypatch):
+        calls = self._solve(monkeypatch)
+        assert calls[0][0] == 0
+        carried = 0
+        for (_, prev, steps, _), (start, level, now, tries) in zip(calls, calls[1:]):
+            assert steps[-1] > 0
+            assert start == max(0, prev - 1)
+            # one step a call: its tries run from its start to its level
+            assert now[-1] > 0
+            assert level - tries + 1 == start
+            carried += start > 0
+        assert carried > 0
+
+    def test_a_search_without_decrease_resets_the_level(self, monkeypatch):
+        calls = self._solve(monkeypatch, fail_call=3)
+        start, level, steps, tries = calls[3]
+        assert start > 0
+        assert steps == [0.0]
+        assert tries == agfti.agf._MAX_BACKTRACKS + 1 - start
+        assert calls[4][0] == 0
+
+
 class TestZeroDegreeSummary:
     """A solve reports the anchors it floored in one warning, at its end."""
 
     def _solve(self):
-        # 64 anchors for 90 samples: the fused graph leaves anchors unused
+        # 64 anchors for 90 samples: under weights settled by up to 50 weight
+        # steps an iteration, the fused graph leaves anchors unused (under one
+        # step an iteration it floors none)
         container = synth_scp(0, V=3, c=3, n_per_class=30)
         missing, labeled = generate_masks(
             container, MaskSpec(vmr=0.5, lar=0.05, seed=0)
@@ -611,7 +665,7 @@ class TestZeroDegreeSummary:
         return admm_solve(
             container.views, container.labels, labeled,
             missing_per_view(missing, container.V),
-            SolverConfig(n_anchors=64, max_outer_iters=10),
+            SolverConfig(n_anchors=64, max_outer_iters=10, max_inner_iters=50),
         )
 
     def test_one_warning_per_solve(self, monkeypatch):
