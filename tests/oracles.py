@@ -476,8 +476,8 @@ def agf_minmax_with_reference(Zs, Ts, F, Q, **kw):
     """agf_minmax and minmax_fusing_per_candidate on one instance.
 
     Asserts that the two agree bit for bit on alpha, P, h, steps, level,
-    n_iter and converged, so the reference's H and traces describe the package's solve
-    too, and returns (result, reference).
+    n_iter and converged, so the reference's H and traces describe the
+    package's solve too, and returns (result, reference).
     """
     res = agf_minmax(Zs, Ts, F, Q, **kw)
     ref = minmax_fusing_per_candidate(Zs, Ts, F, Q, **kw)

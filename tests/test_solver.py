@@ -602,18 +602,30 @@ class TestAdmmSolve:
 class TestCarriedLineSearchLevel:
     """Each fusion call starts its search one level above the last accepted step."""
 
-    def _solve(self, monkeypatch, fail_call=None):
+    def _solve(self, monkeypatch, fail_call=None, fail_from_step=1, **config):
         # (start level, accepted level, steps, candidates tried) of each call
         calls = []
         original = agfti.solver.agf_minmax
-        inner_value = agfti.agf.inner_value
+        compute_H, inner_value = agfti.agf.compute_H, agfti.agf.inner_value
 
         def recording(*args, **kwargs):
             if len(calls) == fail_call:
-                # every candidate of this call's search fails the Armijo test
+                # every candidate of this call's weight steps from
+                # fail_from_step on fails the Armijo test; a step starts
+                # with its one H refresh
+                refreshes = []
+
+                def counting(*a):
+                    refreshes.append(1)
+                    return compute_H(*a)
+
+                def failing(*a):
+                    fails = len(refreshes) >= fail_from_step
+                    return inner_value(*a) + (1e6 if fails else 0.0)
+
                 with monkeypatch.context() as m:
-                    m.setattr(agfti.agf, "inner_value",
-                              lambda *a: inner_value(*a) + 1e6)
+                    m.setattr(agfti.agf, "compute_H", counting)
+                    m.setattr(agfti.agf, "inner_value", failing)
                     res = original(*args, **kwargs)
             else:
                 res = original(*args, **kwargs)
@@ -626,7 +638,8 @@ class TestCarriedLineSearchLevel:
         labeled = np.concatenate([np.flatnonzero(y == j)[:2] for j in range(3)])
         none = [np.array([], dtype=int)] * 3
         admm_solve(views, y, labeled, none,
-                   SolverConfig(n_anchors=16, k_neighbors=3, max_outer_iters=12))
+                   SolverConfig(n_anchors=16, k_neighbors=3, max_outer_iters=12,
+                                **config))
         return calls
 
     def test_no_step_tries_a_level_above_the_carried_one(self, monkeypatch):
@@ -648,6 +661,17 @@ class TestCarriedLineSearchLevel:
         assert start > 0
         assert steps == [0.0]
         assert tries == agfti.agf._MAX_BACKTRACKS + 1 - start
+        assert calls[4][0] == 0
+
+    def test_an_accepted_step_then_no_decrease_resets_the_level(self, monkeypatch):
+        calls = self._solve(monkeypatch, fail_call=3, fail_from_step=2,
+                            max_inner_iters=2, inner_tol=0.0)
+        start, level, steps, tries = calls[3]
+        # the accepted step alone would carry level - 1 > 0 to the next call
+        assert steps[0] > 0 and steps[1] == 0.0
+        assert level >= 2
+        # the failed second step searched every level from the top
+        assert tries == (level - start + 1) + agfti.agf._MAX_BACKTRACKS + 1
         assert calls[4][0] == 0
 
 
