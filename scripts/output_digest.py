@@ -1,6 +1,7 @@
 """Hash every solver output of the benchmark workloads, to compare trees bit for bit.
 
-    python scripts/output_digest.py --tree DIR --seeds 0,7 --problems 2 [--small]
+    python scripts/output_digest.py --tree DIR --seeds 0,7 --problems 2 [--small] \\
+        [--save FILE.npz] [--against FILE.npz]
 
 DIR is the root of a source checkout. The script imports ``agfti`` from
 DIR/src and builds each workload's problems with DIR/perfbench/workloads.py,
@@ -18,6 +19,14 @@ diagnostics record except its wall-clock fields (seconds, step_seconds),
 n_iter and converged; each baseline its predictions; a call that raised
 contributes its error. Two trees whose lines match gave the same outputs bit
 for bit.
+
+Where two trees' digests differ, --save and --against say by how much.
+--save FILE.npz stores every solve's F, alpha, n_iter and converged. Run
+with --against FILE.npz, saved from another tree with the same seeds and
+problems, the script prints a second line per workload: the largest
+entrywise |dF| and |d alpha| over its solves, the predictions (argmax of
+each row of F) that flipped, and the solves whose n_iter or converged
+differ.
 
 BLAS runs on one thread, pinned before numpy loads, as in the benchmark.
 """
@@ -128,6 +137,45 @@ def digest(results):
     return h.hexdigest()
 
 
+def solve_arrays(name, results):
+    """F, alpha, n_iter and converged of each of the workload's solves, keyed name/i/field."""
+    solves = [r for r in results if not (isinstance(r, str) or is_baseline(r))]
+    arrays = {f"{name}/solves": np.array(len(solves))}
+    for i, r in enumerate(solves):
+        arrays[f"{name}/{i}/F"] = np.asarray(r.F, dtype=np.float64)
+        arrays[f"{name}/{i}/alpha"] = np.asarray(r.alpha, dtype=np.float64)
+        arrays[f"{name}/{i}/n_iter"] = np.array(int(r.n_iter))
+        arrays[f"{name}/{i}/converged"] = np.array(bool(r.converged))
+    return arrays
+
+
+def compare(name, saved, current):
+    """How the workload's solves in current (solve_arrays) moved from saved.
+
+    Solves are paired in order; a solve only one side has is counted as
+    unpaired, and a pair whose F or alpha changed shape counts as infinitely
+    far apart.
+    """
+    n_saved, n_now = int(saved[f"{name}/solves"]), int(current[f"{name}/solves"])
+    out = {"solves": min(n_saved, n_now), "unpaired": abs(n_saved - n_now),
+           "max_dF": 0.0, "max_dalpha": 0.0, "flipped": 0,
+           "n_iter_differ": 0, "converged_differ": 0}
+    for i in range(out["solves"]):
+        key = f"{name}/{i}/"
+        for field, stat in (("F", "max_dF"), ("alpha", "max_dalpha")):
+            a, b = saved[key + field], current[key + field]
+            d = float(np.abs(a - b).max()) if a.shape == b.shape else np.inf
+            out[stat] = max(out[stat], d)
+        F0, F1 = saved[key + "F"], current[key + "F"]
+        if F0.shape == F1.shape:
+            out["flipped"] += int(np.sum(F0.argmax(axis=1) != F1.argmax(axis=1)))
+        out["n_iter_differ"] += int(saved[key + "n_iter"] != current[key + "n_iter"])
+        out["converged_differ"] += int(
+            saved[key + "converged"] != current[key + "converged"]
+        )
+    return out
+
+
 def workload_results(agfti, workloads, name, seeds, problems, small):
     """Every solve and baseline of the workload's problems for these seeds, in order."""
     w = workloads.get(name, small=small)
@@ -150,9 +198,13 @@ def main(argv=None):
     parser.add_argument("--seeds", type=parse_seeds, default=[0, 7])
     parser.add_argument("--problems", type=int, default=2)
     parser.add_argument("--small", action="store_true")
+    parser.add_argument("--save", type=Path, metavar="FILE.npz")
+    parser.add_argument("--against", type=Path, metavar="FILE.npz")
     args = parser.parse_args(argv)
 
     agfti, workloads = load_tree(args.tree)
+    saved = dict(np.load(args.against)) if args.against else None
+    arrays = {}
     for name in workloads.WORKLOADS:
         results = workload_results(
             agfti, workloads, name, args.seeds, args.problems, args.small
@@ -163,6 +215,18 @@ def main(argv=None):
             f"baselines={baselines}",
             flush=True,
         )
+        current = solve_arrays(name, results)
+        arrays.update(current)
+        if saved is not None and f"{name}/solves" not in saved:
+            print(f"{name} against: not in {args.against}", flush=True)
+        elif saved is not None:
+            moved = compare(name, saved, current)
+            print(f"{name} against " + " ".join(
+                f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
+                for k, v in moved.items()
+            ), flush=True)
+    if args.save:
+        np.savez(args.save, **arrays)
 
 
 if __name__ == "__main__":

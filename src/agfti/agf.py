@@ -11,23 +11,41 @@ step, which makes the inner maximizer unique and the Danskin gradient
 formula exact: dh/dalpha_v = 2 lambda alpha_v c_v, with the view agreements
 c_v = <P*, Z_v T_v>.
 
+Each weight vector w is solved from its projection target
+
+    t(w) = (lambda / 2 beta) sum_v w_v^2 Z_v T_v - H / (2 beta),
+
+formed in one matrix-vector product over the stack of aligned products and
+one subtraction of H / (2 beta), which is computed once per H refresh. Its
+inner maximizer P is the row-wise simplex projection of t, and completing
+the square gives the inner value from two dot products,
+
+    lambda <P, Z~> - beta ||P||^2 - <H, P> = beta (2 <P, t> - <P, P>),
+
+so no fused graph sum_v w_v^2 Z_v T_v is formed and no product of P with
+another n x m array is held.
+
 Within one step P* is feasible for every weight vector, so its inner value
 under a line-search candidate a bounds that candidate's h from below:
 
     h(a) >= LB(a) = lambda sum_v a_v^2 c_v - beta ||P*||^2 - <H, P*>.
 
 With the V agreements and the two norms in hand, LB costs O(V) per
-candidate. A candidate whose LB exceeds the Armijo threshold by more than
-BOUND_MARGIN times the magnitude of LB's terms is rejected without fusing,
-projecting or valuing it. The margin, far above the ~1e-13 relative rounding
-of the reductions and of the candidate's full evaluation, keeps the skip to
-candidates whose computed value the full evaluation would also have found
-above the threshold, so every accepted step, and every output, is the same
-bit for bit.
+candidate, and LB at the current weights is the step's own h0. A candidate
+whose LB exceeds the Armijo threshold by more than BOUND_MARGIN times the
+magnitude of LB's terms is rejected without projecting or valuing it. The
+margin, far above the ~1e-13 relative rounding of the dot products and of
+the candidate's value from its target (whose two terms, 2 beta <P, t> and
+beta <P, P>, are of the size of LB's), keeps the skip to candidates
+whose computed value the full evaluation would also have found above the
+threshold, so every accepted step, and every output, is that of valuing
+every candidate.
 
 This module owns the fused input sum_v alpha_v^2 Z_v T_v: it forms the
-aligned products, fuses them under a weight vector and values the result.
-graphs.py only builds the per-view graphs the products start from.
+aligned products, solves and values the inner problem from them.
+graphs.py only builds the per-view graphs the products start from. Where
+the alignments are still the identity, Ts is None and the products are the
+graphs themselves, never multiplied by an identity matrix.
 """
 
 from dataclasses import dataclass, field
@@ -61,21 +79,32 @@ def compute_H(F, Q, P):
 
 
 def _check_alignments(Zs, Ts):
-    """One m x m alignment per view, m being that view's graph column count."""
+    """One m x m alignment per view, m being that view's graph column count.
+
+    Ts None stands for identity alignments and needs no check.
+    """
+    if Ts is None:
+        return
     if [np.shape(T) for T in Ts] != [(np.shape(Z)[1],) * 2 for Z in Zs]:
         raise ValueError("need one m x m alignment per view, m the graph's columns")
 
 
-def fuse_aligned(ZTs, alpha):
-    """sum_v alpha_v^2 ZT_v over aligned products ZT_v = Z_v T_v, in view order."""
+def _weighted_sum(arrays, coef):
+    """sum_v coef_v arrays_v, one term at a time, in order."""
     out = term = None
-    for ZT, a in zip(ZTs, np.asarray(alpha, dtype=np.float64)):
+    for X, c in zip(arrays, coef):
         if out is None:
-            out = (a * a) * ZT
+            out = c * X
         else:
-            term = np.multiply(a * a, ZT, out=term)
+            term = np.multiply(c, X, out=term)
             out += term
     return out
+
+
+def fuse_aligned(ZTs, alpha):
+    """sum_v alpha_v^2 ZT_v over aligned products ZT_v = Z_v T_v, in view order."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    return _weighted_sum(ZTs, alpha * alpha)
 
 
 def weighted_fusion_input(Zs, Ts, alpha):
@@ -88,20 +117,40 @@ def weighted_fusion_input(Zs, Ts, alpha):
     return fuse_aligned(map(np.matmul, Zs, Ts), alpha)
 
 
-def solve_inner_P(Z_tilde, H, lam, beta):
-    """Row-wise closed form of the inner maximization.
+def solve_inner_P(ZT, weights, H_half, lam, beta):
+    """Inner maximizer at the weights w, and the target it projects.
 
     Each row of the maximizer of lam <P, Z~> - beta ||P||^2 - <H, P> over
-    row-stochastic P is the simplex projection of (lam Z~_i - H_i) / (2 beta).
+    row-stochastic P, Z~ = sum_v w_v^2 ZT_v, is the simplex projection of
+    that row of the target
+
+        t = (lam / 2 beta) sum_v w_v^2 ZT_v - H / (2 beta).
+
+    ZT is the (V, n, m) stack of aligned products, combined in one
+    matrix-vector product, or an iterable of (n, m) products, combined one
+    at a time so that no stack is held. H_half is H / (2 beta), which a
+    caller solving several weight vectors under one H computes once; 0.0
+    stands for H = 0. Returns (P, t); target_value values P from t.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    Z_tilde = np.asarray(Z_tilde, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    target = lam * Z_tilde
-    target -= H
-    target /= 2.0 * beta
-    return prox_rows(target)
+    w = np.asarray(weights, dtype=np.float64)
+    coef = (lam / (2.0 * beta)) * (w * w)
+    if isinstance(ZT, np.ndarray):
+        t = (coef @ ZT.reshape(len(ZT), -1)).reshape(ZT.shape[1:])
+    else:
+        t = _weighted_sum(ZT, coef)
+    t -= H_half
+    return prox_rows(t), t
+
+
+def target_value(P, target, beta):
+    """Inner value lam <P, Z~> - beta ||P||^2 - <H, P>, from the target t of Z~ and H.
+
+    With t = (lam Z~ - H) / (2 beta), completing the square gives
+    beta (2 <P, t> - <P, P>): two dot products, and no n x m temporary.
+    """
+    return beta * (2.0 * float(np.vdot(P, target)) - float(np.vdot(P, P)))
 
 
 def inner_value(P, Z_tilde, H, lam, beta):
@@ -113,7 +162,16 @@ def inner_value(P, Z_tilde, H, lam, beta):
 
 def view_agreements(P, ZTs):
     """c_v = <P, Z_v T_v> for each aligned product, in view order."""
-    return np.array([float(np.sum(P * ZT)) for ZT in ZTs])
+    return np.array([float(np.vdot(P, ZT)) for ZT in ZTs])
+
+
+def agreement_value(weights, agreements, fixed, lam):
+    """Inner value lam sum_v w_v^2 c_v - fixed of a P under the weights w.
+
+    agreements are P's c_v = <P, Z_v T_v> and fixed is
+    beta ||P||^2 + <H, P>, the part of the value no weight enters.
+    """
+    return lam * float((weights * weights) @ agreements) - fixed
 
 
 def grad_h(alpha, agreements, lam):
@@ -135,9 +193,8 @@ def bound_rejects(cand, agreements, fixed, lam, threshold):
     BOUND_MARGIN times the magnitude of its terms, which covers the rounding
     of both the bound and the candidate's full evaluation.
     """
-    sq = cand * cand
-    lower = lam * float(sq @ agreements) - fixed
-    scale = lam * float(sq @ np.abs(agreements)) + fixed
+    lower = agreement_value(cand, agreements, fixed, lam)
+    scale = lam * float((cand * cand) @ np.abs(agreements)) + fixed
     return lower > threshold + BOUND_MARGIN * scale
 
 
@@ -210,11 +267,18 @@ def agf_minmax(
     reports converged after no weight step (n_iter 0).
 
     P is the exact inner maximizer at the returned alpha under the last H
-    refresh, and h is the inner value there. The aligned products Z_v T_v
-    are formed once per call, as one batched product over the view stack;
-    every weight vector the line search tries reuses them. A frozen call
-    forms them one at a time as it fuses them, and holds none. max_iter
-    must be at least 1: without an H refresh there is no h.
+    refresh, and h is the inner value there. Ts None stands for identity
+    alignments: the products Z_v T_v are then the graphs Zs themselves, read
+    without a multiplication. Otherwise the products are formed once per
+    call, as one batched product over the view stack, and every weight
+    vector the line search tries reuses them. A frozen call combines the
+    products one at a time as it forms them, and holds none. max_iter must
+    be at least 1: without an H refresh there is no h.
+
+    Each weight vector is solved from its target (solve_inner_P) and a
+    valued candidate's h is target_value's; H / (2 beta) is formed once per
+    H refresh. The step's h0 comes from the agreements the gradient needs
+    anyway (agreement_value).
 
     A weight step tries the steps theta_max 2^-j on the levels j up to
     _MAX_BACKTRACKS, theta_max = min(1, largest step keeping every weight
@@ -231,12 +295,14 @@ def agf_minmax(
     lam sum_v cand_v^2 c_v - beta ||P||^2 - <H, P>, P being the inner
     maximizer at the current weights (see bound_rejects). A candidate the
     bound places above h0 + _ARMIJO_C theta slope + BOUND_MARGIN * scale is
-    rejected without being fused or projected; it still uses one of the
-    tried levels. Every candidate the bound rejects would fail the Armijo
-    test in full, so the returned state is that of valuing every candidate.
-    evaluated and bound_rejected count the candidates tried, valued in full
-    and rejected by the bound; a level skipped by start_level counts as
-    neither.
+    rejected without being projected; it still uses one of the tried
+    levels. h0 and the bound share one expression, and a candidate's value
+    from its target rounds far inside the margin (see the module
+    docstring), so every candidate the bound rejects would fail the Armijo
+    test in full, and the returned state is that of valuing every
+    candidate. evaluated and bound_rejected count
+    the candidates tried, valued in full and rejected by the bound; a level
+    skipped by start_level counts as neither.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -244,36 +310,44 @@ def agf_minmax(
         raise ValueError(
             f"start_level must be in 0..{_MAX_BACKTRACKS}, got {start_level}"
         )
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
     _check_alignments(Zs, Ts)
     V = len(Zs)
     alpha = np.asarray(alpha0, dtype=np.float64).copy()
     if alpha.size != V:
         raise ValueError("one weight per view required")
-    # a frozen call only fuses the products once, so it forms each as its
-    # term is added, as weighted_fusion_input does; the stack is never held
-    ZT = map(np.matmul, Zs, Ts) if freeze_weights else np.matmul(Zs, Ts)
-    Zt = fuse_aligned(ZT, alpha)
+    if freeze_weights:
+        # one solve: each product is formed as its term is added, as
+        # weighted_fusion_input does, and the stack is never held
+        ZT = iter(Zs) if Ts is None else map(np.matmul, Zs, Ts)
+    elif Ts is None:
+        ZT = np.ascontiguousarray(Zs, dtype=np.float64)
+    else:
+        ZT = np.matmul(Zs, Ts)
     P = np.asarray(P0, dtype=np.float64)
 
     res = AgfResult(alpha=alpha, P=P, converged=False, n_iter=0)
 
     for it in range(1, max_iter + 1):
         H = compute_H(F, Q, P)
-        P = res.P = solve_inner_P(Zt, H, lam, beta)
+        H_half = H / (2.0 * beta)
+        P, t = solve_inner_P(ZT, alpha, H_half, lam, beta)
+        res.P = P
 
         if freeze_weights:
-            res.h = inner_value(P, Zt, H, lam, beta)
+            res.h = target_value(P, t, beta)
             res.converged = True
             break
+        # a weight step values P from its agreements: free the target
+        # before the candidates are built
+        del t
         res.n_iter = it
-        # P's inner value and the part of it no weight enters, from one sum
-        # of each product, in inner_value's expressions
-        pz = float(np.sum(P * Zt))
-        pp = float(np.sum(P * P))
-        hp = float(np.sum(H * P))
-        h0 = res.h = lam * pz - beta * pp - hp
-        fixed = beta * pp + hp
+        # P's value under any weights is lam sum_v w_v^2 c_v - fixed; at
+        # alpha it is the step's h0, and at a candidate the bound
         agree = view_agreements(P, ZT)
+        fixed = beta * float(np.vdot(P, P)) + float(np.vdot(H, P))
+        h0 = res.h = agreement_value(alpha, agree, fixed, lam)
         grad = grad_h(alpha, agree, lam)
         g = reduced_descent_direction(grad, alpha)
         if not np.any(g):
@@ -297,14 +371,15 @@ def agf_minmax(
                 res.bound_rejected += 1
             else:
                 res.evaluated += 1
-                Zt_c = fuse_aligned(ZT, cand)
-                P_c = solve_inner_P(Zt_c, H, lam, beta)
-                h_c = inner_value(P_c, Zt_c, H, lam, beta)
+                P_c, t_c = solve_inner_P(ZT, cand, H_half, lam, beta)
+                h_c = target_value(P_c, t_c, beta)
+                # free the candidate's target, and a rejected candidate,
+                # before the next one is built
+                del t_c
                 if h_c <= threshold:
                     accepted = True
                     break
-                # free the rejected candidate before the next one is built
-                del Zt_c, P_c
+                del P_c
             theta *= _ARMIJO_SHRINK
 
         if not accepted:
@@ -315,7 +390,7 @@ def agf_minmax(
         res.steps.append(theta)
         res.level = level
         res.converged = bool(np.max(np.abs(cand - alpha)) <= tol)
-        alpha, P, Zt = cand, P_c, Zt_c
+        alpha, P = cand, P_c
         res.alpha, res.P, res.h = alpha, P, h_c
         if res.converged:
             break

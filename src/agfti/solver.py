@@ -9,7 +9,10 @@ oracles.
 
 The per-view graphs live in one (V, n, m) array for the whole solve, view v
 being the contiguous slice Z[v]; the splitting variable G and the multiplier
-W share that layout, and the alignments are one (V, m, m) array.
+W share that layout, and the alignments are one (V, m, m) array. Until the
+first alignment update (for the whole solve under freeze_alignment) the
+alignments are the identity, held as None: fusion and imputation read the
+graphs and P unmultiplied, and the result reports identity matrices.
 """
 
 import time
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agf import agf_minmax, solve_inner_P, weighted_fusion_input
+from .agf import agf_minmax, solve_inner_P
 from .graphs import (
     ZeroDegreeWarning,
     bkhk_anchors,
@@ -28,9 +31,10 @@ from .graphs import (
 )
 from .simplex import prox_rows
 from .tensor3 import tubal_shrink
-# re-exported: perfbench/tracing.py patches solver.compute_H,
-# solver.inner_value and solver.phi
-from .agf import compute_H, inner_value  # noqa: F401
+# re-exported, and called nowhere in the solver: perfbench/tracing.py
+# patches solver.compute_H, solver.inner_value, solver.weighted_fusion_input
+# and solver.phi
+from .agf import compute_H, inner_value, weighted_fusion_input  # noqa: F401
 from .tensor3 import phi  # noqa: F401
 
 
@@ -51,6 +55,10 @@ class SolverConfig:
     """Hyperparameters and loop controls for admm_solve.
 
     lam left as None resolves to V^2 when the view count is known.
+    inner_tol acts only when max_inner_iters > 1: it ends a fusion call
+    before its last weight step once an accepted step moves no weight by
+    more. Under the default single step every call ends after that step,
+    so inner_tol does not change the solve.
     """
 
     n_anchors: int = 16
@@ -147,14 +155,16 @@ def update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta):
 
     is minimized on the simplex; completing the square gives the projected
     target G[v, i] - (W[v, i] - lam alpha_v^2 (P T_v^T)_i) / eta, written to
-    Z[v, i]. Rows of observed samples are never touched.
+    Z[v, i]. Rows of observed samples are never touched. Ts None stands for
+    identity alignments, under which P's rows are read unmultiplied.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     for v, idx in enumerate(missing):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size:
-            lin = lam * alpha[v] ** 2 * (P[idx] @ Ts[v].T)
+            rows = P[idx] if Ts is None else P[idx] @ Ts[v].T
+            lin = lam * alpha[v] ** 2 * rows
             target = G[v, idx] - (W[v, idx] - lin) / eta
             Z[v, idx] = prox_rows(target)
 
@@ -379,7 +389,8 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     else:
         # imputation writes rows of Z in place
         Z = _checked_graphs(graphs, V, n, m).copy()
-    Ts = np.tile(np.eye(m), (V, 1, 1))
+    # identity alignments until the first update_alignment
+    Ts = None
     alpha = np.full(V, 1.0 / V)
     G = np.zeros((V, n, m))
     W = np.zeros((V, n, m))
@@ -387,8 +398,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
 
     Y = one_hot_labels(y, labeled_idx, c)
 
-    Zt = weighted_fusion_input(Z, Ts, alpha)
-    P = solve_inner_P(Zt, np.zeros_like(Zt), lam, config.beta)
+    P, _ = solve_inner_P(Z, alpha, 0.0, lam, config.beta)
     F, Q = update_labels(P, Y, config.b_labeled)
 
     diagnostics = []
@@ -476,7 +486,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
         P=P,
         alpha=alpha,
         Zs=Z,
-        Ts=Ts,
+        Ts=np.tile(np.eye(m), (V, 1, 1)) if Ts is None else Ts,
         lam=lam,
         converged=converged,
         n_iter=n_iter,

@@ -23,14 +23,13 @@ import numpy as np
 
 from agfti.agf import (
     agf_minmax,
+    agreement_value,
     compute_H,
-    fuse_aligned,
     grad_h,
-    inner_value,
     reduced_descent_direction,
     solve_inner_P,
+    target_value,
     view_agreements,
-    weighted_fusion_input,
 )
 from agfti.rng import STREAM_ANCHORS, make_generator
 from agfti.simplex import prox_rows
@@ -376,15 +375,19 @@ def fusion_input_per_view(Zs, Ts, alpha):
     return out
 
 
+def inner_solve(Zs, Ts, alpha, H, lam, beta):
+    """(P, t) of solve_inner_P at alpha under H, from one batched product
+    over the view stack, as agf_minmax's weighted path forms them."""
+    return solve_inner_P(np.matmul(Zs, Ts), alpha, H / (2.0 * beta), lam, beta)
+
+
 def cold_start(Zs, Ts, lam, beta):
     """(alpha0, P0) for a fusion solve without a previous iterate.
 
-    Uniform weights, and the inner maximizer at them with H = 0, the fused
-    input formed from one batched product over the view stack.
+    Uniform weights, and the inner maximizer at them with H = 0.
     """
     alpha = np.full(len(Zs), 1.0 / len(Zs))
-    Zt = fuse_aligned(np.matmul(Zs, Ts), alpha)
-    return alpha, solve_inner_P(Zt, np.zeros_like(Zt), lam, beta)
+    return alpha, solve_inner_P(np.matmul(Zs, Ts), alpha, 0.0, lam, beta)[0]
 
 
 @dataclass
@@ -415,11 +418,14 @@ class MinmaxTrace:
 def minmax_fusing_per_candidate(
     Zs, Ts, F, Q, lam, beta, alpha0, P0, tol=1e-4, max_iter=50, start_level=0
 ):
-    """agf_minmax's weighted path, fusing and valuing every candidate anew.
+    """agf_minmax's weighted path, solving and valuing every candidate anew.
 
-    No candidate is rejected by a bound, so evaluated counts every try. The
-    first weight step tries the levels start_level..20, every later one the
-    levels 0..20, level j being the step theta_max * 0.5**j.
+    Each weight vector's target is formed from aligned products multiplied
+    anew, and no candidate is rejected by a bound, so evaluated counts every
+    try. A step's h0 and a candidate's value take agf_minmax's expressions
+    (agreement_value and target_value). The first weight step tries the
+    levels start_level..20, every later one the levels 0..20, level j being
+    the step theta_max * 0.5**j.
     """
     alpha = np.array(alpha0, dtype=float)
     P = np.asarray(P0, dtype=float)
@@ -428,11 +434,12 @@ def minmax_fusing_per_candidate(
     for it in range(1, max_iter + 1):
         ref.n_iter = it
         H = compute_H(F, Q, P)
-        Zt = weighted_fusion_input(Zs, Ts, alpha)
-        P = solve_inner_P(Zt, H, lam, beta)
+        P = inner_solve(Zs, Ts, alpha, H, lam, beta)[0]
         ref.H, ref.P = H, P
-        h0 = ref.h = inner_value(P, Zt, H, lam, beta)
-        grad = grad_h(alpha, view_agreements(P, ZTs), lam)
+        agree = view_agreements(P, ZTs)
+        fixed = beta * float(np.vdot(P, P)) + float(np.vdot(H, P))
+        h0 = ref.h = agreement_value(alpha, agree, fixed, lam)
+        grad = grad_h(alpha, agree, lam)
         g = reduced_descent_direction(grad, alpha)
         if not np.any(g):
             ref.converged = True
@@ -446,9 +453,8 @@ def minmax_fusing_per_candidate(
             cand = np.maximum(alpha + theta * g, 0.0)
             cand /= cand.sum()
             ref.evaluated += 1
-            Zt_c = weighted_fusion_input(Zs, Ts, cand)
-            P_c = solve_inner_P(Zt_c, H, lam, beta)
-            h_c = inner_value(P_c, Zt_c, H, lam, beta)
+            P_c, t_c = inner_solve(Zs, Ts, cand, H, lam, beta)
+            h_c = target_value(P_c, t_c, beta)
             if h_c <= h0 + 1e-4 * theta * slope:
                 accepted = True
                 break

@@ -49,6 +49,7 @@ from oracles import (
     cold_start,
     dense_label_solve,
     identity_tensor,
+    inner_solve,
     label_weights,
     matrix_svt,
     perf_gain_dense,
@@ -171,9 +172,8 @@ def test_03_weight_gradient_finite_difference_check():
     eps = 1e-5
 
     def h_exact(alpha, Zs, Ts, H, lam, beta):
-        Zt = weighted_fusion_input(Zs, Ts, alpha)
-        P = solve_inner_P(Zt, H, lam, beta)
-        return inner_value(P, Zt, H, lam, beta)
+        P = inner_solve(Zs, Ts, alpha, H, lam, beta)[0]
+        return inner_value(P, weighted_fusion_input(Zs, Ts, alpha), H, lam, beta)
 
     for trial in range(20):
         rng = np.random.default_rng(300 + trial)
@@ -186,8 +186,7 @@ def test_03_weight_gradient_finite_difference_check():
         lam, beta = float(V * V), 4.0
 
         alpha = rand_simplex_interior(rng, V, floor=0.15)
-        Zt = weighted_fusion_input(Zs, Ts, alpha)
-        P = solve_inner_P(Zt, H, lam, beta)
+        P = inner_solve(Zs, Ts, alpha, H, lam, beta)[0]
         ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
         g = grad_h(alpha, view_agreements(P, ZTs), lam)
         for a, b in [(0, 1), (1, 2), (0, 2)]:
@@ -216,8 +215,7 @@ def test_04_weight_descent_monotonicity():
             Zs.append(build_bipartite(X, anchors, k))
         V = container.V
         lam, beta = float(V * V), 4.0
-        Zt = weighted_fusion_input(Zs, [np.eye(m)] * V, np.full(V, 1.0 / V))
-        P0 = solve_inner_P(Zt, np.zeros_like(Zt), lam, beta)
+        P0 = solve_inner_P(np.stack(Zs), np.full(V, 1.0 / V), 0.0, lam, beta)[0]
         Ts = [update_alignment(Z, P0) for Z in Zs]
         rng = np.random.default_rng(seed)
         labeled = rng.choice(container.n, size=9, replace=False)
@@ -287,7 +285,7 @@ def test_06_closed_form_subproblem_optimality():
     Zt = rng.standard_normal((6, 5))
     H = np.abs(rng.standard_normal((6, 5)))
     lam, beta = 2.5, 1.5
-    Pin = solve_inner_P(Zt, H, lam, beta)
+    Pin, _ = solve_inner_P(Zt[None], [1.0], H / (2 * beta), lam, beta)
     target = (lam * Zt - H) / (2 * beta)
     for i in range(6):
         ref = simplex_qp_oracle(target[i])

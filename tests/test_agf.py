@@ -8,6 +8,7 @@ import agfti.agf as agf
 from agfti.agf import (
     BOUND_MARGIN,
     agf_minmax,
+    agreement_value,
     bound_rejects,
     compute_H,
     fuse_aligned,
@@ -15,6 +16,7 @@ from agfti.agf import (
     inner_value,
     reduced_descent_direction,
     solve_inner_P,
+    target_value,
     view_agreements,
     weighted_fusion_input,
 )
@@ -23,6 +25,7 @@ from oracles import (
     agf_minmax_with_reference,
     cold_start,
     dense_bipartite_pieces,
+    inner_solve,
     rand_row_stochastic,
     rand_simplex_interior,
     simplex_qp_oracle,
@@ -31,9 +34,15 @@ from oracles import (
 
 def h_exact(alpha, Zs, Ts, H, lam, beta):
     """h(alpha) under fixed H, via an exact inner maximization."""
-    Zt = weighted_fusion_input(Zs, Ts, alpha)
-    P = solve_inner_P(Zt, H, lam, beta)
-    return inner_value(P, Zt, H, lam, beta)
+    P = inner_solve(Zs, Ts, alpha, H, lam, beta)[0]
+    return inner_value(P, weighted_fusion_input(Zs, Ts, alpha), H, lam, beta)
+
+
+def value_scale(P, Zt, H, lam, beta):
+    """Magnitude of the inner value's terms, the scale of its rounding."""
+    return lam * abs(float(np.sum(P * Zt))) + beta * float(np.sum(P * P)) + abs(
+        float(np.sum(H * P))
+    )
 
 
 def procrustes(Z, P):
@@ -88,21 +97,24 @@ class TestComputeH:
 
 class TestSolveInnerP:
     def test_zero_target_uniform(self):
-        Z = np.zeros((4, 5))
-        H = np.zeros((4, 5))
-        P = solve_inner_P(Z, H, lam=3.0, beta=2.0)
+        P, t = solve_inner_P(np.zeros((2, 4, 5)), [0.5, 0.5], 0.0, 3.0, 2.0)
+        assert np.all(t == 0.0)
         assert np.allclose(P, 0.2, atol=1e-15)
 
     def test_rows_match_qp_oracle(self):
         rng = np.random.default_rng(3)
-        Zt = rng.standard_normal((3, 4))
+        ZT = rng.standard_normal((2, 3, 4))
+        w = np.array([0.3, 0.7])
         H = np.abs(rng.standard_normal((3, 4)))
         lam, beta = 2.0, 1.5
-        P = solve_inner_P(Zt, H, lam, beta)
-        target = (lam * Zt - H) / (2 * beta)
-        for i in range(3):
-            ref = simplex_qp_oracle(target[i])
-            assert np.abs(P[i] - ref).max() < 1e-10
+        target = (lam * fuse_aligned(ZT, w) - H) / (2 * beta)
+        # the stack in one product, and products one at a time
+        for products in (ZT, list(ZT)):
+            P, t = solve_inner_P(products, w, H / (2 * beta), lam, beta)
+            assert np.abs(t - target).max() < 1e-14
+            for i in range(3):
+                ref = simplex_qp_oracle(target[i])
+                assert np.abs(P[i] - ref).max() < 1e-10
 
     def test_maximizes_inner_objective(self):
         rng = np.random.default_rng(4)
@@ -110,7 +122,7 @@ class TestSolveInnerP:
         Zt = rand_row_stochastic(rng, n, m)
         H = np.abs(rng.standard_normal((n, m)))
         lam, beta = 4.0, 4.0
-        P = solve_inner_P(Zt, H, lam, beta)
+        P, _ = solve_inner_P(Zt[None], [1.0], H / (2 * beta), lam, beta)
         best = inner_value(P, Zt, H, lam, beta)
         uniform = np.full((n, m), 1.0 / m)
         assert best >= inner_value(uniform, Zt, H, lam, beta) - 1e-12
@@ -120,16 +132,40 @@ class TestSolveInnerP:
 
     def test_rows_on_simplex(self):
         rng = np.random.default_rng(5)
-        P = solve_inner_P(rng.standard_normal((7, 4)), np.zeros((7, 4)), 1.0, 0.5)
+        P, _ = solve_inner_P(rng.standard_normal((1, 7, 4)), [1.0], 0.0, 1.0, 0.5)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-12)
         assert P.min() >= 0.0
 
     def test_rejects_nonpositive_beta(self):
-        Z = np.zeros((2, 2))
+        Z = np.zeros((1, 2, 2))
         with pytest.raises(ValueError):
-            solve_inner_P(Z, Z, 1.0, 0.0)
+            solve_inner_P(Z, [1.0], 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            solve_inner_P(Z, Z, 1.0, -1.0)
+            solve_inner_P(Z, [1.0], 0.0, 1.0, -1.0)
+
+
+class TestTargetValue:
+    """beta (2 <P, t> - <P, P>) is the inner value, and so is the agreements' form."""
+
+    @pytest.mark.parametrize("V", [2, 4])
+    @pytest.mark.parametrize("beta", [0.5, 4.0])
+    def test_equals_the_inner_value(self, V, beta):
+        for seed in range(5):
+            rng = np.random.default_rng(700 + seed)
+            Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=40, m=8, V=V)
+            H = compute_H(F, Q, rand_row_stochastic(rng, 40, 8))
+            lam = float(V * V)
+            alpha = rng.dirichlet(np.ones(V))
+            Zt = weighted_fusion_input(Zs, Ts, alpha)
+            P, t = inner_solve(Zs, Ts, alpha, H, lam, beta)
+            for R in (P, rand_row_stochastic(rng, 40, 8)):
+                full = inner_value(R, Zt, H, lam, beta)
+                tol = 1e-12 * value_scale(R, Zt, H, lam, beta)
+                # any row-stochastic R, valued from the target of Zt and H
+                assert abs(target_value(R, t, beta) - full) <= tol
+                fixed = beta * float(np.vdot(R, R)) + float(np.vdot(H, R))
+                agree = view_agreements(R, np.matmul(Zs, Ts))
+                assert abs(agreement_value(alpha, agree, fixed, lam) - full) <= tol
 
 
 class TestGradH:
@@ -146,8 +182,7 @@ class TestGradH:
         rng = np.random.default_rng(6)
         Zs, Ts, H = self._instance(rng)
         alpha = np.array([0.6, 0.4, 0.0])
-        Zt = weighted_fusion_input(Zs, Ts, alpha)
-        P = solve_inner_P(Zt, H, 4.0, 4.0)
+        P = inner_solve(Zs, Ts, alpha, H, 4.0, 4.0)[0]
         ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
         g = grad_h(alpha, view_agreements(P, ZTs), 4.0)
         assert g[2] == 0.0
@@ -156,7 +191,7 @@ class TestGradH:
         rng = np.random.default_rng(7)
         Zs, Ts, H = self._instance(rng)
         alpha = np.full(3, 1 / 3)
-        P = solve_inner_P(weighted_fusion_input(Zs, Ts, alpha), H, 0.0, 4.0)
+        P = inner_solve(Zs, Ts, alpha, H, 0.0, 4.0)[0]
         ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
         assert np.all(grad_h(alpha, view_agreements(P, ZTs), 0.0) == 0.0)
 
@@ -168,8 +203,7 @@ class TestGradH:
         ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
         for trial in range(5):
             alpha = rand_simplex_interior(rng, 3, floor=0.15)
-            Zt = weighted_fusion_input(Zs, Ts, alpha)
-            P = solve_inner_P(Zt, H, lam, beta)
+            P = inner_solve(Zs, Ts, alpha, H, lam, beta)[0]
             g = grad_h(alpha, view_agreements(P, ZTs), lam)
             for a, b in [(0, 1), (1, 2), (0, 2)]:
                 w = np.zeros(3)
@@ -244,9 +278,7 @@ class TestAgfMinmax:
         assert res.converged
         assert np.array_equal(res.alpha, [1.0])
         assert np.allclose(res.P.sum(axis=1), 1.0, atol=1e-12)
-        expected = solve_inner_P(
-            weighted_fusion_input(Zs, Ts, res.alpha), ref.H, 1.0, 4.0
-        )
+        expected = inner_solve(Zs, Ts, res.alpha, ref.H, 1.0, 4.0)[0]
         assert np.abs(res.P - expected).max() < 1e-14
 
     def test_rejects_weight_count_mismatch(self):
@@ -296,9 +328,7 @@ class TestAgfMinmax:
             assert ref.deltas[-1] <= 1e-4
         # returned P is the exact inner maximizer at the returned weights
         # under the last H refresh
-        expected = solve_inner_P(
-            weighted_fusion_input(Zs, Ts, res.alpha), ref.H, lam, beta
-        )
+        expected = inner_solve(Zs, Ts, res.alpha, ref.H, lam, beta)[0]
         assert np.abs(res.P - expected).max() < 1e-12
 
     def test_h_nonincreasing_per_accepted_step(self):
@@ -336,12 +366,14 @@ class TestAgfMinmaxFrozenWeights:
                 Zs, Ts, F, Q, lam, beta, alpha0=alpha0, P0=P0,
                 freeze_weights=True,
             )
-            # one H refresh and one inner solve, valued, at alpha0
+            # one H refresh and one inner solve, valued, at alpha0, from
+            # products formed one at a time
             H = compute_H(F, Q, P0)
-            Zt = weighted_fusion_input(Zs, Ts, alpha0)
-            P = solve_inner_P(Zt, H, lam, beta)
+            P, t = solve_inner_P(
+                map(np.matmul, Zs, Ts), alpha0, H / (2 * beta), lam, beta
+            )
             assert np.array_equal(res.P, P)
-            assert res.h == inner_value(P, Zt, H, lam, beta)
+            assert res.h == target_value(P, t, beta)
             assert np.array_equal(res.alpha, alpha0)
             assert res.converged
             assert res.n_iter == 0
@@ -357,8 +389,10 @@ class TestAgfMinmaxMatchesPerCandidateFusion:
         # every try is either valued in full or rejected by the bound
         assert res.evaluated + res.bound_rejected == ref.evaluated
         # h is the inner value at the returned state, as the solver reads it
-        assert res.h == inner_value(
-            res.P, weighted_fusion_input(Zs, Ts, res.alpha), ref.H, kw["lam"], kw["beta"]
+        Zt = weighted_fusion_input(Zs, Ts, res.alpha)
+        full = inner_value(res.P, Zt, ref.H, kw["lam"], kw["beta"])
+        assert abs(res.h - full) <= 1e-12 * value_scale(
+            res.P, Zt, ref.H, kw["lam"], kw["beta"]
         )
         return res
 
@@ -457,18 +491,18 @@ class TestLineSearchBound:
     def test_bound_rejections_fail_the_armijo_test(self, seed, V, lam, beta):
         rng = np.random.default_rng(seed)
         Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=12, m=5, V=V)
-        ZTs = [Z @ T for Z, T in zip(Zs, Ts)]
+        ZT = np.matmul(Zs, Ts)
         H = compute_H(F, Q, rand_row_stochastic(rng, 12, 5))
+        H_half = H / (2 * beta)
         alpha = rng.dirichlet(np.ones(V))
-        Zt = fuse_aligned(ZTs, alpha)
-        P = solve_inner_P(Zt, H, lam, beta)
-        h0 = inner_value(P, Zt, H, lam, beta)
-        agree = view_agreements(P, ZTs)
+        P, _ = solve_inner_P(ZT, alpha, H_half, lam, beta)
+        agree = view_agreements(P, ZT)
+        fixed = beta * float(np.vdot(P, P)) + float(np.vdot(H, P))
+        h0 = agreement_value(alpha, agree, fixed, lam)
         grad = grad_h(alpha, agree, lam)
         g = reduced_descent_direction(grad, alpha)
         assume(np.any(g))
         slope = float(grad @ g)
-        fixed = beta * float(np.sum(P * P)) + float(np.sum(H * P))
         shrinking = g < 0
         theta = min(1.0, float(np.min(alpha[shrinking] / -g[shrinking])))
         # every try of a backtracking sequence, past any acceptance
@@ -477,9 +511,8 @@ class TestLineSearchBound:
             cand /= cand.sum()
             threshold = h0 + agf._ARMIJO_C * theta * slope
             if bound_rejects(cand, agree, fixed, lam, threshold):
-                Zt_c = fuse_aligned(ZTs, cand)
-                P_c = solve_inner_P(Zt_c, H, lam, beta)
-                assert inner_value(P_c, Zt_c, H, lam, beta) > threshold
+                P_c, t_c = solve_inner_P(ZT, cand, H_half, lam, beta)
+                assert target_value(P_c, t_c, beta) > threshold
             theta *= agf._ARMIJO_SHRINK
 
     def test_bound_rejections_use_up_the_backtrack_budget(self, monkeypatch):
@@ -487,19 +520,53 @@ class TestLineSearchBound:
         Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=60, m=8, V=3)
         valued = []
 
-        def every_candidate_fails(P, Zt, H, lam, beta):
-            # a weight step values its current weights itself, so every
-            # call values a candidate, and none passes
+        def every_candidate_fails(P, t, beta):
+            # a weight step values its current weights from their
+            # agreements, so every call values a candidate, and none passes
             valued.append(P)
-            return inner_value(P, Zt, H, lam, beta) + 1e6
+            return target_value(P, t, beta) + 1e6
 
         alpha0, P0 = cold_start(Zs, Ts, 9.0, 4.0)
-        monkeypatch.setattr(agf, "inner_value", every_candidate_fails)
+        monkeypatch.setattr(agf, "target_value", every_candidate_fails)
         res = agf.agf_minmax(Zs, Ts, F, Q, 9.0, 4.0, alpha0, P0, max_iter=1)
         assert res.steps == [0.0]
         assert res.bound_rejected > 0
         assert res.evaluated + res.bound_rejected == agf._MAX_BACKTRACKS + 1
         assert len(valued) == res.evaluated
+
+
+class TestIdentityAlignmentsUnmultiplied:
+    """Ts None reads the graphs as their own products, bit for bit Z @ I."""
+
+    def _instance(self, seed, V, n, m, c=3):
+        rng = np.random.default_rng(800 + seed)
+        Z = np.stack([rand_row_stochastic(rng, n, m) for _ in range(V)])
+        F = rand_row_stochastic(rng, n, c)
+        Q = rand_row_stochastic(rng, m, c)
+        P0 = rand_row_stochastic(rng, n, m)
+        return Z, F, Q, P0, rand_simplex_interior(rng, V)
+
+    @pytest.mark.parametrize("V, n, m", [(2, 60, 16), (3, 300, 64)])
+    @pytest.mark.parametrize("freeze_weights", [False, True])
+    def test_equals_explicit_identities(self, V, n, m, freeze_weights):
+        for seed in range(3):
+            Z, F, Q, P0, alpha0 = self._instance(seed, V, n, m)
+            kw = dict(lam=float(V * V), beta=4.0, alpha0=alpha0, P0=P0, tol=0.0,
+                      max_iter=4, freeze_weights=freeze_weights)
+            eye = np.tile(np.eye(m), (V, 1, 1))
+            res = agf_minmax(Z, None, F, Q, **kw)
+            ref = agf_minmax(Z, eye, F, Q, **kw)
+            assert np.array_equal(res.alpha, ref.alpha)
+            assert np.array_equal(res.P, ref.P)
+            assert res.h == ref.h
+            assert (res.steps, res.level, res.n_iter, res.converged) == (
+                ref.steps, ref.level, ref.n_iter, ref.converged
+            )
+            assert (res.evaluated, res.bound_rejected) == (
+                ref.evaluated, ref.bound_rejected
+            )
+            if not freeze_weights:
+                assert res.evaluated > 0
 
 
 class TestStartLevel:
@@ -537,10 +604,10 @@ class TestStartLevel:
     def test_search_without_decrease_ends_at_the_last_level(
         self, monkeypatch, start_level
     ):
-        def every_candidate_fails(P, Zt, H, lam, beta):
-            return inner_value(P, Zt, H, lam, beta) + 1e6
+        def every_candidate_fails(P, t, beta):
+            return target_value(P, t, beta) + 1e6
 
-        monkeypatch.setattr(agf, "inner_value", every_candidate_fails)
+        monkeypatch.setattr(agf, "target_value", every_candidate_fails)
         res = self._one_step(0, start_level=start_level)
         assert res.steps == [0.0]
         assert res.level == 0

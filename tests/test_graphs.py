@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import agfti.harness
 import agfti.solver
-from agfti.agf import weighted_fusion_input
+from agfti.agf import fuse_aligned, weighted_fusion_input
 from agfti.graphs import bkhk_anchors, build_bipartite, pairwise_sq_dists
 
 from oracles import (
@@ -262,6 +262,18 @@ class TestWeightedFusionInput:
                 weighted_fusion_input(Zs, Ts, alpha),
                 fusion_input_per_view(Zs, Ts, alpha),
             )
+
+    @pytest.mark.parametrize(
+        "V, n, m", [(2, 402, 64), (6, 2000, 64), (2, 1000, 256)]
+    )
+    def test_identity_alignments_fuse_the_graphs_unmultiplied(self, V, n, m):
+        rng = np.random.default_rng(11)
+        Z = np.stack([rand_row_stochastic(rng, n, m) for _ in range(V)])
+        alpha = rng.dirichlet(np.ones(V))
+        assert np.array_equal(
+            fuse_aligned(Z, alpha),
+            weighted_fusion_input(Z, np.tile(np.eye(m), (V, 1, 1)), alpha),
+        )
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

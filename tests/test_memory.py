@@ -1,8 +1,9 @@
-"""Memory of the graph shrinkage: how many stack-sized arrays live at once.
+"""Memory of the graph shrinkage and of the fusion: how many large arrays live at once.
 
 The solver's largest allocations are (V, n, m) stacks. These tests pin how
-many of them the shrinkage step holds, by tracemalloc (numpy reports its
-array buffers to it) and by weak references to the stacks the loop drops.
+many of them the shrinkage step holds, and how many n x m arrays a fusion
+call holds, by tracemalloc (numpy reports its array buffers to it) and by
+weak references to the stacks the loop drops.
 """
 
 import tracemalloc
@@ -12,6 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import agfti.solver
+from agfti.agf import agf_minmax, solve_inner_P
 from agfti.harness import MaskSpec, generate_masks, missing_per_view, synth_scp
 from agfti.tensor3 import tubal_shrink
 
@@ -85,3 +87,30 @@ def test_solve_drops_the_previous_G_and_the_last_gap_before_the_shrinkage(
     )
     assert result.n_iter == len(shrinks) == 4
     assert shrinks == [[]] * 4
+
+
+def test_weighted_fusion_holds_no_fused_graph_or_product_temporaries():
+    # the fuse-m256 benchmark's shape: n=1000, 256 anchors, two views, four
+    # weight steps. Each candidate holds its target and its projection
+    # beside H, H / (2 beta) and the current P; with explicit alignments the
+    # product stack adds V arrays, at identity alignments nothing
+    container = synth_scp(1, V=2, c=3, class_sizes=(334, 333, 333))
+    missing, labeled = generate_masks(container, MaskSpec(vmr=0.5, lar=0.05, seed=1))
+    m = 256
+    Z = agfti.solver.anchor_graphs(
+        container.views, missing_per_view(missing, container.V), m, 7, 1
+    )
+    V, n, _ = Z.shape
+    alpha = np.full(V, 1.0 / V)
+    P0, _ = solve_inner_P(Z, alpha, 0.0, 4.0, 4.0)
+    Y = agfti.solver.one_hot_labels(container.labels, labeled, container.c)
+    F, Q = agfti.solver.update_labels(P0, Y, 100.0)
+    array = n * m * 8
+    for Ts, held in ((None, 0), (np.tile(np.eye(m), (V, 1, 1)), V)):
+        with traced():
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            res = agf_minmax(Z, Ts, F, Q, 4.0, 4.0, alpha, P0, tol=0.0, max_iter=4)
+            _, peak = tracemalloc.get_traced_memory()
+        assert res.evaluated > 0
+        assert peak - entry <= (held + 6.5) * array

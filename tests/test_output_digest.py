@@ -7,6 +7,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "output_digest.py"
@@ -19,10 +20,20 @@ def load_script():
     return module
 
 
-def run_small():
+def run_small(*extra):
     cmd = [sys.executable, str(SCRIPT), "--tree", str(ROOT), "--seeds", "0",
-           "--problems", "1", "--small"]
+           "--problems", "1", "--small", *map(str, extra)]
     return subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+
+
+def against_lines(stdout):
+    """{workload: {stat: value}} from the --against lines of a run."""
+    out = {}
+    for line in stdout.splitlines():
+        name, kind, *fields = line.split()
+        if kind == "against":
+            out[name] = {k: float(v) for k, v in (f.split("=") for f in fields)}
+    return out
 
 
 def test_small_runs_repeat_and_name_every_workload():
@@ -79,3 +90,38 @@ def test_changed_baseline_prediction_changes_the_digest():
     assert od.digest([pred.copy()]) == before
     pred[3] = 2
     assert od.digest([pred]) != before
+
+
+def test_against_reads_zero_on_the_same_tree_and_reports_a_moved_F(tmp_path):
+    saved = tmp_path / "parent.npz"
+    run_small("--save", saved)
+    same = against_lines(run_small("--against", saved))
+    assert list(same) == ["fuse-m256", "frozen-v6", "ablate-402"]
+    for stats in same.values():
+        assert stats["solves"] >= 1
+        assert {k: v for k, v in stats.items() if k != "solves"} == {
+            "unpaired": 0, "max_dF": 0, "max_dalpha": 0, "flipped": 0,
+            "n_iter_differ": 0, "converged_differ": 0,
+        }
+    # move one F entry of the first ablate-402 solve past its row's maximum
+    arrays = dict(np.load(saved))
+    F = arrays["ablate-402/0/F"]
+    F[0, np.argmin(F[0])] = F[0].max() + 1.0
+    np.savez(saved, **arrays)
+    moved = against_lines(run_small("--against", saved))
+    assert moved["ablate-402"]["flipped"] == 1
+    assert moved["ablate-402"]["max_dF"] >= 1.0
+    assert moved["ablate-402"]["n_iter_differ"] == 0
+    assert moved["fuse-m256"]["max_dF"] == 0
+
+
+def test_compare_counts_iterations_and_convergence_that_differ():
+    od = load_script()
+    rng = np.random.default_rng(2)
+    a, b = solve_result(rng), solve_result(rng)
+    b.F, b.alpha = a.F.copy(), a.alpha + np.array([1e-9, -1e-9])
+    b.n_iter, b.converged = 2, True
+    moved = od.compare("w", od.solve_arrays("w", [a]), od.solve_arrays("w", [b, a]))
+    assert moved == {"solves": 1, "unpaired": 1, "max_dF": 0.0,
+                     "max_dalpha": pytest.approx(1e-9), "flipped": 0,
+                     "n_iter_differ": 1, "converged_differ": 1}

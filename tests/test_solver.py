@@ -199,6 +199,19 @@ class TestUpdateMissingRows:
             ref = prox_rows(G[v, idx] - (W[v, idx] - lin) / eta)
             assert np.abs(Z[v, idx] - ref).max() <= 1e-15
 
+    @pytest.mark.parametrize("V, n, m", [(2, 60, 16), (3, 400, 64)])
+    def test_identity_alignments_read_P_unmultiplied(self, V, n, m):
+        # Ts None equals explicit identities bit for bit: P @ I is exact
+        rng = np.random.default_rng(21)
+        Z, _, G, W, P, _, _ = self._state(rng, n=n, m=m, V=V)
+        alpha = rng.dirichlet(np.ones(V))
+        missing = [rng.choice(n, n // (v + 2), replace=False) for v in range(V)]
+        Z_eye = Z.copy()
+        update_missing_rows(Z, missing, G, W, P, None, alpha, 9.0, 0.5)
+        update_missing_rows(Z_eye, missing, G, W, P, np.tile(np.eye(m), (V, 1, 1)),
+                            alpha, 9.0, 0.5)
+        assert np.array_equal(Z, Z_eye)
+
     def test_lambda_zero_projects_G_rows(self):
         rng = np.random.default_rng(7)
         Z, missing, G, _, P, Ts, alpha = self._state(rng)
@@ -606,7 +619,7 @@ class TestCarriedLineSearchLevel:
         # (start level, accepted level, steps, candidates tried) of each call
         calls = []
         original = agfti.solver.agf_minmax
-        compute_H, inner_value = agfti.agf.compute_H, agfti.agf.inner_value
+        compute_H, target_value = agfti.agf.compute_H, agfti.agf.target_value
 
         def recording(*args, **kwargs):
             if len(calls) == fail_call:
@@ -621,11 +634,11 @@ class TestCarriedLineSearchLevel:
 
                 def failing(*a):
                     fails = len(refreshes) >= fail_from_step
-                    return inner_value(*a) + (1e6 if fails else 0.0)
+                    return target_value(*a) + (1e6 if fails else 0.0)
 
                 with monkeypatch.context() as m:
                     m.setattr(agfti.agf, "compute_H", counting)
-                    m.setattr(agfti.agf, "inner_value", failing)
+                    m.setattr(agfti.agf, "target_value", failing)
                     res = original(*args, **kwargs)
             else:
                 res = original(*args, **kwargs)
