@@ -330,8 +330,9 @@ def agf_minmax(
     res = AgfResult(alpha=alpha, P=P, converged=False, n_iter=0)
 
     for it in range(1, max_iter + 1):
-        H = compute_H(F, Q, P)
-        H_half = H / (2.0 * beta)
+        # only H / (2 beta) is held: <H, P> = 2 beta <H / (2 beta), P>
+        H_half = compute_H(F, Q, P)
+        H_half /= 2.0 * beta
         P, t = solve_inner_P(ZT, alpha, H_half, lam, beta)
         res.P = P
 
@@ -346,7 +347,8 @@ def agf_minmax(
         # P's value under any weights is lam sum_v w_v^2 c_v - fixed; at
         # alpha it is the step's h0, and at a candidate the bound
         agree = view_agreements(P, ZT)
-        fixed = beta * float(np.vdot(P, P)) + float(np.vdot(H, P))
+        fixed = (beta * float(np.vdot(P, P))
+                 + 2.0 * beta * float(np.vdot(H_half, P)))
         h0 = res.h = agreement_value(alpha, agree, fixed, lam)
         grad = grad_h(alpha, agree, lam)
         g = reduced_descent_direction(grad, alpha)

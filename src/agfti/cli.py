@@ -48,7 +48,7 @@ _solver_options = _stack(
                  show_default=True, help="fitting weight on labeled samples"),
     click.option("--tol", type=float, default=SolverConfig.tol, show_default=True,
                  help="outer stopping tolerance"),
-    click.option("--max-iters", "max_outer_iters", type=int,
+    click.option("--max-iters", "max_outer_iters", type=click.IntRange(min=1),
                  default=SolverConfig.max_outer_iters, show_default=True,
                  help="outer iteration cap"),
     click.option("--seed", type=int, default=SolverConfig.seed, show_default=True),
@@ -83,32 +83,6 @@ def _refused(param_hint):
         yield
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint=param_hint) from None
-
-
-def _solve_from_files(container_path, mask_path, kwargs):
-    """(container, labeled, result) of one solve.
-
-    A mask that does not fit the container exits 2 on MASK_PATH; a setting
-    the solver refuses exits 1.
-    """
-    with _refused("CONTAINER_PATH"):
-        container = load_container(container_path)
-    with _refused("MASK_PATH"):
-        _, missing, labeled = load_mask(mask_path)
-        if len(missing) != container.n:
-            raise ValueError(f"mask covers {len(missing)} samples, the "
-                             f"container has {container.n}")
-        per_view = missing_per_view(missing, container.V)
-        prepare_inputs(container.views, container.labels, labeled, per_view,
-                       container.c)
-    try:
-        result = admm_solve(
-            container.views, container.labels, labeled, per_view,
-            SolverConfig(**kwargs), n_classes=container.c,
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
-    return container, labeled, result
 
 
 def _emit(text, out):
@@ -212,12 +186,30 @@ def mask(container_path, out, vmr, lar, seed):
               help="write the report here instead of stdout")
 @click.option("--predictions", "pred_path", type=click.Path(dir_okay=False),
               default=None, help="also dump per-sample predictions as JSON")
+@click.option("--diagnostics", "diag_path", type=click.Path(dir_okay=False),
+              default=None, help="also dump one JSON line per ADMM iteration")
 @_solver_options
-def train(container_path, mask_path, out, pred_path, **kwargs):
+def train(container_path, mask_path, out, pred_path, diag_path, **kwargs):
     """Solve once on a container + mask and report metrics."""
-    container, labeled, result = _solve_from_files(
-        container_path, mask_path, kwargs
-    )
+    # a mask that does not fit the container exits 2 on MASK_PATH; a setting
+    # the solver refuses exits 1
+    with _refused("CONTAINER_PATH"):
+        container = load_container(container_path)
+    with _refused("MASK_PATH"):
+        _, missing, labeled = load_mask(mask_path)
+        if len(missing) != container.n:
+            raise ValueError(f"mask covers {len(missing)} samples, the "
+                             f"container has {container.n}")
+        per_view = missing_per_view(missing, container.V)
+        prepare_inputs(container.views, container.labels, labeled, per_view,
+                       container.c)
+    try:
+        result = admm_solve(
+            container.views, container.labels, labeled, per_view,
+            SolverConfig(**kwargs), n_classes=container.c,
+        )
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
     pred = predict(result.F)
     report = {
         "dataset": container.name,
@@ -235,6 +227,9 @@ def train(container_path, mask_path, out, pred_path, **kwargs):
         with open(pred_path, "w") as fh:
             json.dump({"predictions": [int(p) for p in pred]}, fh)
         click.echo(f"wrote {pred_path}")
+    if diag_path is not None:
+        _emit("\n".join(json.dumps(row, sort_keys=True)
+                        for row in result.diagnostics), diag_path)
 
 
 @main.command("eval")
@@ -263,24 +258,6 @@ def ablate(variants, **kwargs):
         raise click.BadParameter(f"{variants!r} names no variant",
                                  param_hint="'--variants'")
     _experiment(chosen, flat=False, **kwargs)
-
-
-@main.command()
-@click.argument("container_path", type=click.Path(exists=True))
-@click.argument("mask_path", type=click.Path(exists=True))
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="write JSON lines here instead of stdout")
-@_solver_options
-def diag(container_path, mask_path, out, **kwargs):
-    """Dump per-iteration solver diagnostics as JSON lines."""
-    _, _, result = _solve_from_files(container_path, mask_path, kwargs)
-    summary = {
-        "converged": result.converged,
-        "n_iter": result.n_iter,
-        "alpha": [float(a) for a in result.alpha],
-    }
-    _emit("\n".join(json.dumps(row, sort_keys=True)
-                    for row in [*result.diagnostics, summary]), out)
 
 
 if __name__ == "__main__":

@@ -368,6 +368,8 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     first weight step starts its search one level above the previous call's
     last accepted step (at the top after a search that found no decrease),
     and the longer steps it so skips count as neither.
+    max_outer_iters must be at least 1: without an iteration there is no
+    solve, only the initial propagation.
     Non-convergence within max_outer_iters is reported through the converged
     flag, never raised, and a collapse of every unlabeled sample into one
     class through the degenerate flag, which a converged run can carry.
@@ -375,6 +377,9 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     ZeroDegreeWarning when it ends.
     """
     config = config or SolverConfig()
+    if config.max_outer_iters < 1:
+        raise ValueError("max_outer_iters must be at least 1, got "
+                         f"{config.max_outer_iters}")
     views, y, labeled_idx, missing, c = prepare_inputs(
         views, y, labeled_idx, missing, n_classes
     )

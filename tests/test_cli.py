@@ -14,10 +14,11 @@ from agfti.harness import (
     load_container,
     load_mask,
     metrics,
+    missing_per_view,
     save_dataset,
     save_dataset_csv,
 )
-from agfti.solver import SolverConfig
+from agfti.solver import SolverConfig, admm_solve
 
 
 @pytest.fixture(scope="module")
@@ -144,17 +145,19 @@ def test_train_stdout_is_json(workspace):
     assert "metrics" in report
 
 
-def test_diag_emits_one_record_per_iteration(workspace):
-    runner = CliRunner()
-    result = runner.invoke(main, [
-        "diag", workspace["data"], workspace["mask"],
-        "--anchors", "8", "--max-iters", "10",
+def test_train_diagnostics_emit_one_record_per_iteration(workspace):
+    diag_path = str(workspace["root"] / "diag.jsonl")
+    result = CliRunner().invoke(main, [
+        "train", workspace["data"], workspace["mask"],
+        "--anchors", "8", "--max-iters", "10", "--diagnostics", diag_path,
     ])
     assert result.exit_code == 0, result.output
-    lines = [json.loads(line) for line in result.output.strip().splitlines()]
-    summary = lines[-1]
-    rows = lines[:-1]
-    assert summary["n_iter"] == len(rows)
+    wrote = f"wrote {diag_path}\n"
+    assert result.output.endswith(wrote)
+    report = json.loads(result.output[:-len(wrote)])
+    with open(diag_path) as fh:
+        rows = [json.loads(line) for line in fh]
+    assert report["n_iter"] == len(rows)
     assert rows[0]["iteration"] == 1
     for row in rows:
         assert row["primal_residual_fro"] >= row["primal_residual_inf"] >= 0.0
@@ -169,6 +172,45 @@ def test_diag_emits_one_record_per_iteration(workspace):
         assert search["bound_rejected"] >= 0
     # the weights move at least once on this instance
     assert sum(len(row["line_search"]["thetas"]) for row in rows) > 0
+
+
+def _clockless(row):
+    return {k: v for k, v in row.items() if k not in ("seconds", "step_seconds")}
+
+
+def test_train_diagnostics_are_the_solve_records(workspace):
+    data, maskfile = workspace["data"], workspace["mask"]
+    diag_path = str(workspace["root"] / "diag_records.jsonl")
+    args = ["train", data, maskfile, "--anchors", "8", "--max-iters", "10"]
+    runner = CliRunner()
+    plain = runner.invoke(main, args)
+    dumped = runner.invoke(main, [*args, "--diagnostics", diag_path])
+    assert plain.exit_code == dumped.exit_code == 0, dumped.output
+    # the option adds its file and one line naming it, and changes no report
+    assert dumped.output == plain.output + f"wrote {diag_path}\n"
+
+    container = load_container(data)
+    _, missing, labeled = load_mask(maskfile)
+    result = admm_solve(
+        container.views, container.labels, labeled,
+        missing_per_view(missing, container.V),
+        SolverConfig(n_anchors=8, max_outer_iters=10), n_classes=container.c,
+    )
+    with open(diag_path) as fh:
+        rows = [json.loads(line) for line in fh]
+    assert [_clockless(row) for row in rows] == [
+        _clockless(row) for row in result.diagnostics
+    ]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_train_refuses_a_solve_without_iterations(workspace, value):
+    result = CliRunner().invoke(main, [
+        "train", workspace["data"], workspace["mask"], "--anchors", "8",
+        "--max-iters", value,
+    ])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--max-iters'" in result.output
 
 
 def test_eval_aggregates(workspace):
@@ -352,7 +394,7 @@ _MASK_FAULTS = {
 
 
 @pytest.mark.parametrize("case", list(_MASK_FAULTS))
-@pytest.mark.parametrize("command", ["train", "diag"])
+@pytest.mark.parametrize("command", ["train"])
 def test_mask_not_fitting_the_container_is_refused(workspace, command, case):
     root = workspace["root"]
     data = workspace["data"]

@@ -607,6 +607,12 @@ class TestAdmmSolve:
         with pytest.raises(ValueError, match="b_labeled must be positive"):
             self._solve(seed=8, b_labeled=0.0)
 
+    @pytest.mark.parametrize("max_outer_iters", [0, -3])
+    def test_rejects_a_solve_without_iterations(self, max_outer_iters):
+        # with no iteration the initial propagation would pass for a solve
+        with pytest.raises(ValueError, match="max_outer_iters must be at least 1"):
+            self._solve(seed=8, max_outer_iters=max_outer_iters)
+
     def test_lambda_defaults_to_V_squared(self):
         result, _, _ = self._solve(seed=7)
         assert result.lam == pytest.approx(4.0)
