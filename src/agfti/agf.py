@@ -68,8 +68,8 @@ def compute_H(F, Q, P):
 
     H[i, j] = ||F_i - Q_j / sqrt(col_degree_j)||^2. Sample degrees are exactly
     one because P is row stochastic, so F rows enter unscaled. Anchors that no
-    sample points to get their degree floored at 1e-12 (with a warning), which
-    keeps H finite but large for those columns.
+    sample points to get their degree floored at 1e-12, without a warning,
+    which keeps H finite but large for those columns.
     """
     F = np.asarray(F, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)

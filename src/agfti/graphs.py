@@ -258,7 +258,7 @@ def build_bipartite(X, anchors, k):
 class ZeroDegreeWarning(RuntimeWarning):
     """Anchors of zero degree had their degree floored at 1e-12.
 
-    anchors is the number floored, or in a summary the most floored at once.
+    anchors is the most floored in one of the graphs the warning reports.
     """
 
     def __init__(self, message, anchors):
@@ -271,19 +271,26 @@ def floored_anchor_degrees(P):
 
     An anchor that no sample points to would divide by zero wherever anchor
     labels are degree-normalized; flooring keeps those terms finite (and
-    large), and a ZeroDegreeWarning reports how many anchors it touched.
+    large). The floor is silent: a solve counts the anchors it touches with
+    zero_degree_anchors and reports them through warn_zero_degree.
     """
-    col = P.sum(axis=0)
-    zero = col < _DEGREE_EPS
-    if zero.any():
-        anchors = int(zero.sum())
-        warnings.warn(
-            ZeroDegreeWarning(
-                f"{anchors} anchor(s) have zero degree in the fused graph; "
-                "flooring their degree at 1e-12",
-                anchors,
-            ),
-            stacklevel=3,
-        )
-        col = np.maximum(col, _DEGREE_EPS)
-    return col
+    return np.maximum(P.sum(axis=0), _DEGREE_EPS)
+
+
+def zero_degree_anchors(P):
+    """How many anchors floored_anchor_degrees floors in the fused graph P."""
+    return int((P.sum(axis=0) < _DEGREE_EPS).sum())
+
+
+def warn_zero_degree(counts, stacklevel):
+    """One ZeroDegreeWarning over the zero_degree_anchors counts of a solve.
+
+    It gives how many of the solve's fused graphs had zero-degree anchors
+    and the most at once; stacklevel counts from the caller.
+    """
+    floored = [a for a in counts if a]
+    if floored:
+        warnings.warn(ZeroDegreeWarning(
+            f"{len(floored)} fused graph(s) had zero-degree anchors, at most "
+            f"{max(floored)} at once; their degrees were floored at 1e-12",
+            max(floored)), stacklevel=stacklevel + 1)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..graphs import warn_zero_degree, zero_degree_anchors
 from ..rng import STREAM_EXPERIMENT, make_generator
 from ..solver import (
     SolverConfig,
@@ -68,8 +69,9 @@ def baseline_label_propagation(
     missing from stays at the uninformative uniform 1/m, the same convention
     the solver starts from before imputation. No imputation, no view
     weighting, no alignment: the control all harness comparisons run against.
-    Labels are fitted with the solver's default b_labeled. The input is
-    checked as admm_solve checks it, with the same ValueError messages.
+    Labels are fitted with the solver's default b_labeled; a ZeroDegreeWarning
+    reports zero-degree anchors of the mean graph. The input is checked as
+    admm_solve checks it, with the same ValueError messages.
     graphs, when given, is the stack anchor_graphs(views, missing, m, k,
     seed) returns; it is read, never copied or written, and another shape
     raises ValueError.
@@ -88,6 +90,7 @@ def baseline_label_propagation(
 
     Y = one_hot_labels(y, labeled_idx, c)
     F, _ = update_labels(P_cat, Y, SolverConfig.b_labeled)
+    warn_zero_degree([zero_degree_anchors(P_cat)], stacklevel=2)
     return predict(F)
 
 

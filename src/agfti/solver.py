@@ -16,19 +16,13 @@ graphs and P unmultiplied, and the result reports identity matrices.
 """
 
 import time
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agf import agf_minmax, solve_inner_P
-from .graphs import (
-    ZeroDegreeWarning,
-    bkhk_anchors,
-    build_bipartite,
-    floored_anchor_degrees,
-)
+from .graphs import (bkhk_anchors, build_bipartite, floored_anchor_degrees,
+                     warn_zero_degree, zero_degree_anchors)
 from .simplex import prox_rows
 from .tensor3 import tubal_shrink
 # re-exported, and called nowhere in the solver: perfbench/tracing.py
@@ -36,10 +30,6 @@ from .tensor3 import tubal_shrink
 # and solver.phi
 from .agf import compute_H, inner_value, weighted_fusion_input  # noqa: F401
 from .tensor3 import phi  # noqa: F401
-
-
-# the steps of one outer iteration, in order, as diagnostics time them
-STEPS = ("impute", "fusion", "labels", "shrink", "align", "multiplier")
 
 
 # the penalty schedule of the multiplier update (Boyd et al., Distributed
@@ -112,9 +102,10 @@ def update_labels(P, Y, b_labeled):
         [I_n + B_n, -P L^-1/2 ; -L^-1/2 P^T, I_m] [F; Q] = [B_n Y; 0],
 
     by eliminating F first, so the only dense factorization is the m x m
-    Schur complement. L is the diagonal of anchor degrees, and the diagonal
-    B_n fits the labeled samples (the rows of Y with a nonzero entry) with
-    weight b_labeled and leaves every other sample and the anchors free.
+    Schur complement. L is the diagonal of anchor degrees, a zero degree
+    floored at 1e-12, and the diagonal B_n fits the labeled samples (the
+    rows of Y with a nonzero entry) with weight b_labeled and leaves every
+    other sample and the anchors free.
     A b_labeled <= 0 or a Y without a labeled row raises ValueError, since
     F would be zero and every sample predicted as class 0.
     """
@@ -303,44 +294,95 @@ def prepare_inputs(views, y, labeled_idx, missing, n_classes):
     return views, y, labeled_idx, missing, c
 
 
-@contextmanager
-def _one_zero_degree_warning():
-    """Report the block's floored zero-degree anchors in one warning at its end.
+@dataclass
+class _SolveState:
+    """What the steps read and write; missing, Y and lam stay fixed."""
 
-    Every degree computation that floors anchors warns, and a solve makes
-    at least two per iteration. Their ZeroDegreeWarnings are collected, and
-    one summary gives how many computations floored and the most anchors
-    floored at once. Every other warning is re-emitted unchanged.
-    """
-    caught = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ZeroDegreeWarning)
-            yield
-    finally:
-        floored = []
-        for w in caught:
-            if issubclass(w.category, ZeroDegreeWarning):
-                floored.append(w.message.anchors)
-            else:
-                warnings.warn_explicit(
-                    w.message, w.category, w.filename, w.lineno, source=w.source
-                )
-        if floored:
-            most = max(floored)
-            # stack: this generator, contextlib's exit and decorator frames,
-            # then the caller of the decorated solve
-            warnings.warn(
-                ZeroDegreeWarning(
-                    f"{len(floored)} degree computation(s) of the solve floored "
-                    f"zero-degree anchors, at most {most} at once, at 1e-12",
-                    most,
-                ),
-                stacklevel=4,
-            )
+    Z: np.ndarray
+    G: np.ndarray | None
+    W: np.ndarray
+    Ts: np.ndarray | None
+    alpha: np.ndarray
+    P: np.ndarray
+    F: np.ndarray
+    Q: np.ndarray
+    eta: float
+    missing: list
+    Y: np.ndarray
+    lam: float
+    # zero_degree_anchors of the initial fused graph and of each iteration's
+    zero_degree: list
+    # the line-search level the next fusion call's first weight step starts at
+    level: int = 0
+    # the last fusion's value and line search, and the last residuals
+    h: float | None = None
+    line_search: dict = field(default_factory=dict)
+    prim_fro: float = 0.0
+    prim_inf: float = 0.0
+    delta_F: float = 0.0
 
 
-@_one_zero_degree_warning()
+def _impute(s, config):
+    update_missing_rows(s.Z, s.missing, s.G, s.W, s.P, s.Ts, s.alpha, s.lam, s.eta)
+
+
+def _fuse(s, config):
+    res = agf_minmax(
+        s.Z, s.Ts, s.F, s.Q, s.lam, config.beta, alpha0=s.alpha, P0=s.P,
+        tol=config.inner_tol, max_iter=config.max_inner_iters,
+        freeze_weights=config.freeze_weights, start_level=s.level,
+    )
+    s.alpha, s.P, s.h = res.alpha, res.P, res.h
+    # one level above the last accepted step; back to the top after a
+    # search that found no decrease
+    s.level = max(0, res.level - 1) if res.steps and res.steps[-1] else 0
+    s.line_search = {
+        "steps": res.n_iter, "thetas": [float(t) for t in res.steps if t > 0],
+        "evaluated": res.evaluated, "bound_rejected": res.bound_rejected,
+    }
+
+
+def _label(s, config):
+    F_prev = s.F
+    s.F, s.Q = update_labels(s.P, s.Y, config.b_labeled)
+    s.zero_degree.append(zero_degree_anchors(s.P))
+    s.delta_F = float(np.linalg.norm(s.F - F_prev)
+                      / max(1.0, np.linalg.norm(F_prev)))
+
+
+def _shrink(s, config):
+    # the previous G is dead once the imputation has read it: drop it
+    # before the shrinkage, the solve's largest allocation
+    s.G = None
+    s.G = update_G(s.Z, s.W, s.eta, config.rho)
+
+
+def _align(s, config):
+    s.Ts = update_alignment(s.Z, s.P)
+
+
+def _multiply(s, config):
+    # the gap dies with this call, before the next shrinkage
+    gap = s.Z - s.G
+    s.W, s.eta = update_multiplier(s.W, gap, s.eta)
+    s.prim_inf = float(np.abs(gap).max())
+    s.prim_fro = float(np.linalg.norm(gap))
+
+
+# the steps of one outer iteration, in order: (name in diagnostics, step,
+# the SolverConfig flag that skips it). Each step looks its update function
+# up in this module's globals when it runs, where tracers and tests patch it.
+_STEP_TABLE = (
+    ("impute", _impute, "skip_imputation"),
+    ("fusion", _fuse, None),
+    ("labels", _label, None),
+    ("shrink", _shrink, None),
+    ("align", _align, "freeze_alignment"),
+    ("multiplier", _multiply, None),
+)
+STEPS = tuple(name for name, _, _ in _STEP_TABLE)
+
+
 def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
                graphs=None):
     """Run the full alternating solver on multi-view data with missing rows.
@@ -358,23 +400,26 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
         config.seed) returns, so that several solves on the same masks build
         it once. The solve works on a copy; another shape raises ValueError.
 
-    Returns a SolveResult whose diagnostics list one record per outer
-    iteration (h value, primal residuals, label movement, weights, penalty,
-    wall seconds, under step_seconds the seconds of each step in STEPS, and
-    under line_search the fusion's weight steps, its accepted step sizes and
-    the line-search candidates it tried, valued in full (evaluated) or
-    rejected by the lower bound (bound_rejected), all zero or empty when
-    agf_minmax, called once per iteration, freezes the weights). Each call's
-    first weight step starts its search one level above the previous call's
-    last accepted step (at the top after a search that found no decrease),
-    and the longer steps it so skips count as neither.
-    max_outer_iters must be at least 1: without an iteration there is no
-    solve, only the initial propagation.
+    Each outer iteration runs the steps of STEPS in order on one
+    _SolveState; skip_imputation drops impute and freeze_alignment drops
+    align. Each fusion call starts its first weight step one level above the
+    previous call's last accepted step (agf_minmax's start_level), at the
+    top after a search that found no decrease.
+
+    Returns a SolveResult whose diagnostics list one record per iteration:
+    h, the primal residuals, the label movement delta_F, alpha, eta, wall
+    seconds, step_seconds (the seconds of each step in STEPS, 0.0 for a
+    skipped one) and line_search (the fusion's weight steps, its accepted
+    step sizes, and its candidates valued in full (evaluated) or rejected by
+    the lower bound (bound_rejected); zero or empty under frozen weights).
     Non-convergence within max_outer_iters is reported through the converged
     flag, never raised, and a collapse of every unlabeled sample into one
     class through the degenerate flag, which a converged run can carry.
-    Zero-degree anchors floored anywhere in the solve are reported by one
-    ZeroDegreeWarning when it ends.
+    max_outer_iters below 1 (no solve, only the initial propagation) and a
+    negative or NaN lam or rho raise ValueError before any step. When the
+    solve ends, one ZeroDegreeWarning counts its fused graphs (the initial
+    one and each iteration's, as the label step reads it) that had
+    zero-degree anchors.
     """
     config = config or SolverConfig()
     if config.max_outer_iters < 1:
@@ -387,6 +432,10 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     n = views[0].shape[0]
 
     lam = float(config.lam) if config.lam is not None else float(V * V)
+    if not lam >= 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not config.rho >= 0:
+        raise ValueError(f"rho must be nonnegative, got {config.rho}")
     m, k = config.n_anchors, config.k_neighbors
 
     if graphs is None:
@@ -394,107 +443,47 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     else:
         # imputation writes rows of Z in place
         Z = _checked_graphs(graphs, V, n, m).copy()
-    # identity alignments until the first update_alignment
-    Ts = None
     alpha = np.full(V, 1.0 / V)
-    G = np.zeros((V, n, m))
-    W = np.zeros((V, n, m))
-    eta = PENALTY_START
-
     Y = one_hot_labels(y, labeled_idx, c)
-
     P, _ = solve_inner_P(Z, alpha, 0.0, lam, config.beta)
     F, Q = update_labels(P, Y, config.b_labeled)
+    s = _SolveState(
+        Z=Z, G=np.zeros((V, n, m)), W=np.zeros((V, n, m)), Ts=None,
+        alpha=alpha, P=P, F=F, Q=Q, eta=PENALTY_START, missing=missing, Y=Y,
+        lam=lam, zero_degree=[zero_degree_anchors(P)],
+    )
 
+    # the steps this config runs; a skipped one reads 0.0 in step_seconds
+    steps = [(name, step) for name, step, skip in _STEP_TABLE
+             if not (skip and getattr(config, skip))]
     diagnostics = []
-    converged = False
-    n_iter = 0
-    # the line-search level the next fusion call's first weight step starts at
-    level = 0
-
     for it in range(1, config.max_outer_iters + 1):
-        n_iter = it
-        # one clock reading at the end of each step in STEPS
-        marks = [time.perf_counter()]
-
-        if not config.skip_imputation:
-            update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
-        marks.append(time.perf_counter())
-
-        res = agf_minmax(
-            Z, Ts, F, Q, lam, config.beta, alpha0=alpha, P0=P,
-            tol=config.inner_tol, max_iter=config.max_inner_iters,
-            freeze_weights=config.freeze_weights, start_level=level,
-        )
-        alpha, P, h_val = res.alpha, res.P, res.h
-        # one level above the last accepted step; back to the top after a
-        # search that found no decrease
-        level = max(0, res.level - 1) if res.steps and res.steps[-1] else 0
-        line_search = {
-            "steps": res.n_iter,
-            "thetas": [float(t) for t in res.steps if t > 0],
-            "evaluated": res.evaluated,
-            "bound_rejected": res.bound_rejected,
-        }
-        marks.append(time.perf_counter())
-
-        F_prev = F
-        F, Q = update_labels(P, Y, config.b_labeled)
-        marks.append(time.perf_counter())
-
-        # the previous G is dead once the imputation has read it: drop it
-        # before the shrinkage, the solve's largest allocation
-        del G
-        G = update_G(Z, W, eta, config.rho)
-        marks.append(time.perf_counter())
-
-        if not config.freeze_alignment:
-            Ts = update_alignment(Z, P)
-        marks.append(time.perf_counter())
-
-        gap = Z - G
-        W, eta = update_multiplier(W, gap, eta)
-        marks.append(time.perf_counter())
-
-        prim_inf = float(np.abs(gap).max())
-        prim_fro = float(np.linalg.norm(gap))
-        del gap
-        dF = float(
-            np.linalg.norm(F - F_prev) / max(1.0, np.linalg.norm(F_prev))
-        )
-        diagnostics.append(
-            {
-                "iteration": it,
-                "h": h_val,
-                "primal_residual_fro": prim_fro,
-                "primal_residual_inf": prim_inf,
-                "delta_F": dF,
-                "alpha": [float(a) for a in alpha],
-                "eta": float(eta),
-                "seconds": time.perf_counter() - marks[0],
-                "step_seconds": {
-                    step: marks[i + 1] - marks[i] for i, step in enumerate(STEPS)
-                },
-                "line_search": line_search,
-            }
-        )
+        step_seconds = dict.fromkeys(STEPS, 0.0)
+        start = mark = time.perf_counter()
+        for name, step in steps:
+            step(s, config)
+            now = time.perf_counter()
+            step_seconds[name] = now - mark
+            mark = now
+        diagnostics.append({
+            "iteration": it, "h": s.h, "primal_residual_fro": s.prim_fro,
+            "primal_residual_inf": s.prim_inf, "delta_F": s.delta_F,
+            "alpha": [float(a) for a in s.alpha], "eta": float(s.eta),
+            "seconds": time.perf_counter() - start,
+            "step_seconds": step_seconds, "line_search": s.line_search,
+        })
         # the Frobenius norm dominates the entrywise max, so gating on it
         # guarantees both residual readings sit at or below tol on exit
-        if max(prim_fro, dF) <= config.tol:
-            converged = True
+        converged = max(s.prim_fro, s.delta_F) <= config.tol
+        if converged:
             break
 
-    unlabeled_classes = np.unique(np.delete(predict(F), labeled_idx))
+    warn_zero_degree(s.zero_degree, stacklevel=2)
+    unlabeled_classes = np.unique(np.delete(predict(s.F), labeled_idx))
     return SolveResult(
-        F=F,
-        Q=Q,
-        P=P,
-        alpha=alpha,
-        Zs=Z,
-        Ts=np.tile(np.eye(m), (V, 1, 1)) if Ts is None else Ts,
-        lam=lam,
-        converged=converged,
-        n_iter=n_iter,
+        F=s.F, Q=s.Q, P=s.P, alpha=s.alpha, Zs=s.Z,
+        Ts=np.tile(np.eye(m), (V, 1, 1)) if s.Ts is None else s.Ts,
+        lam=lam, converged=converged, n_iter=len(diagnostics),
         degenerate=c >= 2 and unlabeled_classes.size == 1,
         diagnostics=diagnostics,
     )

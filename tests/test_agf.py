@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +22,7 @@ from agfti.agf import (
     view_agreements,
     weighted_fusion_input,
 )
+from agfti.graphs import zero_degree_anchors
 
 from oracles import (
     agf_minmax_with_reference,
@@ -79,13 +82,15 @@ class TestComputeH:
         rhs = float(np.trace(Fhat.T @ Lt @ Fhat))
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
-    def test_zero_column_degree_warns(self):
+    def test_zero_column_degree_is_floored_without_a_warning(self):
         P = np.array([[1.0, 0.0], [1.0, 0.0]])
         F = np.ones((2, 2))
         Q = np.ones((2, 2))
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             H = compute_H(F, Q, P)
         assert np.all(np.isfinite(H))
+        assert zero_degree_anchors(P) == 1
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)

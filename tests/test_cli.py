@@ -435,6 +435,19 @@ def test_train_reports_a_rejected_solver_setting(workspace):
     assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("option, name", [("--rho", "rho"), ("--lambda", "lam")])
+def test_train_refuses_a_negative_penalty(workspace, option, name):
+    # a negative rho used to fail at the first shrinkage, naming its
+    # threshold; a negative lambda used to exit 0 with a solve that rewards
+    # disagreement between the views
+    result = CliRunner().invoke(main, [
+        "train", workspace["data"], workspace["mask"], "--anchors", "8",
+        option, "-1",
+    ])
+    assert result.exit_code == 1
+    assert f"Error: {name} must be nonnegative, got -1.0" in result.output
+
+
 @pytest.mark.parametrize("command, kind, message", [
     ("eval", "binary", "truncated header"),
     ("mask", "binary", "truncated header"),

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from agfti.harness import (
     save_mask,
     synth_scp,
 )
+from agfti.graphs import ZeroDegreeWarning
 from agfti.harness import experiment
 from agfti.solver import SolverConfig, admm_solve, anchor_graphs, predict
 
@@ -679,6 +681,23 @@ class TestExperiment:
         with pytest.raises(ValueError, match=r"graphs has shape \(2, 90, 4\)"):
             baseline_label_propagation(cont.views, cont.labels, labeled, per_view,
                                        graphs=graphs[:, :, :4], **kwargs)
+
+    def test_baseline_reports_zero_degree_anchors_in_one_warning(self):
+        cont, _ = self._tiny()
+        seed, per_view, labeled = experiment.draw_repetition(cont, 0.3, 0.1, 0, 0)
+        graphs = anchor_graphs(cont.views, per_view, 8, 3, seed)
+        # anchor 0 of every view loses its edges: two zero-degree anchors of
+        # the mean graph
+        graphs[:, :, 0] = 0.0
+        graphs /= graphs.sum(axis=2, keepdims=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            baseline_label_propagation(cont.views, cont.labels, labeled, per_view,
+                                       m=8, k=3, seed=seed, graphs=graphs)
+        assert [w.category for w in caught] == [ZeroDegreeWarning]
+        assert caught[0].message.anchors == 2
+        assert str(caught[0].message).startswith("1 fused graph(s) had")
+        assert caught[0].filename == __file__
 
     def test_baseline_label_propagation_on_easy_data(self):
         rng = np.random.default_rng(14)

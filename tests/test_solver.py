@@ -1,11 +1,16 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import agfti.agf
 import agfti.solver
-from agfti.graphs import ZeroDegreeWarning, floored_anchor_degrees
+from agfti.graphs import ZeroDegreeWarning, floored_anchor_degrees, zero_degree_anchors
 from agfti.harness import (
     DatasetContainer,
     MaskSpec,
@@ -13,8 +18,9 @@ from agfti.harness import (
     missing_per_view,
     synth_scp,
 )
-from agfti.harness.experiment import draw_repetition
+from agfti.harness.experiment import STANDARD_VARIANTS, draw_repetition
 from agfti.solver import (
+    STEPS,
     SolverConfig,
     admm_solve,
     anchor_graphs,
@@ -117,15 +123,18 @@ class TestUpdateLabels:
         F, _ = update_labels(P, Y, 1e8)
         assert np.abs(F[0] - Y[0]).max() < 1e-3
 
-    def test_zero_degree_anchor_warns(self):
+    def test_zero_degree_anchor_is_floored_silently_and_counted(self):
         rng = np.random.default_rng(4)
         P = rand_row_stochastic(rng, 10, 3)
         P[:, 2] = 0.0
         P /= P.sum(axis=1, keepdims=True)
         Y = one_hot_labels(np.zeros(10, dtype=int), np.array([0]), 2)
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             F, Q = update_labels(P, Y, 100.0)
         assert np.all(np.isfinite(F))
+        assert floored_anchor_degrees(P)[2] == 1e-12
+        assert zero_degree_anchors(P) == 1
 
 
 class TestPerformanceGain:
@@ -613,6 +622,25 @@ class TestAdmmSolve:
         with pytest.raises(ValueError, match="max_outer_iters must be at least 1"):
             self._solve(seed=8, max_outer_iters=max_outer_iters)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lam", -1.0), ("lam", float("nan")), ("rho", -1.0), ("rho", float("nan")),
+    ])
+    def test_rejects_a_negative_or_nan_penalty_before_any_step(
+        self, monkeypatch, field, value
+    ):
+        # a negative lam rewards disagreement between the views, and a
+        # negative rho used to fail only inside the first shrinkage
+        called = []
+        for name in ("solve_inner_P", "update_missing_rows", "agf_minmax",
+                     "update_labels", "update_G", "update_alignment",
+                     "update_multiplier"):
+            monkeypatch.setattr(agfti.solver, name,
+                                lambda *a, name=name, **k: called.append(name))
+        with pytest.raises(ValueError) as info:
+            self._solve(seed=8, **{field: value})
+        assert str(info.value) == f"{field} must be nonnegative, got {value}"
+        assert called == []
+
     def test_lambda_defaults_to_V_squared(self):
         result, _, _ = self._solve(seed=7)
         assert result.lam == pytest.approx(4.0)
@@ -694,6 +722,48 @@ class TestCarriedLineSearchLevel:
         assert calls[4][0] == 0
 
 
+class TestStepTable:
+    """The ablation variants' flags select the steps each iteration runs."""
+
+    @pytest.mark.parametrize("variant, skipped", [
+        ("full", ()),
+        ("wo_ti", ("impute",)),
+        ("wo_tv", ("align",)),
+        ("wo_alpha", ()),
+    ])
+    def test_a_flag_drops_its_step(self, monkeypatch, variant, skipped):
+        # the update function of each step a flag can drop
+        functions = {"impute": "update_missing_rows", "align": "update_alignment"}
+        calls = dict.fromkeys(functions, 0)
+        for step, name in functions.items():
+            def counting(*args, step=step, original=getattr(agfti.solver, name)):
+                calls[step] += 1
+                return original(*args)
+
+            monkeypatch.setattr(agfti.solver, name, counting)
+        container = synth_scp(0, V=2, c=3, n_per_class=20)
+        missing, labeled = generate_masks(
+            container, MaskSpec(vmr=0.5, lar=0.1, seed=0)
+        )
+        result = admm_solve(
+            container.views, container.labels, labeled,
+            missing_per_view(missing, container.V),
+            SolverConfig(n_anchors=8, max_outer_iters=5,
+                         **STANDARD_VARIANTS[variant]),
+        )
+        assert calls == {
+            step: 0 if step in skipped else result.n_iter for step in functions
+        }
+        for row in result.diagnostics:
+            seconds = row["step_seconds"]
+            assert list(seconds) == list(STEPS)
+            for step in STEPS:
+                if step in skipped:
+                    assert seconds[step] == 0.0
+                else:
+                    assert seconds[step] > 0.0
+
+
 class TestZeroDegreeSummary:
     """A solve reports the anchors it floored in one warning, at its end."""
 
@@ -712,25 +782,27 @@ class TestZeroDegreeSummary:
         )
 
     def test_one_warning_per_solve(self, monkeypatch):
-        # the anchors each degree computation of the solve floors
-        floored = []
+        # the zero-degree anchors of each fused graph the label step reads:
+        # the initial one and each iteration's
+        counts = []
 
-        def recording(P):
-            floored.append(int((P.sum(axis=0) < 1e-12).sum()))
-            return floored_anchor_degrees(P)
+        def recording(P, Y, b_labeled):
+            counts.append(int((P.sum(axis=0) < 1e-12).sum()))
+            return update_labels(P, Y, b_labeled)
 
-        monkeypatch.setattr(agfti.solver, "floored_anchor_degrees", recording)
-        monkeypatch.setattr(agfti.agf, "floored_anchor_degrees", recording)
+        monkeypatch.setattr(agfti.solver, "update_labels", recording)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            self._solve()
-        calls = [n for n in floored if n]
-        assert len(calls) > 1
+            result = self._solve()
+        assert len(counts) == result.n_iter + 1
+        floored = [n for n in counts if n]
+        assert len(floored) > 1
         assert [w.category for w in caught] == [ZeroDegreeWarning]
         summary = caught[0]
-        assert summary.message.anchors == max(calls)
+        assert summary.message.anchors == max(floored)
         assert str(summary.message).startswith(
-            f"{len(calls)} degree computation(s) of the solve floored"
+            f"{len(floored)} fused graph(s) had zero-degree anchors, "
+            f"at most {max(floored)} at once"
         )
         # attributed to the line that called admm_solve
         assert summary.filename == __file__
@@ -800,3 +872,57 @@ class TestSolveHealth:
         )
         # [0.321, 0.327, 0.352] on seed 0, [0.321, 0.325, 0.354] on seed 1
         assert result.alpha[2] > result.alpha[:2].max() + 0.02
+
+
+def relabelled_solve_gaps(V, seed):
+    """How far a solve moves when class j is renamed perm[j].
+
+    Both solves run on the same graphs and masks. Returns the largest
+    entrywise |dF| once F's columns are renamed back, whether the
+    predictions are renamed alike, and the two iteration counts.
+    """
+    container = synth_scp(seed, n_per_class=134, V=V, c=3)
+    rep, per_view, labeled = draw_repetition(container, 0.5, 0.05, seed, 0)
+    perm = np.array([2, 0, 1])
+    config = SolverConfig(n_anchors=64, seed=rep)
+    base, moved = (
+        admm_solve(container.views, labels, labeled, per_view, config, n_classes=3)
+        for labels in (container.labels, perm[container.labels])
+    )
+    return (
+        float(np.abs(moved.F[:, perm] - base.F).max()),
+        bool(np.array_equal(predict(moved.F), perm[predict(base.F)])),
+        [base.n_iter, moved.n_iter],
+    )
+
+
+class TestClassRelabelling:
+    """Nothing in the solve orders the classes: renaming them renames F's columns.
+
+    The solves run in a child process on one BLAS thread. Under two threads
+    the relabelled solve differs from the first in its last bits within a
+    few iterations, and the solve amplifies them: on V=3, seed 0 the two
+    stop one iteration apart, with |dF| up to 3e-5.
+    """
+
+    CASES = [(2, 0), (2, 1), (2, 2), (3, 0)]
+
+    @pytest.fixture(scope="class")
+    def gaps(self):
+        code = ("import json, test_solver; print(json.dumps("
+                f"[test_solver.relabelled_solve_gaps(V, s) for V, s in {self.CASES}]))")
+        tests = Path(__file__).resolve().parent
+        path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS"), "1")}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return dict(zip(self.CASES, json.loads(out)))
+
+    @pytest.mark.parametrize("V, seed", CASES)
+    def test_relabelling_the_classes_permutes_the_solve(self, gaps, V, seed):
+        dF, same_predictions, (n_base, n_moved) = gaps[(V, seed)]
+        assert dF <= 1e-12
+        assert same_predictions
+        assert n_base == n_moved
