@@ -285,8 +285,8 @@ def zero_degree_anchors(P):
 def warn_zero_degree(counts, stacklevel):
     """One ZeroDegreeWarning over the zero_degree_anchors counts of a solve.
 
-    It gives how many of the solve's fused graphs had zero-degree anchors
-    and the most at once; stacklevel counts from the caller.
+    It gives how many of its fused graphs had any and the most at once;
+    stacklevel is read as if the caller called warnings.warn.
     """
     floored = [a for a in counts if a]
     if floored:

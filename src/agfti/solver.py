@@ -402,9 +402,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
 
     Each outer iteration runs the steps of STEPS in order on one
     _SolveState; skip_imputation drops impute and freeze_alignment drops
-    align. Each fusion call starts its first weight step one level above the
-    previous call's last accepted step (agf_minmax's start_level), at the
-    top after a search that found no decrease.
+    align. The fusion step carries agf_minmax's start_level between calls.
 
     Returns a SolveResult whose diagnostics list one record per iteration:
     h, the primal residuals, the label movement delta_F, alpha, eta, wall
@@ -428,8 +426,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     views, y, labeled_idx, missing, c = prepare_inputs(
         views, y, labeled_idx, missing, n_classes
     )
-    V = len(views)
-    n = views[0].shape[0]
+    V, n = len(views), views[0].shape[0]
 
     lam = float(config.lam) if config.lam is not None else float(V * V)
     if not lam >= 0:
@@ -445,13 +442,15 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
         Z = _checked_graphs(graphs, V, n, m).copy()
     alpha = np.full(V, 1.0 / V)
     Y = one_hot_labels(y, labeled_idx, c)
-    P, _ = solve_inner_P(Z, alpha, 0.0, lam, config.beta)
+    P = solve_inner_P(Z, alpha, 0.0, lam, config.beta)[0]
     F, Q = update_labels(P, Y, config.b_labeled)
     s = _SolveState(
         Z=Z, G=np.zeros((V, n, m)), W=np.zeros((V, n, m)), Ts=None,
         alpha=alpha, P=P, F=F, Q=Q, eta=PENALTY_START, missing=missing, Y=Y,
         lam=lam, zero_degree=[zero_degree_anchors(P)],
     )
+    # the state alone holds P from here, so the fusion step frees it
+    del P
 
     # the steps this config runs; a skipped one reads 0.0 in step_seconds
     steps = [(name, step) for name, step, skip in _STEP_TABLE

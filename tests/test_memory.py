@@ -89,6 +89,39 @@ def test_solve_drops_the_previous_G_and_the_last_gap_before_the_shrinkage(
     assert shrinks == [[]] * 4
 
 
+def test_solve_holds_no_replaced_fused_graph_or_target(monkeypatch):
+    # each n x m fused graph the solve was handed, and the initial inner
+    # solve's target, must be dead when a fusion call starts, except the P it
+    # starts from: a name left bound to one holds an n x m array for the solve
+    container = synth_scp(0, V=2, c=3, n_per_class=20)
+    missing, labeled = generate_masks(container, MaskSpec(vmr=0.5, lar=0.1, seed=0))
+    solve_inner_P = agfti.solver.solve_inner_P
+    agf_minmax = agfti.solver.agf_minmax
+    made = []
+    alive = []
+
+    def watched_solve_inner_P(*args, **kwargs):
+        P, t = solve_inner_P(*args, **kwargs)
+        made.extend((weakref.ref(P), weakref.ref(t)))
+        return P, t
+
+    def watched_agf_minmax(*args, P0, **kwargs):
+        alive.append(sum(ref() is not None and ref() is not P0 for ref in made))
+        res = agf_minmax(*args, P0=P0, **kwargs)
+        made.append(weakref.ref(res.P))
+        return res
+
+    monkeypatch.setattr(agfti.solver, "solve_inner_P", watched_solve_inner_P)
+    monkeypatch.setattr(agfti.solver, "agf_minmax", watched_agf_minmax)
+    result = agfti.solver.admm_solve(
+        container.views, container.labels, labeled,
+        missing_per_view(missing, container.V),
+        agfti.solver.SolverConfig(n_anchors=8, max_outer_iters=4),
+    )
+    assert result.n_iter == len(alive) == 4
+    assert alive == [0] * 4
+
+
 def test_weighted_fusion_holds_no_fused_graph_or_product_temporaries():
     # the fuse-m256 benchmark's shape: n=1000, 256 anchors, two views, four
     # weight steps. Each candidate holds its target and its projection
