@@ -15,6 +15,9 @@ regression bound from the change tree's BENCHMARK.json. From the report line
 before it, each side of a pair also records the share of solves that
 converged and the outer iterations of one pass, so a change to the solve
 shows its convergence next to its time; neither is gated or summarised.
+The environment also names the allocator both sides ran under (the C library
+and every MALLOC_* variable, which each run inherits), since heap layout alone
+moves peak_rss_mb by about a megabyte.
 
 BENCH_<label>.json is written into the change tree. It holds one section per
 workload: every pair, and per metric each side's quartiles, the pairs the
@@ -27,6 +30,8 @@ label adds or replaces that workload's section and keeps the others.
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -63,6 +68,15 @@ def parse_run(stdout):
     )
     env = {k: report["environment"].get(k) for k in ENV_KEYS}
     return record, env
+
+
+def allocator():
+    """The C library and the MALLOC_* variables that every benchmark run inherits."""
+    return {
+        "libc": " ".join(platform.libc_ver()).strip() or None,
+        "malloc_env": {k: v for k, v in sorted(os.environ.items())
+                       if k.startswith("MALLOC_")},
+    }
 
 
 def run_side(tree, workload, seed, seconds):
@@ -161,7 +175,7 @@ def main(argv=None):
             "alternating pairs, the same seed on both sides of a pair, the parent "
             "first on odd seeds; each side from its own source tree"
         ),
-        environment=env,
+        environment={**env, "allocator": allocator()},
     )
     bench["workloads"][args.workload] = {
         "seeds": args.seeds,

@@ -169,10 +169,10 @@ def update_G(Z, W, eta, rho):
     its axis 0, the samples, is the DFT axis, and each frequency slice is
     an m x V matrix. The result comes back in the (V, n, m) layout.
 
-    M = Z + W/eta is built in one new stack, and the shrinkage holds its
-    spectrum and its output beside it, so the step's memory is about two
-    stacks above M: the half spectrum of the sample axis takes about the
-    bytes of the real stack.
+    M = Z + W/eta is built in one new stack, and the shrinkage writes G
+    into M's buffer, so the step holds M and its spectrum: about two stacks,
+    the half spectrum of the sample axis taking about the bytes of the real
+    stack, plus one batch's factors.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -180,7 +180,8 @@ def update_G(Z, W, eta, rho):
     M += Z
     if rho == 0:
         return M
-    return tubal_shrink(M.transpose(1, 2, 0), rho / eta).transpose(2, 0, 1)
+    Mt = M.transpose(1, 2, 0)
+    return tubal_shrink(Mt, rho / eta, out=Mt).transpose(2, 0, 1)
 
 
 def update_alignment(Z, P):
@@ -196,8 +197,13 @@ def update_alignment(Z, P):
 
 
 def update_multiplier(W, gap, eta):
-    """Dual ascent on Z = G from its residual gap = Z - G, then grow the penalty."""
-    return W + eta * gap, min(PENALTY_GROWTH * eta, PENALTY_CAP)
+    """Dual ascent on Z = G from its residual gap = Z - G, then grow the penalty.
+
+    W is updated in place and returned; gap is consumed (it ends as eta * gap).
+    """
+    gap *= eta
+    W += gap
+    return W, min(PENALTY_GROWTH * eta, PENALTY_CAP)
 
 
 def predict(F):
@@ -362,11 +368,11 @@ def _align(s, config):
 
 
 def _multiply(s, config):
-    # the gap dies with this call, before the next shrinkage
+    # the gap dies with this call, before the next shrinkage; its norms first
     gap = s.Z - s.G
-    s.W, s.eta = update_multiplier(s.W, gap, s.eta)
-    s.prim_inf = float(np.abs(gap).max())
+    s.prim_inf = float(max(gap.max(), -gap.min()))
     s.prim_fro = float(np.linalg.norm(gap))
+    s.W, s.eta = update_multiplier(s.W, gap, s.eta)
 
 
 # the steps of one outer iteration, in order: (name in diagnostics, step,

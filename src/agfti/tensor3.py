@@ -49,9 +49,9 @@ would also have zeroed, so the result is the same bit for bit.
 
 The live slices are shrunk SHRINK_BATCH at a time, and each batch's shrunk
 product is written back into the spectrum, so the factors of the whole
-spectrum are never held at once. The shrinkage's memory is the spectrum plus
-the output, about twice the input: the half spectrum's n3//2+1 complex slices
-take about as many bytes as the real input.
+spectrum are never held at once. The half spectrum's n3//2+1 complex slices
+take about the bytes of the real input A, so the shrinkage holds about one
+more A when it writes over A (out=A), and two when it returns a new array.
 """
 
 import numpy as np
@@ -85,12 +85,14 @@ def _slice_norms(*parts):
     return np.sqrt(sum(np.einsum("kij,kij->k", a, a) for a in parts))
 
 
-def tubal_shrink(A, tau):
+def tubal_shrink(A, tau, out=None):
     """Soft-threshold the Fourier-domain singular values at n3 * tau.
 
     A is a real (n3, n1, n2) array whose axis 0 is the DFT axis; the result
-    is a new array of the same shape. A that is not 3-d or has an entry that
-    is not finite raises ValueError.
+    is a new array of the same shape, or is written into out, a float array
+    of A's shape that may be A itself: A is read in full before out is
+    written, and out is returned. A that is not 3-d or has an entry that is
+    not finite raises ValueError.
 
     This is the proximal map of tau times the plain sum of per-frequency
     nuclear norms, i.e. of (n3 * tau) times the tensor nuclear norm (their
@@ -109,6 +111,8 @@ def tubal_shrink(A, tau):
     A = np.asarray(A, dtype=float)
     if A.ndim != 3:
         raise ValueError(f"tubal_shrink needs a 3-d array, got shape {A.shape}")
+    if out is not None and out.shape != A.shape:
+        raise ValueError(f"out must have A's shape {A.shape}, got {out.shape}")
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     n3 = A.shape[0]
@@ -124,13 +128,15 @@ def tubal_shrink(A, tau):
         # the power of two that brings A's largest entry into [0.5, 1)
         exp = np.frexp(max(A.max(initial=0.0), -A.min(initial=0.0)))[1]
         if exp < 0:
-            return np.ldexp(tubal_shrink(np.ldexp(A, -exp), np.ldexp(tau, -exp)), exp)
+            scaled = np.ldexp(A, -exp)
+            tubal_shrink(scaled, np.ldexp(tau, -exp), out=scaled)
+            return np.ldexp(scaled, exp, out=out)
     if total <= floor:
-        return np.zeros(A.shape)
+        return _zeros(A.shape, out)
     spec = np.fft.rfft(A, axis=0)
     keep = _slice_norms(spec.real, spec.imag) > floor
     if not keep.any():
-        return np.zeros(A.shape)
+        return _zeros(A.shape, out)
     # shrunk in place a batch at a time: a fresh output spectrum, or the
     # factors of every slice at once, would raise the peak
     spec[~keep] = 0.0
@@ -138,7 +144,15 @@ def tubal_shrink(A, tau):
     for start in range(0, live.size, SHRINK_BATCH):
         batch = live[start:start + SHRINK_BATCH]
         spec[batch] = _shrink_slices(spec[batch], t, batch)
-    return np.fft.irfft(spec, n=n3, axis=0)
+    return np.fft.irfft(spec, n=n3, axis=0, out=out)
+
+
+def _zeros(shape, out):
+    """Zeros of the given shape: a new array, or out filled with them."""
+    if out is None:
+        return np.zeros(shape)
+    out.fill(0.0)
+    return out
 
 
 def _shrink_slices(S, t, freqs):

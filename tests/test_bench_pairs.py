@@ -93,3 +93,36 @@ def test_parse_run_reads_both_lines():
     assert env == {"blas_thread_pin": None, "nproc": 2, "numpy": "2.0",
                    "openblas": None, "python": None}
 
+
+
+def test_allocator_names_the_c_library_and_every_malloc_variable(monkeypatch):
+    monkeypatch.setattr(bench_pairs.platform, "libc_ver", lambda: ("glibc", "2.36"))
+    for key in [k for k in bench_pairs.os.environ if k.startswith("MALLOC_")]:
+        monkeypatch.delenv(key)
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert bench_pairs.allocator() == {
+        "libc": "glibc 2.36",
+        "malloc_env": {"MALLOC_ARENA_MAX": "2", "MALLOC_TRIM_THRESHOLD_": "131072"},
+    }
+    # a C library that platform cannot name
+    monkeypatch.setattr(bench_pairs.platform, "libc_ver", lambda: ("", ""))
+    assert bench_pairs.allocator()["libc"] is None
+
+
+def test_bench_file_records_the_allocator(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}
+    ))
+    env = {"nproc": 2, "numpy": "2.0"}
+    monkeypatch.setattr(
+        bench_pairs, "run_side", lambda tree, w, seed, s: ({"wall_s": 1.0}, env)
+    )
+    monkeypatch.setattr(bench_pairs, "allocator", lambda: {"libc": "glibc 2.36"})
+    bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                      "--workload", "frozen-v6", "--seeds", "1-2", "--seconds", "1",
+                      "--label", "t"])
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert bench["environment"] == {**env, "allocator": {"libc": "glibc 2.36"}}
+    assert len(bench["workloads"]["frozen-v6"]["pairs"]) == 2

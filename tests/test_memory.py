@@ -9,6 +9,7 @@ weak references to the stacks the loop drops.
 import tracemalloc
 import weakref
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,6 +55,39 @@ def test_all_live_shrinkage_of_a_solver_shaped_stack():
     # update_G shrinks it: 64 x 6 frequency slices
     Z = np.random.default_rng(0).standard_normal((6, 1000, 64))
     assert_all_live_shrinkage_holds_two_stacks(Z.transpose(1, 2, 0))
+
+
+def peak_above_entry(call):
+    """(call's result, its traced peak above the memory live when it starts)."""
+    with traced():
+        entry, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    return result, peak - entry
+
+
+def test_all_live_graph_shrinkage_writes_G_over_M():
+    # M = Z + W/eta, its spectrum and one batch's factors; G takes over M
+    rng = np.random.default_rng(0)
+    Z = rng.standard_normal((6, 1000, 64))
+    W = rng.standard_normal(Z.shape)
+    G, peak = peak_above_entry(lambda: agfti.solver.update_G(Z, W, 1.0, 1e-3))
+    assert np.abs(G - (Z + W)).max() > 0
+    assert peak <= 2.6 * Z.nbytes
+
+
+def test_multiplier_step_holds_one_gap():
+    rng = np.random.default_rng(0)
+    Z, G, W = rng.standard_normal((3, 6, 1000, 64))
+    stack = Z.nbytes
+    gap = Z - G
+    _, peak = peak_above_entry(lambda: agfti.solver.update_multiplier(W, gap, 0.5))
+    assert peak <= 0.1 * stack
+    state = SimpleNamespace(Z=Z, G=G, W=W, eta=0.5)
+    _, peak = peak_above_entry(lambda: agfti.solver._multiply(state, None))
+    assert peak <= 1.1 * stack
+    assert state.prim_inf == np.abs(Z - G).max()
 
 
 def test_solve_drops_the_previous_G_and_the_last_gap_before_the_shrinkage(

@@ -369,6 +369,15 @@ class TestUpdateMultiplier:
         _, eta2 = update_multiplier(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), eta=1e10)
         assert eta2 == 1e10
 
+    def test_updates_W_in_place(self):
+        rng = np.random.default_rng(16)
+        W, gap = rng.standard_normal((2, 2, 3, 4))
+        eta = 0.37
+        expected = W + eta * gap
+        W2, _ = update_multiplier(W, gap, eta)
+        assert W2 is W
+        assert np.array_equal(W, expected)
+
 
 class TestPredict:
     def test_one_hot_rows(self):

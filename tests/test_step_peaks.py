@@ -1,0 +1,20 @@
+"""scripts/step_peaks.py: a traced peak for every solver step."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+from agfti.solver import STEPS
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "step_peaks.py"
+
+
+def test_small_run_gives_every_step_a_peak_above_the_held_stacks():
+    cmd = [sys.executable, str(SCRIPT), "--tree", str(ROOT), "--workload",
+           "frozen-v6", "--seed", "1", "--small"]
+    stdout = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    peaks = dict(line.split() for line in stdout.splitlines())
+    assert list(peaks) == list(STEPS)
+    # the graphs Z and the multiplier W are live through every step
+    assert all(float(p) >= 2.0 for p in peaks.values())

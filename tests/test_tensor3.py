@@ -599,3 +599,73 @@ class TestGramRoute:
             np.linalg.LinAlgError, match="SVD failed to converge on frequency slice 1"
         ):
             tubal_shrink(t.data, 5e-9 / 9)
+
+
+def in_place_case(path):
+    """(A, tau) whose shrinkage takes the named path of tubal_shrink."""
+    rng = np.random.default_rng(89)
+    if path == "norm-sum skip":
+        A = rng.standard_normal((7, 4, 3))
+        return A, 1.01 * sum(np.linalg.norm(a) for a in A) / 7
+    if path == "no live slice":
+        # between the largest slice norm and the norm bound
+        A = rng.standard_normal((8, 4, 3))
+        norms = np.linalg.norm(np.fft.rfft(A, axis=0), axis=(1, 2))
+        return A, 0.5 * (norms.max() + sum(np.linalg.norm(a) for a in A)) / 8
+    if path == "small norms":
+        return rng.standard_normal((5, 4, 3)) * 1e-300, 0.3e-300
+    if path == "svd fallback":
+        svals = [[3.0, 1.0, 1e-8, 0.0, 0.0, 0.0]] * 5
+        return spectrum_tensor(rng, 64, 6, 9, svals).data, 5e-9 / 9
+    if path == "wide":
+        return rng.standard_normal((9, 2, 5)), 0.1
+    # all live: the (n, m, V) view of a (V, n, m) stack, as the solver
+    # shrinks it, at a threshold below every slice's smallest singular value
+    return rng.standard_normal((3, 9, 5)).transpose(1, 2, 0), 1e-6
+
+
+IN_PLACE_PATHS = ["norm-sum skip", "no live slice", "small norms", "svd fallback",
+                  "wide", "all live"]
+
+
+class TestShrinkInPlace:
+    """out=A writes the shrinkage over A, bit for bit the new array's values."""
+
+    @pytest.mark.parametrize("path", IN_PLACE_PATHS)
+    def test_writes_over_its_input(self, monkeypatch, path):
+        A, tau = in_place_case(path)
+        ref = tubal_shrink(A.copy(), tau)
+        rfft = np.fft.rfft
+        transforms = []
+        monkeypatch.setattr(
+            np.fft, "rfft", lambda *a, **k: transforms.append(1) or rfft(*a, **k)
+        )
+        eighs = slice_counter(monkeypatch)
+        svds = slice_counter(monkeypatch, "svd")
+        out = tubal_shrink(A, tau, out=A)
+        assert out is A
+        assert np.array_equal(A, ref)
+        # the case takes the path it names
+        taken = {
+            "norm-sum skip": transforms == [] and not ref.any(),
+            "no live slice": transforms == [1] and eighs == [] and not ref.any(),
+            "small norms": np.abs(ref).max() < 1e-299 and sum(eighs) > 0,
+            "svd fallback": sum(svds) == 5,
+            "wide": A.shape[1] < A.shape[2] and sum(eighs) == 5,
+            "all live": sum(eighs) == 5 and svds == [],
+        }
+        assert taken[path]
+
+    @pytest.mark.parametrize("path", IN_PLACE_PATHS)
+    def test_writes_into_another_array(self, path):
+        A, tau = in_place_case(path)
+        before = A.copy()
+        out = np.full(A.shape, np.nan)
+        assert tubal_shrink(A, tau, out=out) is out
+        assert np.array_equal(out, tubal_shrink(A, tau))
+        assert np.array_equal(A, before)
+
+    def test_rejects_out_of_another_shape(self):
+        A = np.ones((4, 3, 2))
+        with pytest.raises(ValueError, match="shape"):
+            tubal_shrink(A, 0.1, out=np.empty((4, 2, 3)))
