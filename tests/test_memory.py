@@ -1,9 +1,9 @@
-"""Memory of the graph shrinkage and of the fusion: how many large arrays live at once.
+"""Memory of the graph shrinkage, the multiplier step and the fusion: how many large arrays live at once.
 
 The solver's largest allocations are (V, n, m) stacks. These tests pin how
-many of them the shrinkage step holds, and how many n x m arrays a fusion
-call holds, by tracemalloc (numpy reports its array buffers to it) and by
-weak references to the stacks the loop drops.
+many of them the shrinkage and multiplier steps hold, and how many n x m
+arrays a fusion call holds, by tracemalloc (numpy reports its array buffers
+to it) and by weak references to the stacks the loop drops.
 """
 
 import tracemalloc
