@@ -1,12 +1,15 @@
 """Traced memory peak of every solver step, in (V, n, m) graph stacks.
 
     python scripts/step_peaks.py --tree DIR --workload frozen-v6 --seed 1 \\
-        [--problem 0] [--small]
+        [--problem 0] [--small] [--max-outer-iters N]
 
 DIR is the root of a source checkout. The script imports ``agfti`` from
 DIR/src and builds the workload's problem with DIR/perfbench/workloads.py, as
 the benchmark draws it for that run seed (--problem picks the j-th problem,
---small the workload's small variant). It makes the problem's timed call
+--small the workload's small variant). --max-outer-iters replaces the
+workload's cap on outer iterations, so that a one-iteration workload such as
+fuse-m256 can be measured where its later iterations peak; by default the
+workload's own cap holds. It makes the problem's timed call
 under tracemalloc and prints, for each step in ``agfti.solver.STEPS``, the
 largest traced memory seen while the step ran, over every iteration of every
 solve, in units of the solve's (V, n, m) graph stack. numpy reports its array
@@ -18,6 +21,7 @@ BLAS runs on one thread, as in the benchmark.
 """
 
 import argparse
+import dataclasses
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -57,6 +61,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--problem", type=int, default=0)
     parser.add_argument("--small", action="store_true")
+    parser.add_argument("--max-outer-iters", type=int, default=None)
     args = parser.parse_args(argv)
 
     agfti, workloads = load_tree(args.tree)
@@ -64,6 +69,10 @@ def main(argv=None):
     problem = workloads.Problem(
         w, workloads.problem_seed(args.seed, args.problem), agfti
     )
+    if args.max_outer_iters is not None:
+        problem.config = dataclasses.replace(
+            problem.config, max_outer_iters=args.max_outer_iters
+        )
     peaks = dict.fromkeys(agfti.solver.STEPS, 0.0)
     tracemalloc.start()
     try:

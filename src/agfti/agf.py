@@ -259,6 +259,10 @@ def agf_minmax(
     Starts from the weights alpha0 and the fused graph P0. Every outer
     iteration recomputes H from (F, Q) and the previous P, solves the inner
     problem exactly, and takes one Armijo backtracking step on the weights.
+    H is the only reader of P0, and of each later previous P: the call drops
+    its references to one as soon as H is built, so P0 is freed there when
+    the caller passed its only reference (admm_solve does), and the returned
+    AgfResult never holds it.
     Stops when the accepted step moves no weight by more than tol, when the
     reduced gradient leaves no descent direction (always so with one view),
     or when the line search finds no decrease (step 0), all reported
@@ -325,13 +329,16 @@ def agf_minmax(
         ZT = np.ascontiguousarray(Zs, dtype=np.float64)
     else:
         ZT = np.matmul(Zs, Ts)
-    P = np.asarray(P0, dtype=np.float64)
-
-    res = AgfResult(alpha=alpha, P=P, converged=False, n_iter=0)
+    # the previous fused graph goes by the one name P, dropped once H is
+    # built, before the inner solve allocates
+    P = P0
+    del P0
+    res = AgfResult(alpha=alpha, P=None, converged=False, n_iter=0)
 
     for it in range(1, max_iter + 1):
         # only H / (2 beta) is held: <H, P> = 2 beta <H / (2 beta), P>
         H_half = compute_H(F, Q, P)
+        P = res.P = None
         H_half /= 2.0 * beta
         P, t = solve_inner_P(ZT, alpha, H_half, lam, beta)
         res.P = P
@@ -393,6 +400,7 @@ def agf_minmax(
         res.level = level
         res.converged = bool(np.max(np.abs(cand - alpha)) <= tol)
         alpha, P = cand, P_c
+        del P_c
         res.alpha, res.P, res.h = alpha, P, h_c
         if res.converged:
             break

@@ -40,15 +40,18 @@ def pairwise_sq_dists(A, B):
 
     A and B may also be equal-length stacks of matrices, giving one distance
     matrix per pair; each is computed as the two-matrix call would.
+
+    The result is |a|^2 - 2 a.b + |b|^2 clamped at zero, formed in the
+    buffer of the product a.b: scaling by -2 is exact, so adding |a|^2 to
+    -2 a.b rounds as subtracting 2 a.b from it does.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    sq = (
-        (A * A).sum(axis=-1)[..., :, None]
-        - 2.0 * (A @ np.swapaxes(B, -1, -2))
-        + (B * B).sum(axis=-1)[..., None, :]
-    )
-    return np.maximum(sq, 0.0)
+    sq = A @ np.swapaxes(B, -1, -2)
+    sq *= -2.0
+    sq += (A * A).sum(axis=-1)[..., :, None]
+    sq += (B * B).sum(axis=-1)[..., None, :]
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def _split_draws(rng, n, depth):

@@ -86,7 +86,11 @@ def baseline_label_propagation(
         stack = anchor_graphs(views, missing, m, k, seed)
     else:
         stack = _checked_graphs(graphs, V, n, m)
-    P_cat = stack.transpose(1, 0, 2).reshape(n, V * m) / V
+    # one new array: dividing the (n, V, m) view into it keeps the caller's
+    # stack unwritten, which an in-place division of the reshape would not
+    # at V = 1, where the reshape is a view of that stack
+    P_cat = np.divide(stack.transpose(1, 0, 2), V, out=np.empty((n, V, m)))
+    P_cat = P_cat.reshape(n, V * m)
 
     Y = one_hot_labels(y, labeled_idx, c)
     F, _ = update_labels(P_cat, Y, SolverConfig.b_labeled)

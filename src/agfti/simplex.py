@@ -8,11 +8,14 @@ that makes the result sum to 1. Rows take one of two paths:
   shift t - θ, from one plain row sum, without sorting (the first step of
   Michelot, JOTA 1986). At the solver's default β=4 fusion flattens P, and
   nearly every row it projects at 256 anchors keeps every anchor.
-- Partial support. The other rows (gathered, unless every row is partial)
-  take the sort-based threshold method, O(m log m) per row. Only the sorted
-  values enter the threshold, never the permutation, so the order in which
-  equal entries (or 0.0 and -0.0) land after the sort cannot change the
-  result.
+- Partial support. The other rows take the sort-based threshold method,
+  O(m log m) per row, in blocks of SORT_BLOCK rows (gathered, unless every
+  row is partial), so its three work arrays stay SORT_BLOCK x m whatever
+  the row count and the projection's only full-size array is its output.
+  Every step of the method is row by row, so a row's threshold does not
+  depend on the block it falls in. Only the sorted values enter the
+  threshold, never the permutation, so the order in which equal entries
+  (or 0.0 and -0.0) land after the sort cannot change the result.
 
 Rows on the sort path are bit for bit the explicit stable-argsort method's.
 A full-support row differs from it only at the rounding level: its row sum
@@ -25,6 +28,9 @@ round to zero) has no such sum and is refused.
 """
 
 import numpy as np
+
+# rows per block of the sort path
+SORT_BLOCK = 256
 
 
 def prox_rows(target):
@@ -42,10 +48,11 @@ def prox_rows(target):
         raise ValueError("prox_rows: non-finite entries in input")
     theta = (s - 1.0) / m
     partial = np.flatnonzero(~(t.min(axis=1) > theta))
-    if partial.size:
-        # imputation targets are mostly all-partial: sort t itself, ungathered
-        rows = t[partial] if partial.size < len(t) else t
-        theta[partial] = _sorted_threshold(rows)
+    for lo in range(0, partial.size, SORT_BLOCK):
+        rows = partial[lo:lo + SORT_BLOCK]
+        # imputation targets are mostly all-partial: sort slices of t itself
+        block = t[lo:lo + SORT_BLOCK] if partial.size == len(t) else t[rows]
+        theta[rows] = _sorted_threshold(block)
     # a full-support row is positive after the shift, so the clamp keeps it
     x = t - theta[:, None]
     np.maximum(x, 0.0, out=x)

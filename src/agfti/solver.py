@@ -2,17 +2,24 @@
 
 The solver alternates closed-form updates: simplex-projected imputation of
 missing graph rows, the adversarial fusion step for (alpha, P), a blockwise
-label-propagation solve, tubal shrinkage of the stacked graph tensor, a
-batched Procrustes alignment, and the multiplier/penalty update. Each
-subproblem is exposed on its own so it can be tested against independent
-oracles.
+label-propagation solve, a batched Procrustes alignment, tubal shrinkage of
+the stacked graph tensor, and the multiplier/penalty update. The alignment
+reads the graphs and P, the shrinkage the graphs and the multiplier, so
+their order changes no output; the alignment runs first so that G, which
+the shrinkage makes and the multiplier step consumes, is held by no step
+that does not read it. Each subproblem is exposed on its own so it can be
+tested against independent oracles.
 
 The per-view graphs live in one (V, n, m) array for the whole solve, view v
-being the contiguous slice Z[v]; the splitting variable G and the multiplier
-W share that layout, and the alignments are one (V, m, m) array. Until the
-first alignment update (for the whole solve under freeze_alignment) the
-alignments are the identity, held as None: fusion and imputation read the
-graphs and P unmultiplied, and the result reports identity matrices.
+being the contiguous slice Z[v]; the multiplier W shares that layout, and the
+alignments are one (V, m, m) array. The splitting variable G is a (V, n, m)
+stack only from the shrinkage that makes it to the multiplier step right
+after it, which writes the gap Z - G over it; the next imputation reads G at its missing rows
+alone, so those rows are all that is kept of it, and only until that step
+runs. Until the first alignment update (for the whole solve under
+freeze_alignment) the alignments are the identity, held as None: fusion and
+imputation read the graphs and P unmultiplied, and the result reports
+identity matrices.
 """
 
 import time
@@ -122,7 +129,8 @@ def update_labels(P, Y, b_labeled):
     rhs1 = bn[:, None] * Y
     col = floored_anchor_degrees(P)
     m11 = 1.0 + bn
-    M12 = -(P / np.sqrt(col)[None, :])
+    M12 = P / np.sqrt(col)[None, :]
+    np.negative(M12, out=M12)
     A = M12 / m11[:, None]
     C2 = np.eye(m) - M12.T @ A
     try:
@@ -136,11 +144,14 @@ def update_labels(P, Y, b_labeled):
     return F, Q
 
 
-def update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta):
+def update_missing_rows(Z, missing, G_rows, W, P, Ts, alpha, lam, eta):
     """Impute absent graph rows in place by simplex projection of their target.
 
-    Z, G and W are (V, n, m) stacks. For view v and sample i in its missing
-    set, the row objective
+    Z and W are (V, n, m) stacks, and G_rows[v] holds the rows of the
+    splitting variable G at view v's missing samples, in the order of
+    missing[v]: G itself is never read elsewhere, so the solver keeps only
+    these rows of it. For view v and sample i in its missing set, the row
+    objective
 
         <W[v, i], z> - lam alpha_v^2 <(P T_v^T)_i, z> + eta/2 ||z - G[v, i]||^2
 
@@ -151,12 +162,12 @@ def update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta):
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    for v, idx in enumerate(missing):
+    for v, (idx, G_v) in enumerate(zip(missing, G_rows, strict=True)):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size:
             rows = P[idx] if Ts is None else P[idx] @ Ts[v].T
             lin = lam * alpha[v] ** 2 * rows
-            target = G[v, idx] - (W[v, idx] - lin) / eta
+            target = G_v - (W[v, idx] - lin) / eta
             Z[v, idx] = prox_rows(target)
 
 
@@ -200,6 +211,8 @@ def update_multiplier(W, gap, eta):
     """Dual ascent on Z = G from its residual gap = Z - G, then grow the penalty.
 
     W is updated in place and returned; gap is consumed (it ends as eta * gap).
+    The solver's gap is written over G's buffer, so the step allocates no
+    (V, n, m) array.
     """
     gap *= eta
     W += gap
@@ -302,14 +315,25 @@ def prepare_inputs(views, y, labeled_idx, missing, n_classes):
 
 @dataclass
 class _SolveState:
-    """What the steps read and write; missing, Y and lam stay fixed."""
+    """What the steps read and write; missing, Y and lam stay fixed.
+
+    G is the (V, n, m) shrinkage output from the shrinkage to the
+    multiplier step and None elsewhere. G_rows holds G's rows at each
+    view's missing samples (update_missing_rows' G_rows) from the multiplier
+    step, which copies them out before writing the gap over G, to the next
+    imputation, which drops them; they start as zero rows, G's initial
+    value, and are never kept under skip_imputation. P is held here alone,
+    and the fusion step moves it into agf_minmax, which frees it once H is
+    built.
+    """
 
     Z: np.ndarray
     G: np.ndarray | None
+    G_rows: list | None
     W: np.ndarray
     Ts: np.ndarray | None
     alpha: np.ndarray
-    P: np.ndarray
+    P: np.ndarray | None
     F: np.ndarray
     Q: np.ndarray
     eta: float
@@ -328,14 +352,26 @@ class _SolveState:
     delta_F: float = 0.0
 
 
+def _taken(s, name):
+    """s.<name>, left None on s: passed to a call, the callee holds it alone."""
+    value = getattr(s, name)
+    setattr(s, name, None)
+    return value
+
+
 def _impute(s, config):
-    update_missing_rows(s.Z, s.missing, s.G, s.W, s.P, s.Ts, s.alpha, s.lam, s.eta)
+    update_missing_rows(s.Z, s.missing, _taken(s, "G_rows"), s.W, s.P, s.Ts,
+                        s.alpha, s.lam, s.eta)
 
 
 def _fuse(s, config):
+    # agf_minmax frees the previous P once H is built, if it holds the only
+    # reference: CPython 3.11+ hands a call its arguments, while 3.10 keeps
+    # them on the caller's stack until the call returns (more memory, the
+    # same results)
     res = agf_minmax(
-        s.Z, s.Ts, s.F, s.Q, s.lam, config.beta, alpha0=s.alpha, P0=s.P,
-        tol=config.inner_tol, max_iter=config.max_inner_iters,
+        s.Z, s.Ts, s.F, s.Q, s.lam, config.beta, alpha0=s.alpha,
+        P0=_taken(s, "P"), tol=config.inner_tol, max_iter=config.max_inner_iters,
         freeze_weights=config.freeze_weights, start_level=s.level,
     )
     s.alpha, s.P, s.h = res.alpha, res.P, res.h
@@ -357,9 +393,6 @@ def _label(s, config):
 
 
 def _shrink(s, config):
-    # the previous G is dead once the imputation has read it: drop it
-    # before the shrinkage, the solve's largest allocation
-    s.G = None
     s.G = update_G(s.Z, s.W, s.eta, config.rho)
 
 
@@ -368,8 +401,11 @@ def _align(s, config):
 
 
 def _multiply(s, config):
-    # the gap dies with this call, before the next shrinkage; its norms first
-    gap = s.Z - s.G
+    G = _taken(s, "G")
+    if not config.skip_imputation:
+        s.G_rows = [G[v, idx] for v, idx in enumerate(s.missing)]
+    # the gap Z - G takes over G's buffer and dies with this call
+    gap = np.subtract(s.Z, G, out=G)
     s.prim_inf = float(max(gap.max(), -gap.min()))
     s.prim_fro = float(np.linalg.norm(gap))
     s.W, s.eta = update_multiplier(s.W, gap, s.eta)
@@ -382,8 +418,8 @@ _STEP_TABLE = (
     ("impute", _impute, "skip_imputation"),
     ("fusion", _fuse, None),
     ("labels", _label, None),
-    ("shrink", _shrink, None),
     ("align", _align, "freeze_alignment"),
+    ("shrink", _shrink, None),
     ("multiplier", _multiply, None),
 )
 STEPS = tuple(name for name, _, _ in _STEP_TABLE)
@@ -451,7 +487,11 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     P = solve_inner_P(Z, alpha, 0.0, lam, config.beta)[0]
     F, Q = update_labels(P, Y, config.b_labeled)
     s = _SolveState(
-        Z=Z, G=np.zeros((V, n, m)), W=np.zeros((V, n, m)), Ts=None,
+        Z=Z, G=None,
+        G_rows=None if config.skip_imputation else [
+            np.zeros((idx.size, m)) for idx in missing
+        ],
+        W=np.zeros((V, n, m)), Ts=None,
         alpha=alpha, P=P, F=F, Q=Q, eta=PENALTY_START, missing=missing, Y=Y,
         lam=lam, zero_degree=[zero_degree_anchors(P)],
     )

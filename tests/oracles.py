@@ -577,3 +577,8 @@ def rand_simplex_interior(rng, V, floor=0.05):
     a = rng.dirichlet(np.ones(V))
     a = a * (1.0 - V * floor) + floor
     return a / a.sum()
+
+
+def missing_rows(G, missing):
+    """G's rows at each view's missing samples, as update_missing_rows reads them."""
+    return [G[v, idx] for v, idx in enumerate(missing)]

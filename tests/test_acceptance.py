@@ -52,6 +52,7 @@ from oracles import (
     inner_solve,
     label_weights,
     matrix_svt,
+    missing_rows,
     perf_gain_dense,
     performance_gain,
     perslice_tnn_oracle,
@@ -273,7 +274,8 @@ def test_06_closed_form_subproblem_optimality():
     alpha = np.array([0.7, 0.3])
     missing = [np.array([0, 3, 5]), np.array([1, 2, 6, 7])]
     lam, eta = 4.0, 0.5
-    update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
+    G_rows = missing_rows(G, missing)
+    update_missing_rows(Z, missing, G_rows, W, P, Ts, alpha, lam, eta)
     for v in range(V):
         lin = lam * alpha[v] ** 2 * (P @ Ts[v].T)
         for i in missing[v]:

@@ -12,6 +12,7 @@ from agfti.agf import fuse_aligned, weighted_fusion_input
 from agfti.graphs import bkhk_anchors, build_bipartite, pairwise_sq_dists
 
 from oracles import (
+    _sq_dists,
     bkhk_anchors_recursive,
     build_bipartite_full_sort,
     fusion_input_per_view,
@@ -19,6 +20,21 @@ from oracles import (
     rand_row_stochastic,
     simplex_qp_oracle,
 )
+
+
+class TestPairwiseSqDists:
+    def test_the_three_term_formula_bit_for_bit(self):
+        # formed in the product's buffer, as the oracle forms it out of place;
+        # repeated and zero rows put distances at the clamp
+        rng = np.random.default_rng(2)
+        A = np.vstack([rng.standard_normal((40, 7)), np.zeros((2, 7))])
+        B = np.vstack([A[:10], rng.standard_normal((20, 7)), np.zeros((1, 7))])
+        d = pairwise_sq_dists(A, B)
+        ref = _sq_dists(A, B)
+        assert np.array_equal(d, ref) and np.array_equal(np.signbit(d), np.signbit(ref))
+        stacked = pairwise_sq_dists(np.stack([A, -A]), np.stack([B, 2.0 * B]))
+        assert np.array_equal(stacked[0], d)
+        assert np.array_equal(stacked[1], _sq_dists(-A, 2.0 * B))
 
 
 class TestBkhkAnchors:

@@ -1,9 +1,10 @@
-"""Memory of the graph shrinkage, the multiplier step and the fusion: how many large arrays live at once.
+"""Memory of the graph shrinkage, the multiplier step, the fusion and the projection: how many large arrays live at once.
 
 The solver's largest allocations are (V, n, m) stacks. These tests pin how
-many of them the shrinkage and multiplier steps hold, and how many n x m
-arrays a fusion call holds, by tracemalloc (numpy reports its array buffers
-to it) and by weak references to the stacks the loop drops.
+many of them the shrinkage and multiplier steps hold, how many n x m arrays
+a fusion call and a simplex projection hold, by tracemalloc (numpy reports
+its array buffers to it), and by weak references which arrays the loop has
+dropped by the time a fusion runs.
 """
 
 import tracemalloc
@@ -12,10 +13,13 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
+import agfti.agf
 import agfti.solver
 from agfti.agf import agf_minmax, solve_inner_P
 from agfti.harness import MaskSpec, generate_masks, missing_per_view, synth_scp
+from agfti.simplex import prox_rows
 from agfti.tensor3 import tubal_shrink
 
 
@@ -84,10 +88,32 @@ def test_multiplier_step_holds_one_gap():
     gap = Z - G
     _, peak = peak_above_entry(lambda: agfti.solver.update_multiplier(W, gap, 0.5))
     assert peak <= 0.1 * stack
-    state = SimpleNamespace(Z=Z, G=G, W=W, eta=0.5)
-    _, peak = peak_above_entry(lambda: agfti.solver._multiply(state, None))
-    assert peak <= 1.1 * stack
-    assert state.prim_inf == np.abs(Z - G).max()
+    # the step allocates G's rows at the missing samples and nothing else:
+    # the gap takes over G's buffer, which the step consumes
+    missing = [rng.choice(1000, size, replace=False)
+               for size in (700, 0, 350, 500, 10, 600)]
+    rows = sum(idx.size for idx in missing) * 64 * 8
+    G_rows = [G[v, idx] for v, idx in enumerate(missing)]
+    prim_inf = np.abs(Z - G).max()
+    state = SimpleNamespace(Z=Z, G=G, W=W, eta=0.5, missing=missing)
+    _, peak = peak_above_entry(
+        lambda: agfti.solver._multiply(state, agfti.solver.SolverConfig())
+    )
+    assert peak <= rows + 0.01 * stack
+    assert state.prim_inf == prim_inf
+    assert state.G is None
+    assert all(np.array_equal(a, b) for a, b in zip(state.G_rows, G_rows, strict=True))
+
+
+def test_multiplier_step_keeps_no_rows_without_imputation():
+    rng = np.random.default_rng(0)
+    Z, G, W = rng.standard_normal((3, 6, 1000, 64))
+    state = SimpleNamespace(Z=Z, G=G, W=W, eta=0.5, G_rows=None,
+                            missing=[np.arange(500)] * 6)
+    config = agfti.solver.SolverConfig(skip_imputation=True)
+    _, peak = peak_above_entry(lambda: agfti.solver._multiply(state, config))
+    assert peak <= 0.01 * Z.nbytes
+    assert state.G is None and state.G_rows is None
 
 
 def test_solve_drops_the_previous_G_and_the_last_gap_before_the_shrinkage(
@@ -181,3 +207,70 @@ def test_weighted_fusion_holds_no_fused_graph_or_product_temporaries():
             _, peak = tracemalloc.get_traced_memory()
         assert res.evaluated > 0
         assert peak - entry <= (held + 5.5) * array
+
+
+@pytest.mark.parametrize("config", [
+    {"max_outer_iters": 4},
+    {"max_outer_iters": 3, "max_inner_iters": 3, "inner_tol": 0.0},
+    {"max_outer_iters": 4, "freeze_weights": True},
+])
+def test_no_G_outside_shrink_and_multiplier_and_no_P_past_its_H(monkeypatch, config):
+    # weak references to every G a shrinkage returned, and to the fused
+    # graph each H refresh read: at each H refresh and each alignment no G
+    # may be alive, and the P an H refresh read must be dead when the inner
+    # solve after it starts
+    container = synth_scp(0, V=2, c=3, n_per_class=20)
+    missing, labeled = generate_masks(container, MaskSpec(vmr=0.5, lar=0.1, seed=0))
+    update_G = agfti.solver.update_G
+    update_alignment = agfti.solver.update_alignment
+    compute_H = agfti.agf.compute_H
+    solve_inner_P = agfti.agf.solve_inner_P
+    made_G = []
+    G_alive = {"fusion": [], "align": []}
+    read_by_H = []
+    P_alive = []
+
+    def watched_update_G(*args):
+        G = update_G(*args)
+        made_G.append(weakref.ref(G))
+        return G
+
+    def live_G():
+        return sum(ref() is not None for ref in made_G)
+
+    def watched_update_alignment(*args):
+        G_alive["align"].append(live_G())
+        return update_alignment(*args)
+
+    def watched_compute_H(F, Q, P):
+        G_alive["fusion"].append(live_G())
+        read_by_H.append(weakref.ref(P))
+        return compute_H(F, Q, P)
+
+    def watched_solve_inner_P(*args):
+        if read_by_H:
+            P_alive.append(read_by_H.pop()() is not None)
+        return solve_inner_P(*args)
+
+    monkeypatch.setattr(agfti.solver, "update_G", watched_update_G)
+    monkeypatch.setattr(agfti.solver, "update_alignment", watched_update_alignment)
+    monkeypatch.setattr(agfti.agf, "compute_H", watched_compute_H)
+    monkeypatch.setattr(agfti.agf, "solve_inner_P", watched_solve_inner_P)
+    result = agfti.solver.admm_solve(
+        container.views, container.labels, labeled,
+        missing_per_view(missing, container.V),
+        agfti.solver.SolverConfig(n_anchors=8, **config),
+    )
+    assert len(made_G) == len(G_alive["align"]) == result.n_iter > 1
+    assert len(P_alive) == len(G_alive["fusion"]) >= result.n_iter
+    assert G_alive == {name: [0] * len(seen) for name, seen in G_alive.items()}
+    assert P_alive == [False] * len(P_alive)
+
+
+def test_all_partial_projection_holds_its_output_and_one_block():
+    # an all-partial target, as imputation projects: the sort path's work
+    # arrays are SORT_BLOCK rows, so the output is the only full-size array
+    target = np.random.default_rng(0).standard_normal((2000, 256))
+    x, peak = peak_above_entry(lambda: prox_rows(target))
+    assert (x == 0).any(axis=1).all()
+    assert peak <= 1.5 * target.nbytes

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agfti.simplex import prox_rows
+from agfti.simplex import SORT_BLOCK, prox_rows
 
 from oracles import project_simplex, prox_rows_stable_argsort, simplex_qp_oracle
 
@@ -221,6 +221,15 @@ class TestProxRowsMatchesArgsortOracle:
         assert not full_support(M)[:4].any()
         assert_kkt(M, assert_matches_oracle(M))
 
+    def test_partial_rows_of_several_blocks(self):
+        # more partial rows than one sort block, scattered among full ones
+        rng = np.random.default_rng(9)
+        M = 1.0 / 64 + rng.uniform(0.0, 1e-3, size=(3 * SORT_BLOCK, 64))
+        partial = rng.choice(len(M), SORT_BLOCK + 40, replace=False)
+        M[partial, rng.integers(0, 64, partial.size)] = -1.0
+        assert np.array_equal(~full_support(M), np.isin(np.arange(len(M)), partial))
+        assert_kkt(M, assert_matches_oracle(M))
+
     def test_flat_rows_near_uniform(self):
         # 1/256 + U(0, 1e-3): the rows fusion projects at 256 anchors
         rng = np.random.default_rng(4)
@@ -258,6 +267,12 @@ class TestProxRowsSortsOnlyPartialRows:
         prox_rows(M)
         assert len(sorted_arrays) == 1
         assert np.array_equal(sorted_arrays[0], M[partial])
+
+    def test_all_partial_rows_sort_in_consecutive_blocks(self, sorted_arrays):
+        M = np.random.default_rng(8).standard_normal((2 * SORT_BLOCK + 7, 16))
+        prox_rows(M)
+        assert [len(b) for b in sorted_arrays] == [SORT_BLOCK, SORT_BLOCK, 7]
+        assert np.array_equal(np.concatenate(sorted_arrays), M)
 
 
 class TestProxRowsRefusesUnprojectableRows:

@@ -40,6 +40,7 @@ from oracles import (
     dense_bipartite_pieces,
     dense_label_solve,
     label_weights,
+    missing_rows,
     perf_gain_dense,
     performance_gain,
     rand_orthogonal,
@@ -174,7 +175,8 @@ class TestUpdateMissingRows:
         rng = np.random.default_rng(6)
         Z, missing, G, W, P, Ts, alpha = self._state(rng)
         before = Z.copy()
-        update_missing_rows(Z, missing, G, W, P, Ts, alpha, 2.0, 0.5)
+        G_rows = missing_rows(G, missing)
+        update_missing_rows(Z, missing, G_rows, W, P, Ts, alpha, 2.0, 0.5)
         for v in range(2):
             keep = np.setdiff1d(np.arange(6), missing[v])
             assert np.array_equal(Z[v, keep], before[v, keep])
@@ -186,7 +188,8 @@ class TestUpdateMissingRows:
         missing[1] = np.array([], dtype=np.int64)
         before = Z.copy()
         address = Z.__array_interface__["data"][0]
-        assert update_missing_rows(Z, missing, G, W, P, Ts, alpha, 2.0, 0.5) is None
+        G_rows = missing_rows(G, missing)
+        assert update_missing_rows(Z, missing, G_rows, W, P, Ts, alpha, 2.0, 0.5) is None
         assert Z.__array_interface__["data"][0] == address
         changed = np.any(Z != before, axis=2)
         expected = np.zeros((2, 6), dtype=bool)
@@ -202,7 +205,8 @@ class TestUpdateMissingRows:
         alpha = np.array([0.5, 0.3, 0.2])
         missing = [rng.choice(n, size, replace=False) for size in (7, 20, 150)]
         lam, eta = 9.0, 1.0
-        update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
+        G_rows = missing_rows(G, missing)
+        update_missing_rows(Z, missing, G_rows, W, P, Ts, alpha, lam, eta)
         for v, idx in enumerate(missing):
             lin = lam * alpha[v] ** 2 * (P @ Ts[v].T)[idx]
             ref = prox_rows(G[v, idx] - (W[v, idx] - lin) / eta)
@@ -216,16 +220,18 @@ class TestUpdateMissingRows:
         alpha = rng.dirichlet(np.ones(V))
         missing = [rng.choice(n, n // (v + 2), replace=False) for v in range(V)]
         Z_eye = Z.copy()
-        update_missing_rows(Z, missing, G, W, P, None, alpha, 9.0, 0.5)
-        update_missing_rows(Z_eye, missing, G, W, P, np.tile(np.eye(m), (V, 1, 1)),
-                            alpha, 9.0, 0.5)
+        G_rows = missing_rows(G, missing)
+        update_missing_rows(Z, missing, G_rows, W, P, None, alpha, 9.0, 0.5)
+        update_missing_rows(Z_eye, missing, G_rows, W, P,
+                            np.tile(np.eye(m), (V, 1, 1)), alpha, 9.0, 0.5)
         assert np.array_equal(Z, Z_eye)
 
     def test_lambda_zero_projects_G_rows(self):
         rng = np.random.default_rng(7)
         Z, missing, G, _, P, Ts, alpha = self._state(rng)
         W = np.zeros((2, 6, 3))
-        update_missing_rows(Z, missing, G, W, P, Ts, alpha, 0.0, 0.5)
+        G_rows = missing_rows(G, missing)
+        update_missing_rows(Z, missing, G_rows, W, P, Ts, alpha, 0.0, 0.5)
         for v in range(2):
             for i in missing[v]:
                 ref = simplex_qp_oracle(G[v, i])
@@ -235,7 +241,8 @@ class TestUpdateMissingRows:
         rng = np.random.default_rng(8)
         Z, missing, G, W, P, Ts, alpha = self._state(rng)
         lam, eta = 2.0, 0.5
-        update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
+        G_rows = missing_rows(G, missing)
+        update_missing_rows(Z, missing, G_rows, W, P, Ts, alpha, lam, eta)
         for v in range(2):
             lin = lam * alpha[v] ** 2 * (P @ Ts[v].T)
             for i in missing[v]:
@@ -247,7 +254,8 @@ class TestUpdateMissingRows:
         rng = np.random.default_rng(9)
         Z, missing, G, W, P, Ts, alpha = self._state(rng)
         lam, eta = 2.0, 0.5
-        update_missing_rows(Z, missing, G, W, P, Ts, alpha, lam, eta)
+        G_rows = missing_rows(G, missing)
+        update_missing_rows(Z, missing, G_rows, W, P, Ts, alpha, lam, eta)
 
         def row_obj(z, i, v):
             lin = lam * alpha[v] ** 2 * (P @ Ts[v].T)[i]
@@ -436,7 +444,7 @@ class TestAdmmSolve:
             "step_seconds",
         ):
             assert key in row
-        names = ["impute", "fusion", "labels", "shrink", "align", "multiplier"]
+        names = ["impute", "fusion", "labels", "align", "shrink", "multiplier"]
         for row in result.diagnostics:
             steps = row["step_seconds"]
             assert list(steps) == names
@@ -935,3 +943,62 @@ class TestClassRelabelling:
         assert dF <= 1e-12
         assert same_predictions
         assert n_base == n_moved
+
+
+def reversed_view_solve_gaps(V, seed):
+    """How far a solve moves when its views are handed over in reverse order.
+
+    The views, their missing sets and one given graph stack are reversed
+    together (the stack is built once, since anchor_graphs draws each
+    view's anchors from a stream of its index). Returns the largest
+    entrywise |dF|, the largest |d alpha| once the reversed weights are put
+    back in view order, and whether every prediction is the same.
+    """
+    container = synth_scp(seed, n_per_class=134, V=V, c=3)
+    rep, per_view, labeled = draw_repetition(container, 0.5, 0.05, seed, 0)
+    config = SolverConfig(n_anchors=64, seed=rep)
+    graphs = anchor_graphs(container.views, per_view, 64, config.k_neighbors, rep)
+    base = admm_solve(container.views, container.labels, labeled, per_view,
+                      config, n_classes=3, graphs=graphs)
+    moved = admm_solve(container.views[::-1], container.labels, labeled,
+                       per_view[::-1], config, n_classes=3, graphs=graphs[::-1])
+    return (
+        float(np.abs(moved.F - base.F).max()),
+        float(np.abs(moved.alpha[::-1] - base.alpha).max()),
+        bool(np.array_equal(predict(moved.F), predict(base.F))),
+    )
+
+
+class TestViewOrder:
+    """Nothing in the solve orders the views: reversing them reverses alpha.
+
+    With two views the solve is the same to the last bits; with three, the
+    view-ordered sums round differently and the solves drift apart within
+    the bounds below (and may stop an iteration apart), while no prediction
+    changes. The solves run in a child process on one BLAS thread, as
+    TestClassRelabelling's do.
+    """
+
+    CASES = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
+
+    @pytest.fixture(scope="class")
+    def gaps(self):
+        code = ("import json, test_solver; print(json.dumps("
+                f"[test_solver.reversed_view_solve_gaps(V, s) for V, s in {self.CASES}]))")
+        tests = Path(__file__).resolve().parent
+        path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS"), "1")}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return dict(zip(self.CASES, json.loads(out)))
+
+    @pytest.mark.parametrize("V, seed", CASES)
+    def test_reversing_the_views_reverses_the_weights(self, gaps, V, seed):
+        dF, dalpha, same_predictions = gaps[(V, seed)]
+        assert same_predictions
+        if V == 2:
+            assert dF <= 1e-12 and dalpha <= 1e-12
+        else:
+            assert dalpha <= 1e-5

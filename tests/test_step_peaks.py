@@ -18,3 +18,18 @@ def test_small_run_gives_every_step_a_peak_above_the_held_stacks():
     assert list(peaks) == list(STEPS)
     # the graphs Z and the multiplier W are live through every step
     assert all(float(p) >= 2.0 for p in peaks.values())
+
+
+def test_max_outer_iters_replaces_the_workloads_cap():
+    # fuse-m256 caps its solves at one outer iteration (two when small);
+    # the option lets every step run past it, and reaches the solver's check
+    cmd = [sys.executable, str(SCRIPT), "--tree", str(ROOT), "--workload",
+           "fuse-m256", "--seed", "1", "--small", "--max-outer-iters"]
+    stdout = subprocess.run(cmd + ["3"], capture_output=True, text=True,
+                            check=True).stdout
+    peaks = dict(line.split() for line in stdout.splitlines())
+    assert list(peaks) == list(STEPS)
+    assert all(float(p) >= 2.0 for p in peaks.values())
+    refused = subprocess.run(cmd + ["0"], capture_output=True, text=True)
+    assert refused.returncode != 0
+    assert "max_outer_iters must be at least 1, got 0" in refused.stderr
