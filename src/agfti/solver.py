@@ -14,12 +14,12 @@ The per-view graphs live in one (V, n, m) array for the whole solve, view v
 being the contiguous slice Z[v]; the multiplier W shares that layout, and the
 alignments are one (V, m, m) array. The splitting variable G is a (V, n, m)
 stack only from the shrinkage that makes it to the multiplier step right
-after it, which writes the gap Z - G over it; the next imputation reads G at its missing rows
-alone, so those rows are all that is kept of it, and only until that step
-runs. Until the first alignment update (for the whole solve under
-freeze_alignment) the alignments are the identity, held as None: fusion and
-imputation read the graphs and P unmultiplied, and the result reports
-identity matrices.
+after it, which writes the gap Z - G over it; the next imputation reads G
+at its missing rows alone, so those rows are all that is kept of it, and
+only until that step runs. Until the first alignment update (for the whole
+solve under freeze_alignment) the alignments are the identity, held as None:
+fusion and imputation read the graphs and P unmultiplied, and the result
+reports identity matrices.
 """
 
 import time
@@ -149,8 +149,8 @@ def update_missing_rows(Z, missing, G_rows, W, P, Ts, alpha, lam, eta):
 
     Z and W are (V, n, m) stacks, and G_rows[v] holds the rows of the
     splitting variable G at view v's missing samples, in the order of
-    missing[v]: G itself is never read elsewhere, so the solver keeps only
-    these rows of it. For view v and sample i in its missing set, the row
+    missing[v]: the imputation reads G nowhere else, so the solver keeps
+    only these rows of it. For view v and sample i in its missing set, the row
     objective
 
         <W[v, i], z> - lam alpha_v^2 <(P T_v^T)_i, z> + eta/2 ||z - G[v, i]||^2

@@ -913,6 +913,24 @@ def relabelled_solve_gaps(V, seed):
     )
 
 
+def gaps_in_child(function, cases):
+    """{(V, seed): function(V, seed)} for a gap function of this module.
+
+    The solves run in a child process on one BLAS thread, whatever the
+    thread count of the test run.
+    """
+    code = ("import json, test_solver; print(json.dumps("
+            f"[test_solver.{function}(V, s) for V, s in {cases}]))")
+    tests = Path(__file__).resolve().parent
+    path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS"), "1")}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return dict(zip(cases, json.loads(out)))
+
+
 class TestClassRelabelling:
     """Nothing in the solve orders the classes: renaming them renames F's columns.
 
@@ -926,16 +944,7 @@ class TestClassRelabelling:
 
     @pytest.fixture(scope="class")
     def gaps(self):
-        code = ("import json, test_solver; print(json.dumps("
-                f"[test_solver.relabelled_solve_gaps(V, s) for V, s in {self.CASES}]))")
-        tests = Path(__file__).resolve().parent
-        path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
-               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                "MKL_NUM_THREADS"), "1")}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        return dict(zip(self.CASES, json.loads(out)))
+        return gaps_in_child("relabelled_solve_gaps", self.CASES)
 
     @pytest.mark.parametrize("V, seed", CASES)
     def test_relabelling_the_classes_permutes_the_solve(self, gaps, V, seed):
@@ -972,27 +981,18 @@ def reversed_view_solve_gaps(V, seed):
 class TestViewOrder:
     """Nothing in the solve orders the views: reversing them reverses alpha.
 
-    With two views the solve is the same to the last bits; with three, the
-    view-ordered sums round differently and the solves drift apart within
+    With two views F and alpha agree to the rounding level; with three, the
+    sums over the views round differently and the solves drift apart within
     the bounds below (and may stop an iteration apart), while no prediction
-    changes. The solves run in a child process on one BLAS thread, as
-    TestClassRelabelling's do.
+    changes. Reading one view's rows, weights or graphs for another's moves
+    far more.
     """
 
     CASES = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
 
     @pytest.fixture(scope="class")
     def gaps(self):
-        code = ("import json, test_solver; print(json.dumps("
-                f"[test_solver.reversed_view_solve_gaps(V, s) for V, s in {self.CASES}]))")
-        tests = Path(__file__).resolve().parent
-        path = [str(tests), str(tests.parent / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
-               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                "MKL_NUM_THREADS"), "1")}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        return dict(zip(self.CASES, json.loads(out)))
+        return gaps_in_child("reversed_view_solve_gaps", self.CASES)
 
     @pytest.mark.parametrize("V, seed", CASES)
     def test_reversing_the_views_reverses_the_weights(self, gaps, V, seed):
