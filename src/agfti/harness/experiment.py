@@ -91,6 +91,8 @@ def baseline_label_propagation(
     # at V = 1, where the reshape is a view of that stack
     P_cat = np.divide(stack.transpose(1, 0, 2), V, out=np.empty((n, V, m)))
     P_cat = P_cat.reshape(n, V * m)
+    # a stack built here is not read again
+    del stack
 
     Y = one_hot_labels(y, labeled_idx, c)
     F, _ = update_labels(P_cat, Y, SolverConfig.b_labeled)
@@ -112,6 +114,29 @@ def _repetition_graphs(container, per_view, labeled, m, k, seed):
         return anchor_graphs(views, missing, m, k, seed)
     except (ValueError, np.linalg.LinAlgError) as exc:
         return exc
+
+
+def _column(container, labeled, per_view, name, config, graphs):
+    """(predictions, solve flags) of one variant on a repetition's masks.
+
+    graphs is the repetition's stack, or the error building it, raised
+    here. The SolveResult dies when this returns, so the next column's solve
+    does not start with its graphs and fused graph alive.
+    """
+    if isinstance(graphs, Exception):
+        raise graphs
+    if name == BASELINE:
+        pred = baseline_label_propagation(
+            container.views, container.labels, labeled, per_view,
+            m=config.n_anchors, k=config.k_neighbors, seed=config.seed,
+            n_classes=container.c, graphs=graphs,
+        )
+        return pred, {}
+    result = admm_solve(container.views, container.labels, labeled, per_view,
+                        config, n_classes=container.c, graphs=graphs)
+    flags = {"converged": result.converged, "n_iter": result.n_iter,
+             "degenerate": result.degenerate}
+    return predict(result.F), flags
 
 
 def score(container, pred, labeled):
@@ -175,7 +200,9 @@ def run_experiment(
     blocks = {name: {"records": [], "failed_reps": 0} for name in variants}
     for r in range(n_reps):
         seed_r, per_view, labeled = draw_repetition(container, vmr, lar, base_seed, r)
-        # (n_anchors, k_neighbors) -> that stack, or the error building it
+        # (n_anchors, k_neighbors) -> that stack, or the error building it;
+        # only this dict holds the stacks, so the previous repetition's die
+        # here, before this repetition builds its own
         stacks = {}
         for name, flags in variants.items():
             record = {
@@ -198,24 +225,10 @@ def run_experiment(
             if key not in stacks:
                 stacks[key] = _repetition_graphs(container, per_view, labeled,
                                                  *key, seed_r)
-            graphs = stacks[key]
             try:
-                if isinstance(graphs, Exception):
-                    raise graphs
-                if name == BASELINE:
-                    pred = baseline_label_propagation(
-                        container.views, container.labels, labeled, per_view,
-                        m=config.n_anchors, k=config.k_neighbors, seed=seed_r,
-                        n_classes=container.c, graphs=graphs,
-                    )
-                else:
-                    result = admm_solve(container.views, container.labels, labeled,
-                                        per_view, config, n_classes=container.c,
-                                        graphs=graphs)
-                    pred = predict(result.F)
-                    record["converged"] = result.converged
-                    record["n_iter"] = result.n_iter
-                    record["degenerate"] = result.degenerate
+                pred, flags = _column(container, labeled, per_view, name,
+                                      config, stacks[key])
+                record.update(flags)
                 record["metrics"] = score(container, pred, labeled)
             except (ValueError, np.linalg.LinAlgError) as exc:
                 record["error"] = f"{type(exc).__name__}: {exc}"

@@ -1,14 +1,16 @@
 """ADMM driver and its subproblem updates.
 
-The solver alternates closed-form updates: simplex-projected imputation of
-missing graph rows, the adversarial fusion step for (alpha, P), a blockwise
-label-propagation solve, a batched Procrustes alignment, tubal shrinkage of
-the stacked graph tensor, and the multiplier/penalty update. The alignment
-reads the graphs and P, the shrinkage the graphs and the multiplier, so
-their order changes no output; the alignment runs first so that G, which
-the shrinkage makes and the multiplier step consumes, is held by no step
-that does not read it. Each subproblem is exposed on its own so it can be
-tested against independent oracles.
+The solver alternates closed-form updates: a batched Procrustes alignment,
+simplex-projected imputation of missing graph rows, the adversarial fusion
+step for (alpha, P), a blockwise label-propagation solve, tubal shrinkage
+of the stacked graph tensor, and the multiplier/penalty update. The
+alignment reads the graphs and P as the previous iteration's imputation and
+fusion left them, since the label, shrinkage and multiplier steps write
+neither; it runs at the front of the iteration whose imputation and fusion
+read it, so a solve of n_iter iterations runs n_iter - 1 alignments, and
+the last one, which no step reads, is made only when SolveResult.Ts is read.
+Each subproblem is exposed on its own so it can be tested against
+independent oracles.
 
 The per-view graphs live in one (V, n, m) array for the whole solve, view v
 being the contiguous slice Z[v]; the multiplier W shares that layout, and the
@@ -16,14 +18,15 @@ alignments are one (V, m, m) array. The splitting variable G is a (V, n, m)
 stack only from the shrinkage that makes it to the multiplier step right
 after it, which writes the gap Z - G over it; the next imputation reads G
 at its missing rows alone, so those rows are all that is kept of it, and
-only until that step runs. Until the first alignment update (for the whole
-solve under freeze_alignment) the alignments are the identity, held as None:
-fusion and imputation read the graphs and P unmultiplied, and the result
-reports identity matrices.
+only until that step runs. Until the first alignment update, at the front of
+iteration 2 (for the whole solve under freeze_alignment), the alignments are
+the identity, held as None: fusion and imputation read the graphs and P
+unmultiplied, and the result reports identity matrices.
 """
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,19 +79,38 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
+    """What admm_solve returns; the alignments Ts are made on first read.
+
+    Ts, the (V, m, m) alignments of the returned graphs onto the returned
+    P, is update_alignment(Zs, P) (looked up in this module's globals when
+    it is read), or the identity under freeze_alignment: bit for bit the
+    alignment the solve's next iteration would start from. It is computed
+    on the first read of Ts and kept, so a caller that never reads it
+    never pays for its V SVDs of m x m; writing to Zs or P before that read
+    changes it, and a LinAlgError of that SVD is raised by the read.
+    """
+
     F: np.ndarray
     Q: np.ndarray
     P: np.ndarray
     alpha: np.ndarray
-    # (V, n, m) imputed graphs and (V, m, m) alignments; view v is Zs[v]
+    # (V, n, m) imputed graphs; view v is Zs[v]
     Zs: np.ndarray
-    Ts: np.ndarray
     lam: float
     converged: bool
     n_iter: int
     # c >= 2 and every unlabeled row predicts the same class
     degenerate: bool
     diagnostics: list = field(default_factory=list)
+    # the solve's freeze_alignment: Ts is the identity
+    freeze_alignment: bool = False
+
+    @cached_property
+    def Ts(self):
+        if self.freeze_alignment:
+            V, _, m = self.Zs.shape
+            return np.tile(np.eye(m), (V, 1, 1))
+        return update_alignment(self.Zs, self.P)
 
 
 def one_hot_labels(y, labeled_idx, n_classes):
@@ -342,6 +364,8 @@ class _SolveState:
     lam: float
     # zero_degree_anchors of the initial fused graph and of each iteration's
     zero_degree: list
+    # whether a fusion has run, so that P is a fused graph the alignment reads
+    fused: bool = False
     # the line-search level the next fusion call's first weight step starts at
     level: int = 0
     # the last fusion's value and line search, and the last residuals
@@ -375,6 +399,7 @@ def _fuse(s, config):
         freeze_weights=config.freeze_weights, start_level=s.level,
     )
     s.alpha, s.P, s.h = res.alpha, res.P, res.h
+    s.fused = True
     # one level above the last accepted step; back to the top after a
     # search that found no decrease
     s.level = max(0, res.level - 1) if res.steps and res.steps[-1] else 0
@@ -397,7 +422,9 @@ def _shrink(s, config):
 
 
 def _align(s, config):
-    s.Ts = update_alignment(s.Z, s.P)
+    # before the first fusion the alignments stay the identity
+    if s.fused:
+        s.Ts = update_alignment(s.Z, s.P)
 
 
 def _multiply(s, config):
@@ -415,10 +442,10 @@ def _multiply(s, config):
 # the SolverConfig flag that skips it). Each step looks its update function
 # up in this module's globals when it runs, where tracers and tests patch it.
 _STEP_TABLE = (
+    ("align", _align, "freeze_alignment"),
     ("impute", _impute, "skip_imputation"),
     ("fusion", _fuse, None),
     ("labels", _label, None),
-    ("align", _align, "freeze_alignment"),
     ("shrink", _shrink, None),
     ("multiplier", _multiply, None),
 )
@@ -444,9 +471,12 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
 
     Each outer iteration runs the steps of STEPS in order on one
     _SolveState; skip_imputation drops impute and freeze_alignment drops
-    align. The fusion step carries agf_minmax's start_level between calls.
+    align, which does nothing in iteration 1, before the first fusion. The
+    fusion step carries agf_minmax's start_level between calls.
 
-    Returns a SolveResult whose diagnostics list one record per iteration:
+    Returns a SolveResult, whose final alignments Ts are made when first
+    read (so an SVD failure there is raised by that read), and whose
+    diagnostics list one record per iteration:
     h, the primal residuals, the label movement delta_F, alpha, eta, wall
     seconds, step_seconds (the seconds of each step in STEPS, 0.0 for a
     skipped one) and line_search (the fusion's weight steps, its accepted
@@ -526,9 +556,8 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     warn_zero_degree(s.zero_degree, stacklevel=2)
     unlabeled_classes = np.unique(np.delete(predict(s.F), labeled_idx))
     return SolveResult(
-        F=s.F, Q=s.Q, P=s.P, alpha=s.alpha, Zs=s.Z,
-        Ts=np.tile(np.eye(m), (V, 1, 1)) if s.Ts is None else s.Ts,
-        lam=lam, converged=converged, n_iter=len(diagnostics),
+        F=s.F, Q=s.Q, P=s.P, alpha=s.alpha, Zs=s.Z, lam=lam,
+        converged=converged, n_iter=len(diagnostics),
         degenerate=c >= 2 and unlabeled_classes.size == 1,
-        diagnostics=diagnostics,
+        diagnostics=diagnostics, freeze_alignment=config.freeze_alignment,
     )

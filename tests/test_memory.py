@@ -1,10 +1,11 @@
-"""Memory of the graph shrinkage, the multiplier step, the fusion and the projection: how many large arrays live at once.
+"""Memory of the graph shrinkage, the multiplier step, the fusion, the projection and the repetition harness: how many large arrays live at once.
 
 The solver's largest allocations are (V, n, m) stacks. These tests pin how
 many of them the shrinkage and multiplier steps hold, how many n x m arrays
 a fusion call and a simplex projection hold, by tracemalloc (numpy reports
 its array buffers to it), and by weak references which arrays the loop has
-dropped by the time a fusion runs.
+dropped by the time a fusion runs, and which solves and graph stacks the
+harness has dropped by the time it starts the next one.
 """
 
 import tracemalloc
@@ -16,9 +17,12 @@ import numpy as np
 import pytest
 
 import agfti.agf
+import agfti.harness.experiment
 import agfti.solver
 from agfti.agf import agf_minmax, solve_inner_P
-from agfti.harness import MaskSpec, generate_masks, missing_per_view, synth_scp
+from agfti.harness import (MaskSpec, generate_masks, missing_per_view,
+                           run_experiment, synth_scp)
+from agfti.harness.experiment import STANDARD_VARIANTS
 from agfti.simplex import prox_rows
 from agfti.tensor3 import tubal_shrink
 
@@ -261,7 +265,7 @@ def test_no_G_outside_shrink_and_multiplier_and_no_P_past_its_H(monkeypatch, con
         missing_per_view(missing, container.V),
         agfti.solver.SolverConfig(n_anchors=8, **config),
     )
-    assert len(made_G) == len(G_alive["align"]) == result.n_iter > 1
+    assert len(made_G) == len(G_alive["align"]) + 1 == result.n_iter > 1
     assert len(P_alive) == len(G_alive["fusion"]) >= result.n_iter
     assert G_alive == {name: [0] * len(seen) for name, seen in G_alive.items()}
     assert P_alive == [False] * len(P_alive)
@@ -274,3 +278,63 @@ def test_all_partial_projection_holds_its_output_and_one_block():
     x, peak = peak_above_entry(lambda: prox_rows(target))
     assert (x == 0).any(axis=1).all()
     assert peak <= 1.5 * target.nbytes
+
+
+def watch_experiment(monkeypatch, name, alive):
+    """Wrap experiment.<name>: at each call, append to alive how many of the
+    arrays its earlier calls returned (a SolveResult's graphs Zs, or the stack
+    itself) are still alive."""
+    original = getattr(agfti.harness.experiment, name)
+    made = []
+
+    def watched(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        out = original(*args, **kwargs)
+        made.append(weakref.ref(out.Zs if name == "admm_solve" else out))
+        return out
+
+    monkeypatch.setattr(agfti.harness.experiment, name, watched)
+
+
+def test_experiment_holds_one_solve_and_one_stack_at_a_time(monkeypatch):
+    # two repetitions of the four solver variants: no solve may start with an
+    # earlier solve's graphs alive, nor a build with the last repetition's
+    solves, builds = [], []
+    watch_experiment(monkeypatch, "admm_solve", solves)
+    watch_experiment(monkeypatch, "anchor_graphs", builds)
+    container = synth_scp(0, V=2, c=3, n_per_class=20)
+    out = run_experiment(container, 0.5, 0.1, 2,
+                         agfti.solver.SolverConfig(n_anchors=8, max_outer_iters=3),
+                         variants=STANDARD_VARIANTS)
+    assert all(block["failed_reps"] == 0 for block in out["variants"].values())
+    assert solves == [0] * 8
+    assert builds == [0] * 2
+
+
+def test_baseline_drops_the_stack_it_built_before_the_label_solve(monkeypatch):
+    stacks = []
+    original = agfti.harness.experiment.anchor_graphs
+
+    def kept(*args):
+        stack = original(*args)
+        stacks.append(weakref.ref(stack))
+        return stack
+
+    monkeypatch.setattr(agfti.harness.experiment, "anchor_graphs", kept)
+    update_labels = agfti.harness.experiment.update_labels
+    alive = []
+
+    def watched_update_labels(*args):
+        alive.append(stacks[-1]() is not None)
+        return update_labels(*args)
+
+    monkeypatch.setattr(agfti.harness.experiment, "update_labels",
+                        watched_update_labels)
+    container = synth_scp(0, V=2, c=3, n_per_class=20)
+    missing, labeled = generate_masks(container, MaskSpec(vmr=0.5, lar=0.1, seed=0))
+    pred = agfti.harness.experiment.baseline_label_propagation(
+        container.views, container.labels, labeled,
+        missing_per_view(missing, container.V), m=8,
+    )
+    assert pred.shape == (container.labels.size,)
+    assert alive == [False]

@@ -417,8 +417,17 @@ class TestAdmmSolve:
         result = admm_solve(views, y, labeled_idx, missing, config)
         return result, y, labeled_idx
 
-    def test_complete_data_runs_and_state_valid(self):
+    def test_complete_data_runs_and_state_valid(self, monkeypatch):
+        aligned = []
+
+        def counting(Z, P, original=agfti.solver.update_alignment):
+            aligned.append(1)
+            return original(Z, P)
+
+        monkeypatch.setattr(agfti.solver, "update_alignment", counting)
         result, y, labeled_idx = self._solve(seed=0)
+        # the last iteration's alignment is made only when Ts is read
+        assert len(aligned) == result.n_iter - 1
         n, c = y.size, 3
         assert result.F.shape == (n, c)
         assert np.all(np.isfinite(result.F))
@@ -444,7 +453,7 @@ class TestAdmmSolve:
             "step_seconds",
         ):
             assert key in row
-        names = ["impute", "fusion", "labels", "align", "shrink", "multiplier"]
+        names = ["align", "impute", "fusion", "labels", "shrink", "multiplier"]
         for row in result.diagnostics:
             steps = row["step_seconds"]
             assert list(steps) == names
@@ -768,8 +777,10 @@ class TestStepTable:
             SolverConfig(n_anchors=8, max_outer_iters=5,
                          **STANDARD_VARIANTS[variant]),
         )
+        # iteration 1 aligns nothing, and the last alignment waits for Ts
+        runs = {"impute": result.n_iter, "align": result.n_iter - 1}
         assert calls == {
-            step: 0 if step in skipped else result.n_iter for step in functions
+            step: 0 if step in skipped else runs[step] for step in functions
         }
         for row in result.diagnostics:
             seconds = row["step_seconds"]
@@ -779,6 +790,82 @@ class TestStepTable:
                     assert seconds[step] == 0.0
                 else:
                     assert seconds[step] > 0.0
+
+
+class TestFinalAlignment:
+    """The last iteration's alignment, which no step reads, is made when Ts is read."""
+
+    def _solve(self, monkeypatch, alignment=None, **config):
+        # every update_alignment call the solve and its result make, by output
+        made = []
+        original = agfti.solver.update_alignment
+
+        def recording(Z, P):
+            Ts = (alignment or original)(Z, P)
+            made.append(Ts)
+            return Ts
+
+        monkeypatch.setattr(agfti.solver, "update_alignment", recording)
+        container = synth_scp(0, V=2, c=3, n_per_class=20)
+        missing, labeled = generate_masks(
+            container, MaskSpec(vmr=0.5, lar=0.1, seed=0)
+        )
+        result = admm_solve(
+            container.views, container.labels, labeled,
+            missing_per_view(missing, container.V),
+            SolverConfig(n_anchors=8, tol=0.0, **config),
+        )
+        return result, made
+
+    def test_reading_Ts_aligns_the_returned_graphs_once(self, monkeypatch):
+        result, made = self._solve(monkeypatch, max_outer_iters=4)
+        assert result.n_iter == 4 and len(made) == 3
+        Ts = result.Ts
+        assert len(made) == 4 and Ts is made[-1]
+        assert result.Ts is Ts and len(made) == 4
+        expected = update_alignment(result.Zs, result.P)
+        assert Ts.tobytes() == expected.tobytes()
+
+    def test_Ts_is_the_alignment_the_next_iteration_starts_from(self, monkeypatch):
+        result, _ = self._solve(monkeypatch, max_outer_iters=4)
+        _, made = self._solve(monkeypatch, max_outer_iters=5)
+        # the fifth iteration opens with the fourth alignment
+        assert len(made) == 4
+        assert result.Ts.tobytes() == made[3].tobytes()
+
+    def test_freeze_alignment_gives_the_identity_without_a_call(self, monkeypatch):
+        def refused(Z, P):
+            raise AssertionError("an alignment under freeze_alignment")
+
+        result, made = self._solve(monkeypatch, alignment=refused,
+                                   max_outer_iters=3, freeze_alignment=True)
+        V, _, m = result.Zs.shape
+        assert np.array_equal(result.Ts, np.tile(np.eye(m), (V, 1, 1)))
+        assert made == []
+
+    def test_a_one_iteration_solve_runs_no_alignment(self, monkeypatch):
+        result, made = self._solve(monkeypatch, max_outer_iters=1)
+        assert result.n_iter == 1 and made == []
+        # the record still times the step, which found no fused graph yet
+        assert result.diagnostics[0]["step_seconds"]["align"] >= 0.0
+        result.Ts
+        assert len(made) == 1
+
+    def test_a_failing_last_alignment_is_raised_when_Ts_is_read(self, monkeypatch):
+        calls = []
+
+        def failing_third(Z, P):
+            calls.append(1)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return update_alignment(Z, P)
+
+        # the solve's two alignments succeed, so the solve returns
+        result, made = self._solve(monkeypatch, alignment=failing_third,
+                                   max_outer_iters=3)
+        assert result.n_iter == 3 and len(made) == 2
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            result.Ts
 
 
 class TestZeroDegreeSummary:
