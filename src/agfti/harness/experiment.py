@@ -91,8 +91,6 @@ def baseline_label_propagation(
     # at V = 1, where the reshape is a view of that stack
     P_cat = np.divide(stack.transpose(1, 0, 2), V, out=np.empty((n, V, m)))
     P_cat = P_cat.reshape(n, V * m)
-    # a stack built here is not read again
-    del stack
 
     Y = one_hot_labels(y, labeled_idx, c)
     F, _ = update_labels(P_cat, Y, SolverConfig.b_labeled)

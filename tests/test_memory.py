@@ -310,31 +310,3 @@ def test_experiment_holds_one_solve_and_one_stack_at_a_time(monkeypatch):
     assert solves == [0] * 8
     assert builds == [0] * 2
 
-
-def test_baseline_drops_the_stack_it_built_before_the_label_solve(monkeypatch):
-    stacks = []
-    original = agfti.harness.experiment.anchor_graphs
-
-    def kept(*args):
-        stack = original(*args)
-        stacks.append(weakref.ref(stack))
-        return stack
-
-    monkeypatch.setattr(agfti.harness.experiment, "anchor_graphs", kept)
-    update_labels = agfti.harness.experiment.update_labels
-    alive = []
-
-    def watched_update_labels(*args):
-        alive.append(stacks[-1]() is not None)
-        return update_labels(*args)
-
-    monkeypatch.setattr(agfti.harness.experiment, "update_labels",
-                        watched_update_labels)
-    container = synth_scp(0, V=2, c=3, n_per_class=20)
-    missing, labeled = generate_masks(container, MaskSpec(vmr=0.5, lar=0.1, seed=0))
-    pred = agfti.harness.experiment.baseline_label_propagation(
-        container.views, container.labels, labeled,
-        missing_per_view(missing, container.V), m=8,
-    )
-    assert pred.shape == (container.labels.size,)
-    assert alive == [False]
