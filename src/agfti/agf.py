@@ -45,7 +45,9 @@ This module owns the fused input sum_v alpha_v^2 Z_v T_v: it forms the
 aligned products, solves and values the inner problem from them.
 graphs.py only builds the per-view graphs the products start from. Where
 the alignments are still the identity, Ts is None and the products are the
-graphs themselves, never multiplied by an identity matrix.
+graphs themselves, never multiplied by an identity matrix. A call with
+frozen weights holds the same product stack and forms its target the same
+way; it only takes no weight step.
 """
 
 from dataclasses import dataclass, field
@@ -89,22 +91,17 @@ def _check_alignments(Zs, Ts):
         raise ValueError("need one m x m alignment per view, m the graph's columns")
 
 
-def _weighted_sum(arrays, coef):
-    """sum_v coef_v arrays_v, one term at a time, in order."""
+def fuse_aligned(ZTs, alpha):
+    """sum_v alpha_v^2 ZT_v over aligned products ZT_v = Z_v T_v, in view order."""
+    alpha = np.asarray(alpha, dtype=np.float64)
     out = term = None
-    for X, c in zip(arrays, coef):
+    for X, c in zip(ZTs, alpha * alpha):
         if out is None:
             out = c * X
         else:
             term = np.multiply(c, X, out=term)
             out += term
     return out
-
-
-def fuse_aligned(ZTs, alpha):
-    """sum_v alpha_v^2 ZT_v over aligned products ZT_v = Z_v T_v, in view order."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    return _weighted_sum(ZTs, alpha * alpha)
 
 
 def weighted_fusion_input(Zs, Ts, alpha):
@@ -127,19 +124,15 @@ def solve_inner_P(ZT, weights, H_half, lam, beta):
         t = (lam / 2 beta) sum_v w_v^2 ZT_v - H / (2 beta).
 
     ZT is the (V, n, m) stack of aligned products, combined in one
-    matrix-vector product, or an iterable of (n, m) products, combined one
-    at a time so that no stack is held. H_half is H / (2 beta), which a
-    caller solving several weight vectors under one H computes once; 0.0
-    stands for H = 0. Returns (P, t); target_value values P from t.
+    matrix-vector product. H_half is H / (2 beta), which a caller solving
+    several weight vectors under one H computes once; 0.0 stands for H = 0.
+    Returns (P, t); target_value values P from t.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     w = np.asarray(weights, dtype=np.float64)
     coef = (lam / (2.0 * beta)) * (w * w)
-    if isinstance(ZT, np.ndarray):
-        t = (coef @ ZT.reshape(len(ZT), -1)).reshape(ZT.shape[1:])
-    else:
-        t = _weighted_sum(ZT, coef)
+    t = (coef @ ZT.reshape(len(ZT), -1)).reshape(ZT.shape[1:])
     t -= H_half
     return prox_rows(t), t
 
@@ -275,9 +268,10 @@ def agf_minmax(
     alignments: the products Z_v T_v are then the graphs Zs themselves, read
     without a multiplication. Otherwise the products are formed once per
     call, as one batched product over the view stack, and every weight
-    vector the line search tries reuses them. A frozen call combines the
-    products one at a time as it forms them, and holds none. max_iter must
-    be at least 1: without an H refresh there is no h.
+    vector the line search tries reuses them. A frozen call forms and
+    combines them the same way, so its P is bit for bit the first inner
+    solve of a weighted call from the same state. max_iter must be at least
+    1: without an H refresh there is no h.
 
     Each weight vector is solved from its target (solve_inner_P) and a
     valued candidate's h is target_value's; H / (2 beta) is formed once per
@@ -321,11 +315,7 @@ def agf_minmax(
     alpha = np.asarray(alpha0, dtype=np.float64).copy()
     if alpha.size != V:
         raise ValueError("one weight per view required")
-    if freeze_weights:
-        # one solve: each product is formed as its term is added, as
-        # weighted_fusion_input does, and the stack is never held
-        ZT = iter(Zs) if Ts is None else map(np.matmul, Zs, Ts)
-    elif Ts is None:
+    if Ts is None:
         ZT = np.ascontiguousarray(Zs, dtype=np.float64)
     else:
         ZT = np.matmul(Zs, Ts)

@@ -99,30 +99,25 @@ def baseline_label_propagation(
 
 
 def _repetition_graphs(container, per_view, labeled, m, k, seed):
-    """The anchor graphs the columns of a repetition share, or the error.
+    """The anchor graphs the columns of a repetition share.
 
     The inputs are checked first, as admm_solve and the baseline check them
-    before they build, so every column records the error that building its
-    own stack would have raised.
+    before they build, so a column raises the error that building its own
+    stack would have raised.
     """
-    try:
-        views, _, _, missing, _ = prepare_inputs(
-            container.views, container.labels, labeled, per_view, container.c
-        )
-        return anchor_graphs(views, missing, m, k, seed)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        return exc
+    views, _, _, missing, _ = prepare_inputs(
+        container.views, container.labels, labeled, per_view, container.c
+    )
+    return anchor_graphs(views, missing, m, k, seed)
 
 
 def _column(container, labeled, per_view, name, config, graphs):
     """(predictions, solve flags) of one variant on a repetition's masks.
 
-    graphs is the repetition's stack, or the error building it, raised
-    here. The SolveResult dies when this returns, so the next column's solve
-    does not start with its graphs and fused graph alive.
+    graphs is the repetition's stack. The SolveResult dies when this
+    returns, so the next column's solve does not start with its graphs and
+    fused graph alive.
     """
-    if isinstance(graphs, Exception):
-        raise graphs
     if name == BASELINE:
         pred = baseline_label_propagation(
             container.views, container.labels, labeled, per_view,
@@ -189,8 +184,9 @@ def run_experiment(
 
     The anchor graphs of a repetition are built once for each
     (n_anchors, k_neighbors) its columns use, which is once unless a variant
-    overrides those fields, and every such column reads that stack. When the
-    build raises, each of those columns records its error.
+    overrides those fields, and every such column reads that stack. Only a
+    built stack is kept: when the build raises, each of those columns
+    repeats the input check and the build, and records its error.
     """
     solver_config = solver_config or SolverConfig()
     variants = dict(variants) if variants is not None else {"full": {}}
@@ -198,9 +194,9 @@ def run_experiment(
     blocks = {name: {"records": [], "failed_reps": 0} for name in variants}
     for r in range(n_reps):
         seed_r, per_view, labeled = draw_repetition(container, vmr, lar, base_seed, r)
-        # (n_anchors, k_neighbors) -> that stack, or the error building it;
-        # only this dict holds the stacks, so the previous repetition's die
-        # here, before this repetition builds its own
+        # (n_anchors, k_neighbors) -> that stack, once it was built; only
+        # this dict holds the stacks, so the previous repetition's die here,
+        # before this repetition builds its own
         stacks = {}
         for name, flags in variants.items():
             record = {
@@ -220,10 +216,10 @@ def run_experiment(
             config = replace(solver_config, seed=seed_r,
                              **({} if name == BASELINE else flags))
             key = (config.n_anchors, config.k_neighbors)
-            if key not in stacks:
-                stacks[key] = _repetition_graphs(container, per_view, labeled,
-                                                 *key, seed_r)
             try:
+                if key not in stacks:
+                    stacks[key] = _repetition_graphs(container, per_view,
+                                                     labeled, *key, seed_r)
                 pred, flags = _column(container, labeled, per_view, name,
                                       config, stacks[key])
                 record.update(flags)

@@ -284,21 +284,24 @@ def _index_array(idx, name):
 def prepare_inputs(views, y, labeled_idx, missing, n_classes):
     """(views, y, labeled_idx, missing, c) as arrays; ValueError if malformed.
 
-    c is n_classes, or the largest label plus one when that is None. The
-    index arrays must be 1-d and of an integer dtype (an empty one of any
-    dtype), so no fraction or boolean mask is read as indices, and
-    labeled_idx may list a sample only once.
+    c is n_classes, or the largest label plus one when that is None. y must
+    hold one label per sample, shape (n,). The index arrays must be 1-d and
+    of an integer dtype (an empty one of any dtype), so no fraction or
+    boolean mask is read as indices, and labeled_idx may list a sample only
+    once.
     """
     views = [np.asarray(X, dtype=np.float64) for X in views]
     y = np.asarray(y, dtype=np.int64)
     labeled_idx = _index_array(labeled_idx, "labeled_idx")
     missing = [_index_array(idx, f"missing[{v}]") for v, idx in enumerate(missing)]
-    c = int(n_classes) if n_classes is not None else int(y.max()) + 1
     n = views[0].shape[0]
     V = len(views)
     for v, X in enumerate(views):
         if X.ndim != 2 or X.shape[0] != n:
             raise ValueError(f"view {v} has shape {X.shape}, expected ({n}, d)")
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    c = int(n_classes) if n_classes is not None else int(y.max()) + 1
     if len(missing) != V:
         raise ValueError("one missing-index set per view required")
     absent = np.zeros(n, dtype=np.int64)
@@ -390,9 +393,7 @@ def _impute(s, config):
 
 def _fuse(s, config):
     # agf_minmax frees the previous P once H is built, if it holds the only
-    # reference: CPython 3.11+ hands a call its arguments, while 3.10 keeps
-    # them on the caller's stack until the call returns (more memory, the
-    # same results)
+    # reference: CPython 3.11+ hands a call its arguments
     res = agf_minmax(
         s.Z, s.Ts, s.F, s.Q, s.lam, config.beta, alpha0=s.alpha,
         P0=_taken(s, "P"), tol=config.inner_tol, max_iter=config.max_inner_iters,

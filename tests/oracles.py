@@ -377,7 +377,7 @@ def fusion_input_per_view(Zs, Ts, alpha):
 
 def inner_solve(Zs, Ts, alpha, H, lam, beta):
     """(P, t) of solve_inner_P at alpha under H, from one batched product
-    over the view stack, as agf_minmax's weighted path forms them."""
+    over the view stack, as agf_minmax forms them."""
     return solve_inner_P(np.matmul(Zs, Ts), alpha, H / (2.0 * beta), lam, beta)
 
 

@@ -113,13 +113,11 @@ class TestSolveInnerP:
         H = np.abs(rng.standard_normal((3, 4)))
         lam, beta = 2.0, 1.5
         target = (lam * fuse_aligned(ZT, w) - H) / (2 * beta)
-        # the stack in one product, and products one at a time
-        for products in (ZT, list(ZT)):
-            P, t = solve_inner_P(products, w, H / (2 * beta), lam, beta)
-            assert np.abs(t - target).max() < 1e-14
-            for i in range(3):
-                ref = simplex_qp_oracle(target[i])
-                assert np.abs(P[i] - ref).max() < 1e-10
+        P, t = solve_inner_P(ZT, w, H / (2 * beta), lam, beta)
+        assert np.abs(t - target).max() < 1e-14
+        for i in range(3):
+            ref = simplex_qp_oracle(target[i])
+            assert np.abs(P[i] - ref).max() < 1e-10
 
     def test_maximizes_inner_objective(self):
         rng = np.random.default_rng(4)
@@ -372,10 +370,10 @@ class TestAgfMinmaxFrozenWeights:
                 freeze_weights=True,
             )
             # one H refresh and one inner solve, valued, at alpha0, from
-            # products formed one at a time
+            # the product stack
             H = compute_H(F, Q, P0)
             P, t = solve_inner_P(
-                map(np.matmul, Zs, Ts), alpha0, H / (2 * beta), lam, beta
+                np.matmul(Zs, Ts), alpha0, H / (2 * beta), lam, beta
             )
             assert np.array_equal(res.P, P)
             assert res.h == target_value(P, t, beta)
@@ -384,6 +382,33 @@ class TestAgfMinmaxFrozenWeights:
             assert res.n_iter == 0
             assert res.steps == []
             assert (res.evaluated, res.bound_rejected) == (0, 0)
+
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_P_is_a_weighted_calls_first_inner_solve(self, monkeypatch, identity):
+        # the two calls differ only in the weight step: the frozen P is bit
+        # for bit the P a weighted call solves before its first step
+        solve = agf.solve_inner_P
+        solved = []
+
+        def recording_solve_inner_P(*args):
+            P, t = solve(*args)
+            solved.append(P)
+            return P, t
+
+        monkeypatch.setattr(agf, "solve_inner_P", recording_solve_inner_P)
+        for seed in range(4):
+            rng = np.random.default_rng(320 + seed)
+            Zs, Ts, F, Q = TestAgfMinmax()._instance(rng, n=60, m=8, V=3)
+            if identity:
+                Ts = None
+            P0 = rand_row_stochastic(rng, 60, 8)
+            alpha0 = rand_simplex_interior(rng, 3)
+            kw = dict(lam=9.0, beta=4.0, alpha0=alpha0, P0=P0)
+            frozen = agf_minmax(Zs, Ts, F, Q, freeze_weights=True, **kw)
+            solved.clear()
+            weighted = agf_minmax(Zs, Ts, F, Q, **kw)
+            assert weighted.steps
+            assert np.array_equal(frozen.P, solved[0])
 
 
 class TestAgfMinmaxMatchesPerCandidateFusion:

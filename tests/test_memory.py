@@ -186,11 +186,13 @@ def test_solve_holds_no_replaced_fused_graph_or_target(monkeypatch):
     assert alive == [0] * 4
 
 
-def test_weighted_fusion_holds_no_fused_graph_or_product_temporaries():
+@pytest.mark.parametrize("freeze_weights", [False, True])
+def test_weighted_fusion_holds_no_fused_graph_or_product_temporaries(freeze_weights):
     # the fuse-m256 benchmark's shape: n=1000, 256 anchors, two views, four
     # weight steps. Each candidate holds its target and its projection
     # beside H / (2 beta) and the current P; with explicit alignments the
-    # product stack adds V arrays, at identity alignments nothing
+    # product stack adds V arrays, at identity alignments nothing. A frozen
+    # call holds the same stack for its one solve, under the same bound
     container = synth_scp(1, V=2, c=3, class_sizes=(334, 333, 333))
     missing, labeled = generate_masks(container, MaskSpec(vmr=0.5, lar=0.05, seed=1))
     m = 256
@@ -207,9 +209,10 @@ def test_weighted_fusion_holds_no_fused_graph_or_product_temporaries():
         with traced():
             entry, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            res = agf_minmax(Z, Ts, F, Q, 4.0, 4.0, alpha, P0, tol=0.0, max_iter=4)
+            res = agf_minmax(Z, Ts, F, Q, 4.0, 4.0, alpha, P0, tol=0.0, max_iter=4,
+                             freeze_weights=freeze_weights)
             _, peak = tracemalloc.get_traced_memory()
-        assert res.evaluated > 0
+        assert (res.evaluated > 0) != freeze_weights
         assert peak - entry <= (held + 5.5) * array
 
 

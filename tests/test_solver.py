@@ -14,6 +14,7 @@ from agfti.graphs import ZeroDegreeWarning, floored_anchor_degrees, zero_degree_
 from agfti.harness import (
     DatasetContainer,
     MaskSpec,
+    baseline_label_propagation,
     generate_masks,
     missing_per_view,
     synth_scp,
@@ -636,6 +637,19 @@ class TestAdmmSolve:
                 views, y, labeled_idx, [np.array([], dtype=int)] * 2, config,
                 n_classes=3,
             )
+
+    @pytest.mark.parametrize("length", [50, 65])
+    @pytest.mark.parametrize("solve", [admm_solve, baseline_label_propagation],
+                             ids=["admm_solve", "baseline"])
+    def test_rejects_labels_of_another_length(self, solve, length):
+        # a short y used to raise IndexError, a long one a broadcast error
+        cont = synth_scp(0, n_per_class=20)
+        y = np.resize(cont.labels, length)
+        labeled_idx = np.arange(0, 60, 10)
+        complete = [np.array([], dtype=int)] * cont.V
+        with pytest.raises(ValueError,
+                           match=rf"y has shape \({length},\), expected \(60,\)"):
+            solve(cont.views, y, labeled_idx, complete, n_classes=cont.c)
 
     def test_rejects_zero_label_weight(self):
         # F would be identically zero and every sample predicted as class 0
