@@ -38,9 +38,10 @@ def step_peaks(solver, peaks):
     def traced(name, step):
         def run(s, config):
             tracemalloc.reset_peak()
-            step(s, config)
+            fields = step(s, config)
             peak = tracemalloc.get_traced_memory()[1] / s.Z.nbytes
             peaks[name] = max(peaks[name], peak)
+            return fields
 
         return run
 

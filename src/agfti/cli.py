@@ -1,6 +1,7 @@
 """Command line front end."""
 
 import json
+import os
 from contextlib import contextmanager
 
 import click
@@ -21,6 +22,24 @@ from .harness import (
     synth_scp,
 )
 from .solver import SolverConfig, admm_solve, predict, prepare_inputs
+
+
+class _OutputPath(click.Path):
+    """A file to write; refused at parse time unless its directory exists.
+
+    Every output parameter takes this type, so a run never does all its work
+    only to fail when it writes.
+    """
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            self.fail(f"directory {parent} does not exist", param, ctx)
+        return path
+
+
+_OUTPUT_PATH = _OutputPath(dir_okay=False)
 
 
 def _stack(*decorators):
@@ -69,9 +88,9 @@ _experiment_options = _stack(
     click.option("--reps", type=click.IntRange(min=1), default=10,
                  show_default=True),
     click.option("--base-seed", type=int, default=0, show_default=True),
-    click.option("--jsonl", type=click.Path(dir_okay=False), default=None,
+    click.option("--jsonl", type=_OUTPUT_PATH, default=None,
                  help="append per-repetition and aggregate records here"),
-    click.option("--out", type=click.Path(dir_okay=False), default=None),
+    click.option("--out", type=_OUTPUT_PATH, default=None),
     _solver_options,
 )
 
@@ -136,7 +155,7 @@ def main():
 
 
 @main.command()
-@click.argument("out", type=click.Path(dir_okay=False))
+@click.argument("out", type=_OUTPUT_PATH)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--n-per-class", type=click.IntRange(1), default=100, show_default=True)
 @click.option("--views", "V", type=click.IntRange(1), default=2, show_default=True)
@@ -162,7 +181,7 @@ def synth(out, seed, n_per_class, V, c, vacuum, noise, bridge, as_csv):
 
 @main.command()
 @click.argument("container_path", type=click.Path(exists=True))
-@click.argument("out", type=click.Path(dir_okay=False))
+@click.argument("out", type=_OUTPUT_PATH)
 @_ratio_options
 @click.option("--seed", type=click.IntRange(0), default=0, show_default=True)
 def mask(container_path, out, vmr, lar, seed):
@@ -182,11 +201,11 @@ def mask(container_path, out, vmr, lar, seed):
 @main.command()
 @click.argument("container_path", type=click.Path(exists=True))
 @click.argument("mask_path", type=click.Path(exists=True))
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", type=_OUTPUT_PATH, default=None,
               help="write the report here instead of stdout")
-@click.option("--predictions", "pred_path", type=click.Path(dir_okay=False),
+@click.option("--predictions", "pred_path", type=_OUTPUT_PATH,
               default=None, help="also dump per-sample predictions as JSON")
-@click.option("--diagnostics", "diag_path", type=click.Path(dir_okay=False),
+@click.option("--diagnostics", "diag_path", type=_OUTPUT_PATH,
               default=None, help="also dump one JSON line per ADMM iteration")
 @_solver_options
 def train(container_path, mask_path, out, pred_path, diag_path, **kwargs):

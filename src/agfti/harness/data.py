@@ -168,9 +168,12 @@ def load_dataset_csv(dirpath):
         raise ContainerFormatError(
             f"unexpected view file {dirpath / stray[0]}; expected {expected}"
         )
+    labels_path = dirpath / "labels.csv"
+    if not labels_path.is_file():
+        raise ContainerFormatError(f"no labels.csv under {dirpath}")
     views = [np.loadtxt(dirpath / n, delimiter=",", ndmin=2) for n in expected]
-    first = (dirpath / "labels.csv").read_text().partition("\n")[0]
-    labels = np.loadtxt(dirpath / "labels.csv", dtype=np.int64, ndmin=1)
+    first = labels_path.read_text().partition("\n")[0]
+    labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
     c = int(first[4:]) if first.startswith("# c=") else int(labels.max()) + 1
     return DatasetContainer(views=views, labels=labels, c=c, name=dirpath.name)
 

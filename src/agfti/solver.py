@@ -135,11 +135,13 @@ def update_labels(P, Y, b_labeled):
     floored at 1e-12, and the diagonal B_n fits the labeled samples (the
     rows of Y with a nonzero entry) with weight b_labeled and leaves every
     other sample and the anchors free.
-    A b_labeled <= 0 or a Y without a labeled row raises ValueError, since
-    F would be zero and every sample predicted as class 0.
+    A b_labeled <= 0 or infinite, or a Y without a labeled row, raises
+    ValueError: F would be zero (every sample class 0) or not finite.
     """
     if not b_labeled > 0:
         raise ValueError(f"b_labeled must be positive, got {b_labeled}")
+    if b_labeled == np.inf:
+        raise ValueError(f"b_labeled must be finite, got {b_labeled}")
     P = np.asarray(P, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     m = P.shape[1]
@@ -340,16 +342,16 @@ def prepare_inputs(views, y, labeled_idx, missing, n_classes):
 
 @dataclass
 class _SolveState:
-    """What the steps read and write; missing, Y and lam stay fixed.
+    """What a step leaves for later steps; missing, Y and lam stay fixed.
 
-    G is the (V, n, m) shrinkage output from the shrinkage to the
-    multiplier step and None elsewhere. G_rows holds G's rows at each
-    view's missing samples (update_missing_rows' G_rows) from the multiplier
-    step, which copies them out before writing the gap over G, to the next
-    imputation, which drops them; they start as zero rows, G's initial
-    value, and are never kept under skip_imputation. P is held here alone,
-    and the fusion step moves it into agf_minmax, which frees it once H is
-    built.
+    What a step only reports it returns instead. G is the (V, n, m)
+    shrinkage output from the shrinkage to the multiplier step and None
+    elsewhere. G_rows holds G's rows at each view's missing samples
+    (update_missing_rows' G_rows) from the multiplier step, which copies
+    them out before writing the gap over G, to the next imputation, which
+    drops them; they start as zero rows, G's initial value, and are never
+    kept under skip_imputation. P is held here alone, and the fusion step
+    moves it into agf_minmax, which frees it once H is built.
     """
 
     Z: np.ndarray
@@ -365,18 +367,10 @@ class _SolveState:
     missing: list
     Y: np.ndarray
     lam: float
-    # zero_degree_anchors of the initial fused graph and of each iteration's
-    zero_degree: list
     # whether a fusion has run, so that P is a fused graph the alignment reads
     fused: bool = False
     # the line-search level the next fusion call's first weight step starts at
     level: int = 0
-    # the last fusion's value and line search, and the last residuals
-    h: float | None = None
-    line_search: dict = field(default_factory=dict)
-    prim_fro: float = 0.0
-    prim_inf: float = 0.0
-    delta_F: float = 0.0
 
 
 def _taken(s, name):
@@ -399,23 +393,23 @@ def _fuse(s, config):
         P0=_taken(s, "P"), tol=config.inner_tol, max_iter=config.max_inner_iters,
         freeze_weights=config.freeze_weights, start_level=s.level,
     )
-    s.alpha, s.P, s.h = res.alpha, res.P, res.h
+    s.alpha, s.P = res.alpha, res.P
     s.fused = True
     # one level above the last accepted step; back to the top after a
     # search that found no decrease
     s.level = max(0, res.level - 1) if res.steps and res.steps[-1] else 0
-    s.line_search = {
+    return {"h": res.h, "line_search": {
         "steps": res.n_iter, "thetas": [float(t) for t in res.steps if t > 0],
         "evaluated": res.evaluated, "bound_rejected": res.bound_rejected,
-    }
+    }}
 
 
 def _label(s, config):
     F_prev = s.F
     s.F, s.Q = update_labels(s.P, s.Y, config.b_labeled)
-    s.zero_degree.append(zero_degree_anchors(s.P))
-    s.delta_F = float(np.linalg.norm(s.F - F_prev)
-                      / max(1.0, np.linalg.norm(F_prev)))
+    return {"delta_F": float(np.linalg.norm(s.F - F_prev)
+                             / max(1.0, np.linalg.norm(F_prev))),
+            "zero_degree_anchors": zero_degree_anchors(s.P)}
 
 
 def _shrink(s, config):
@@ -434,14 +428,15 @@ def _multiply(s, config):
         s.G_rows = [G[v, idx] for v, idx in enumerate(s.missing)]
     # the gap Z - G takes over G's buffer and dies with this call
     gap = np.subtract(s.Z, G, out=G)
-    s.prim_inf = float(max(gap.max(), -gap.min()))
-    s.prim_fro = float(np.linalg.norm(gap))
+    record = {"primal_residual_fro": float(np.linalg.norm(gap)),
+              "primal_residual_inf": float(max(gap.max(), -gap.min()))}
     s.W, s.eta = update_multiplier(s.W, gap, s.eta)
+    return record
 
 
-# the steps of one outer iteration, in order: (name in diagnostics, step,
-# the SolverConfig flag that skips it). Each step looks its update function
-# up in this module's globals when it runs, where tracers and tests patch it.
+# the steps of one outer iteration, in order: (name in diagnostics, step, the
+# SolverConfig flag that skips it). Each returns its diagnostics fields or None
+# and looks its update up in module globals, where tracers and tests patch it.
 _STEP_TABLE = (
     ("align", _align, "freeze_alignment"),
     ("impute", _impute, "skip_imputation"),
@@ -477,20 +472,21 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
 
     Returns a SolveResult, whose final alignments Ts are made when first
     read (so an SVD failure there is raised by that read), and whose
-    diagnostics list one record per iteration:
-    h, the primal residuals, the label movement delta_F, alpha, eta, wall
-    seconds, step_seconds (the seconds of each step in STEPS, 0.0 for a
-    skipped one) and line_search (the fusion's weight steps, its accepted
-    step sizes, and its candidates valued in full (evaluated) or rejected by
-    the lower bound (bound_rejected); zero or empty under frozen weights).
-    Non-convergence within max_outer_iters is reported through the converged
-    flag, never raised, and a collapse of every unlabeled sample into one
-    class through the degenerate flag, which a converged run can carry.
-    max_outer_iters below 1 (no solve, only the initial propagation) and a
-    negative or NaN lam or rho raise ValueError before any step. When the
-    solve ends, one ZeroDegreeWarning counts its fused graphs (the initial
-    one and each iteration's, as the label step reads it) that had
-    zero-degree anchors.
+    diagnostics list one record per iteration: iteration, step_seconds (the
+    seconds of each step in STEPS, 0.0 for a skipped one), the fields the
+    steps return, alpha, eta and wall seconds. The fusion returns h and
+    line_search (its weight steps, accepted step sizes, and candidates valued
+    in full (evaluated) or rejected by the lower bound (bound_rejected); zero
+    or empty under frozen weights), the label step the label movement delta_F
+    and the zero_degree_anchors of the fused graph it read, the multiplier
+    step the primal residuals. Non-convergence within max_outer_iters is
+    reported through the converged flag, never raised, and a collapse of
+    every unlabeled sample into one class through the degenerate flag, which
+    a converged run can carry. max_outer_iters below 1 (no solve, only the
+    initial propagation), a negative or NaN lam or rho, an infinite lam and a
+    beta that is not finite and positive raise ValueError before any step.
+    When the solve ends, one ZeroDegreeWarning counts the fused graphs with
+    zero-degree anchors: the initial one and those of the records.
     """
     config = config or SolverConfig()
     if config.max_outer_iters < 1:
@@ -504,8 +500,12 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     lam = float(config.lam) if config.lam is not None else float(V * V)
     if not lam >= 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
+    if lam == np.inf:
+        raise ValueError(f"lam must be finite, got {lam}")
     if not config.rho >= 0:
         raise ValueError(f"rho must be nonnegative, got {config.rho}")
+    if not 0 < config.beta < np.inf:
+        raise ValueError(f"beta must be finite and positive, got {config.beta}")
     m, k = config.n_anchors, config.k_neighbors
 
     if graphs is None:
@@ -522,10 +522,10 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
         G_rows=None if config.skip_imputation else [
             np.zeros((idx.size, m)) for idx in missing
         ],
-        W=np.zeros((V, n, m)), Ts=None,
+        W=np.zeros((V, n, m)), Ts=None, lam=lam,
         alpha=alpha, P=P, F=F, Q=Q, eta=PENALTY_START, missing=missing, Y=Y,
-        lam=lam, zero_degree=[zero_degree_anchors(P)],
     )
+    zero_degree = [zero_degree_anchors(P)]
     # the state alone holds P from here, so the fusion step frees it
     del P
 
@@ -535,26 +535,25 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     diagnostics = []
     for it in range(1, config.max_outer_iters + 1):
         step_seconds = dict.fromkeys(STEPS, 0.0)
+        record = {"iteration": it, "step_seconds": step_seconds}
         start = mark = time.perf_counter()
         for name, step in steps:
-            step(s, config)
+            record.update(step(s, config) or {})
             now = time.perf_counter()
             step_seconds[name] = now - mark
             mark = now
-        diagnostics.append({
-            "iteration": it, "h": s.h, "primal_residual_fro": s.prim_fro,
-            "primal_residual_inf": s.prim_inf, "delta_F": s.delta_F,
-            "alpha": [float(a) for a in s.alpha], "eta": float(s.eta),
-            "seconds": time.perf_counter() - start,
-            "step_seconds": step_seconds, "line_search": s.line_search,
-        })
+        record.update(alpha=[float(a) for a in s.alpha], eta=float(s.eta),
+                      seconds=time.perf_counter() - start)
+        diagnostics.append(record)
         # the Frobenius norm dominates the entrywise max, so gating on it
         # guarantees both residual readings sit at or below tol on exit
-        converged = max(s.prim_fro, s.delta_F) <= config.tol
+        converged = max(record["primal_residual_fro"],
+                        record["delta_F"]) <= config.tol
         if converged:
             break
 
-    warn_zero_degree(s.zero_degree, stacklevel=2)
+    zero_degree += [r["zero_degree_anchors"] for r in diagnostics]
+    warn_zero_degree(zero_degree, stacklevel=2)
     unlabeled_classes = np.unique(np.delete(predict(s.F), labeled_idx))
     return SolveResult(
         F=s.F, Q=s.Q, P=s.P, alpha=s.alpha, Zs=s.Z, lam=lam,

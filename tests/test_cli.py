@@ -435,23 +435,66 @@ def test_train_reports_a_rejected_solver_setting(workspace):
     assert isinstance(result.exception, SystemExit)
 
 
-@pytest.mark.parametrize("option, name", [("--rho", "rho"), ("--lambda", "lam")])
-def test_train_refuses_a_negative_penalty(workspace, option, name):
+@pytest.mark.parametrize("option, value, message", [
+    pytest.param(option, value, message, id=f"{option}-{name}")
+    for option, value, message, name in [
+        ("--rho", "-1", "rho must be nonnegative, got -1.0", "rho"),
+        ("--lambda", "-1", "lam must be nonnegative, got -1.0", "lam"),
+        ("--lambda", "inf", "lam must be finite, got inf", "inf"),
+        ("--beta-lambda", "nan", "beta must be finite and positive, got nan",
+         "nan"),
+        ("--beta-lambda", "inf", "beta must be finite and positive, got inf",
+         "inf"),
+        ("--b-labeled", "inf", "b_labeled must be finite, got inf", "inf"),
+    ]
+])
+def test_train_refuses_a_negative_penalty(workspace, option, value, message):
     # a negative rho used to fail at the first shrinkage, naming its
     # threshold; a negative lambda used to exit 0 with a solve that rewards
-    # disagreement between the views
+    # disagreement between the views; an infinite lambda or b_labeled or a
+    # NaN beta failed in prox_rows on non-finite entries, and an infinite
+    # beta exited 0 with diagnostics records whose h was NaN
     result = CliRunner().invoke(main, [
         "train", workspace["data"], workspace["mask"], "--anchors", "8",
-        option, "-1",
+        option, value,
     ])
     assert result.exit_code == 1
-    assert f"Error: {name} must be nonnegative, got -1.0" in result.output
+    assert f"Error: {message}" in result.output
+
+
+@pytest.mark.parametrize("command, args, hint", [
+    ("synth", ["{out}"], "'OUT'"),
+    ("mask", ["{data}", "{out}", "--vmr", "0.3", "--lar", "0.1"], "'OUT'"),
+    ("train", ["{data}", "{mask}", "--out", "{out}"], "'--out'"),
+    ("train", ["{data}", "{mask}", "--predictions", "{out}"], "'--predictions'"),
+    ("train", ["{data}", "{mask}", "--diagnostics", "{out}"], "'--diagnostics'"),
+    ("eval", ["{data}", "--vmr", "0.3", "--lar", "0.1", "--jsonl", "{out}"],
+     "'--jsonl'"),
+    ("eval", ["{data}", "--vmr", "0.3", "--lar", "0.1", "--out", "{out}"],
+     "'--out'"),
+], ids=["synth", "mask", "train-out", "train-predictions", "train-diagnostics",
+        "eval-jsonl", "eval-out"])
+def test_output_in_a_missing_directory_is_refused_before_any_work(
+    workspace, command, args, hint
+):
+    # each used to run to the end and then fail with a FileNotFoundError
+    root = workspace["root"]
+    out = root / "nodir" / "out.json"
+    args = [a.format(out=out, data=workspace["data"], mask=workspace["mask"])
+            for a in args]
+    result = CliRunner().invoke(main, [command, *args])
+    assert result.exit_code == 2, result.output
+    assert (f"Invalid value for {hint}: directory {out.parent} does not exist"
+            in result.output)
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("command, kind, message", [
     ("eval", "binary", "truncated header"),
     ("mask", "binary", "truncated header"),
     ("eval", "csv", "unexpected view file"),
+    # used to escape as a FileNotFoundError traceback
+    ("mask", "unlabeled_csv", "no labels.csv under"),
 ])
 def test_malformed_container_is_a_bad_parameter(workspace, command, kind, message):
     root = workspace["root"]
@@ -459,10 +502,10 @@ def test_malformed_container_is_a_bad_parameter(workspace, command, kind, messag
         bad = root / "bad.mvds"
         bad.write_bytes(b"MVDS")
     else:
-        bad = root / "gap_csv"
+        bad = root / kind
         toy = load_container(workspace["data"])
         save_dataset_csv(DatasetContainer([toy.views[0]] * 3, toy.labels, toy.c), bad)
-        (bad / "view1.csv").unlink()
+        (bad / ("view1.csv" if kind == "csv" else "labels.csv")).unlink()
     args = [command, str(bad)]
     if command == "mask":
         args.append(str(root / "unused_mask.json"))

@@ -100,11 +100,11 @@ def test_multiplier_step_holds_one_gap():
     G_rows = [G[v, idx] for v, idx in enumerate(missing)]
     prim_inf = np.abs(Z - G).max()
     state = SimpleNamespace(Z=Z, G=G, W=W, eta=0.5, missing=missing)
-    _, peak = peak_above_entry(
+    fields, peak = peak_above_entry(
         lambda: agfti.solver._multiply(state, agfti.solver.SolverConfig())
     )
     assert peak <= rows + 0.01 * stack
-    assert state.prim_inf == prim_inf
+    assert fields["primal_residual_inf"] == prim_inf
     assert state.G is None
     assert all(np.array_equal(a, b) for a, b in zip(state.G_rows, G_rows, strict=True))
 

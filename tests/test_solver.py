@@ -89,9 +89,12 @@ class TestUpdateLabels:
         # either would make F identically zero: every sample class 0
         rng = np.random.default_rng(0)
         P, Y = self._instance(rng)
-        for b in (0.0, -1.0, np.nan):
+        for b in (0.0, -1.0, np.nan, -np.inf):
             with pytest.raises(ValueError, match="b_labeled must be positive"):
                 update_labels(P, Y, b)
+        # an infinite weight turns the system's entries non-finite
+        with pytest.raises(ValueError, match="b_labeled must be finite, got inf"):
+            update_labels(P, Y, np.inf)
         with pytest.raises(ValueError, match="no labeled row"):
             update_labels(P, np.zeros_like(Y), 100.0)
 
@@ -448,6 +451,7 @@ class TestAdmmSolve:
             "primal_residual_fro",
             "primal_residual_inf",
             "delta_F",
+            "zero_degree_anchors",
             "alpha",
             "eta",
             "seconds",
@@ -664,12 +668,16 @@ class TestAdmmSolve:
 
     @pytest.mark.parametrize("field, value", [
         ("lam", -1.0), ("lam", float("nan")), ("rho", -1.0), ("rho", float("nan")),
+        ("lam", float("inf")),
+        *(("beta", value) for value in (0.0, -1.0, float("nan"), float("inf"))),
     ])
     def test_rejects_a_negative_or_nan_penalty_before_any_step(
         self, monkeypatch, field, value
     ):
         # a negative lam rewards disagreement between the views, and a
-        # negative rho used to fail only inside the first shrinkage
+        # negative rho used to fail only inside the first shrinkage; an
+        # infinite lam or a NaN beta used to fail in prox_rows on non-finite
+        # entries, and an infinite beta to finish with every h NaN
         called = []
         for name in ("solve_inner_P", "update_missing_rows", "agf_minmax",
                      "update_labels", "update_G", "update_alignment",
@@ -678,7 +686,9 @@ class TestAdmmSolve:
                                 lambda *a, name=name, **k: called.append(name))
         with pytest.raises(ValueError) as info:
             self._solve(seed=8, **{field: value})
-        assert str(info.value) == f"{field} must be nonnegative, got {value}"
+        rule = ("finite and positive" if field == "beta"
+                else "finite" if value == np.inf else "nonnegative")
+        assert str(info.value) == f"{field} must be {rule}, got {value}"
         assert called == []
 
     def test_lambda_defaults_to_V_squared(self):
@@ -913,6 +923,8 @@ class TestZeroDegreeSummary:
             warnings.simplefilter("always")
             result = self._solve()
         assert len(counts) == result.n_iter + 1
+        # the records carry each iteration's count
+        assert [r["zero_degree_anchors"] for r in result.diagnostics] == counts[1:]
         floored = [n for n in counts if n]
         assert len(floored) > 1
         assert [w.category for w in caught] == [ZeroDegreeWarning]
