@@ -211,7 +211,8 @@ def mask(container_path, out, vmr, lar, seed):
 def train(container_path, mask_path, out, pred_path, diag_path, **kwargs):
     """Solve once on a container + mask and report metrics."""
     # a mask that does not fit the container exits 2 on MASK_PATH; a setting
-    # the solver refuses exits 1
+    # the solver refuses exits 1, and so does a non-finite feature on a held
+    # row, which the mask check leaves to the solve
     with _refused("CONTAINER_PATH"):
         container = load_container(container_path)
     with _refused("MASK_PATH"):
@@ -221,7 +222,7 @@ def train(container_path, mask_path, out, pred_path, diag_path, **kwargs):
                              f"container has {container.n}")
         per_view = missing_per_view(missing, container.V)
         prepare_inputs(container.views, container.labels, labeled, per_view,
-                       container.c)
+                       container.c, check_finite=False)
     try:
         result = admm_solve(
             container.views, container.labels, labeled, per_view,

@@ -10,11 +10,19 @@ neighbor-assignment problem
 whose optimum touches exactly the k nearest anchors when gamma is chosen as
 (k d_(k+1) - sum_{h<=k} d_(h)) / 2.
 
+Each split sweeps between two centres c1 and c2, sending the half of a
+node's samples nearest c1 relative to c2 left. Since |x - c1|^2 - |x - c2|^2
+= 2 x.(c2 - c1) + a constant per node, one score x.(c2 - c1) per sample
+ranks them, and the node's smallest half goes left, ties to the lower
+position. The next centres are node sums over counts.
+
 The tree is built one level at a time rather than one node at a time: all
 splits of a level run as one batch of array operations, so the cost of a
 level no longer grows with its node count in Python calls. The result is the
-one of the depth-first recursion (left child first), bit for bit; see
-bkhk_anchors and build_bipartite for why.
+one of the depth-first recursion (left child first) that splits by squared
+distances: the same tree in exact arithmetic, and bit for bit on every test
+and benchmark input; see _balanced_two_means, bkhk_anchors and
+build_bipartite for when and why.
 
 This module only builds graphs. Fusing them into sum_v alpha_v^2 Z_v T_v,
 and valuing the fused input, belongs to agf.py.
@@ -86,11 +94,24 @@ def _size_groups(sizes):
         yield nodes, start[nodes, None] + np.arange(s)
 
 
-def _sq_dists_to(Xg, c, buf):
-    """((Xg - c) ** 2).sum(axis=-1) per node, through the scratch buf."""
-    np.subtract(Xg, c[:, None, :], out=buf)
-    np.square(buf, out=buf)
-    return buf.sum(axis=-1)
+def _left_halves(score, n_left):
+    """(k, s) mask of each row's n_left smallest scores.
+
+    The mask marks the first n_left positions of a stable argsort of each
+    row: ties at the boundary go to the lower position, NaN scores last.
+    One partition finds each row's n_left-th smallest score t, and the mask
+    takes every position at or below it. A row where that is not n_left
+    positions (ties at t, or NaN) is stably sorted instead.
+    """
+    t = np.partition(score, n_left - 1, axis=1)[:, n_left - 1, None]
+    mask = score <= t
+    off = np.flatnonzero(mask.sum(axis=1) != n_left)
+    if off.size:
+        order = np.argsort(score[off], axis=1, kind="stable")
+        rows = np.zeros((off.size, score.shape[1]), dtype=bool)
+        np.put_along_axis(rows, order[:, :n_left], True, axis=1)
+        mask[off] = rows
+    return mask
 
 
 def _balanced_two_means(X, members, draws):
@@ -100,6 +121,27 @@ def _balanced_two_means(X, members, draws):
     candidate positions of each node. Returns the (k, s) boolean mask of the
     left halves. Each node sweeps until its split repeats, or _MAX_SWEEPS
     times; a node whose split has repeated is dropped from later sweeps.
+
+    A sweep sends the ceil(s/2) samples nearest c1 relative to c2 left.
+    Since |x - c1|^2 - |x - c2|^2 = 2 x.(c2 - c1) + |c1|^2 - |c2|^2, and the
+    last two terms are one constant per node, it ranks the samples of a node
+    by the score x.(c2 - c1), one batched matrix-vector product, and takes
+    the n_left smallest (_left_halves; ties to the lower position, as a
+    stable sort of the distance difference places them). The product is an
+    einsum, not a BLAS call, because BLAS kernels can round copies of one
+    row apart by their position, and copies must tie. The next centres are
+    node sums over counts: the left sum is the mask's product with the
+    samples, the right one the node total minus it.
+
+    In exact arithmetic the split is the squared-distance one. In floating
+    point the score and the centres round differently from the squared
+    distances and the means, so two distinct samples whose distance
+    differences agree to within rounding can trade order; if they straddle
+    the halves, the split, and every anchor below it, differs from the
+    squared-distance tree. Such near-ties need distinct samples with equal
+    exact scores, on one hyperplane normal to c2 - c1, which integer-valued
+    features make common. On every test and benchmark input the splits
+    agree, and the anchors are the squared-distance tree's bit for bit.
     """
     k, s = members.shape
     n_left = -(-s // 2)
@@ -115,25 +157,24 @@ def _balanced_two_means(X, members, draws):
     c2 = X[cand[rows, j]]
 
     Xg = X[members]
-    buf = np.empty_like(Xg)
+    total = Xg.sum(axis=1)
     left = np.zeros((k, s), dtype=bool)
     live = rows
     for sweep in range(_MAX_SWEEPS):
-        d = _sq_dists_to(Xg, c1, buf) - _sq_dists_to(Xg, c2, buf)
-        order = np.argsort(d, axis=1, kind="stable")
-        mask = np.zeros(order.shape, dtype=bool)
-        np.put_along_axis(mask, order[:, :n_left], True, axis=1)
+        score = np.einsum("ksd,kd->ks", Xg, c2 - c1)
+        mask = _left_halves(score, n_left)
         if sweep:
             moved = (mask != left[live]).any(axis=1)
             if not moved.all():
                 live, Xg, mask = live[moved], Xg[moved], mask[moved]
-                buf = buf[: live.size]
+                total = total[moved]
                 if not live.size:
                     break
         left[live] = mask
         if sweep + 1 < _MAX_SWEEPS:
-            c1 = Xg[mask].reshape(live.size, n_left, -1).mean(axis=1)
-            c2 = Xg[~mask].reshape(live.size, s - n_left, -1).mean(axis=1)
+            left_sum = np.matmul(mask[:, None, :].astype(np.float64), Xg)[:, 0]
+            c1 = left_sum / n_left
+            c2 = (total - left_sum) / (s - n_left)
     return left
 
 
@@ -163,9 +204,10 @@ def bkhk_anchors(X, m, seed, index=0, return_assignment=False):
     size, which depends only on n. So every draw is taken up front from the
     same generator, in the recursion's order, and the batched splits use the
     draws the recursion would have used. Each node keeps its samples in the
-    recursion's order and every reduction runs per node over the same
-    values, so the anchors and the assignment are the recursion's bit for
-    bit.
+    recursion's order, so wherever the score split (see _balanced_two_means)
+    agrees with the recursion's squared-distance split, the leaf means run
+    over the same values and the anchors and the assignment are the
+    recursion's bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:

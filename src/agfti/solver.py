@@ -283,14 +283,16 @@ def _index_array(idx, name):
     return idx.astype(np.int64, copy=False)
 
 
-def prepare_inputs(views, y, labeled_idx, missing, n_classes):
+def prepare_inputs(views, y, labeled_idx, missing, n_classes, check_finite=True):
     """(views, y, labeled_idx, missing, c) as arrays; ValueError if malformed.
 
     c is n_classes, or the largest label plus one when that is None. y must
     hold one label per sample, shape (n,). The index arrays must be 1-d and
     of an integer dtype (an empty one of any dtype), so no fraction or
     boolean mask is read as indices, and labeled_idx may list a sample only
-    once.
+    once. With check_finite, every feature of a sample a view holds must be
+    finite; the rows of samples missing from a view are never read, so they
+    may hold anything.
     """
     views = [np.asarray(X, dtype=np.float64) for X in views]
     y = np.asarray(y, dtype=np.int64)
@@ -314,6 +316,13 @@ def prepare_inputs(views, y, labeled_idx, missing, n_classes):
     if np.any(absent >= V):
         bad = int(np.argmax(absent >= V))
         raise ValueError(f"sample {bad} is missing from every view")
+    if check_finite:
+        for v, (X, idx) in enumerate(zip(views, missing)):
+            bad = ~np.isfinite(X).all(axis=1)
+            bad[idx] = False
+            if bad.any():
+                raise ValueError(f"view {v} has a non-finite feature on "
+                                 f"sample {int(np.argmax(bad))}, which it holds")
     outside = (labeled_idx < 0) | (labeled_idx >= n)
     if outside.any():
         bad = int(labeled_idx[np.argmax(outside)])
@@ -483,8 +492,9 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     reported through the converged flag, never raised, and a collapse of
     every unlabeled sample into one class through the degenerate flag, which
     a converged run can carry. max_outer_iters below 1 (no solve, only the
-    initial propagation), a negative or NaN lam or rho, an infinite lam and a
-    beta that is not finite and positive raise ValueError before any step.
+    initial propagation), a negative or NaN lam, rho or tol, an infinite lam
+    and a beta that is not finite and positive raise ValueError before any
+    step.
     When the solve ends, one ZeroDegreeWarning counts the fused graphs with
     zero-degree anchors: the initial one and those of the records.
     """
@@ -506,6 +516,8 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
         raise ValueError(f"rho must be nonnegative, got {config.rho}")
     if not 0 < config.beta < np.inf:
         raise ValueError(f"beta must be finite and positive, got {config.beta}")
+    if not config.tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {config.tol}")
     m, k = config.n_anchors, config.k_neighbors
 
     if graphs is None:

@@ -70,6 +70,26 @@ def test_synth_csv_roundtrip(workspace):
     assert result.exit_code == 0, result.output
 
 
+def test_train_refuses_a_non_finite_feature_on_a_held_row(tmp_path):
+    # it used to fail deep in the solve, in prox_rows on non-finite entries
+    runner = CliRunner()
+    csvdir, maskfile = tmp_path / "csv", tmp_path / "mask.json"
+    for args in (["synth", csvdir, "--n-per-class", "20", "--csv"],
+                 ["mask", csvdir, maskfile, "--vmr", "0.3", "--lar", "0.1"]):
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 0, result.output
+    _, missing, _ = load_mask(maskfile)
+    held = next(i for i, views in enumerate(missing) if 0 not in views)
+    lines = (csvdir / "view0.csv").read_text().splitlines()
+    lines[held] = ",".join(["nan", *lines[held].split(",")[1:]])
+    (csvdir / "view0.csv").write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["train", str(csvdir), str(maskfile),
+                                  "--anchors", "8"])
+    assert result.exit_code == 1
+    assert (f"Error: view 0 has a non-finite feature on sample {held}, "
+            "which it holds") in result.output
+
+
 def test_mask_file_contents(workspace):
     with open(workspace["mask"]) as fh:
         payload = json.load(fh)
@@ -446,6 +466,8 @@ def test_train_reports_a_rejected_solver_setting(workspace):
         ("--beta-lambda", "inf", "beta must be finite and positive, got inf",
          "inf"),
         ("--b-labeled", "inf", "b_labeled must be finite, got inf", "inf"),
+        ("--tol", "nan", "tol must be nonnegative, got nan", "nan"),
+        ("--tol", "-1", "tol must be nonnegative, got -1.0", "negative"),
     ]
 ])
 def test_train_refuses_a_negative_penalty(workspace, option, value, message):
@@ -453,7 +475,8 @@ def test_train_refuses_a_negative_penalty(workspace, option, value, message):
     # threshold; a negative lambda used to exit 0 with a solve that rewards
     # disagreement between the views; an infinite lambda or b_labeled or a
     # NaN beta failed in prox_rows on non-finite entries, and an infinite
-    # beta exited 0 with diagnostics records whose h was NaN
+    # beta exited 0 with diagnostics records whose h was NaN; a NaN or
+    # negative tol ran every iteration and reported converged: false
     result = CliRunner().invoke(main, [
         "train", workspace["data"], workspace["mask"], "--anchors", "8",
         option, value,

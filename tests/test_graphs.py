@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import agfti.harness
 import agfti.solver
 from agfti.agf import fuse_aligned, weighted_fusion_input
-from agfti.graphs import bkhk_anchors, build_bipartite, pairwise_sq_dists
+from agfti.graphs import _left_halves, bkhk_anchors, build_bipartite, pairwise_sq_dists
 
 from oracles import (
     _sq_dists,
@@ -237,6 +237,33 @@ class TestLevelwiseMatchesRecursion:
         assert Z.tobytes() == build_bipartite_full_sort(X, anchors, k=3).tobytes()
         assert np.array_equal(np.flatnonzero(Z[0]), [1, 3, 5])
         assert np.allclose(Z[0, [1, 3, 5]], 1 / 3)
+
+
+class TestScoreSplit:
+    """One score per sample and a partition give the stable sort's halves."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 4), s=st.integers(1, 40))
+    def test_halves_are_a_stable_argsorts_first_positions(self, data, k, s):
+        # a few distinct values (-0.0 among them), so ties are common; NaN,
+        # which overflowing features give, sorts last
+        values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0, np.nan])
+        score = np.array(data.draw(st.lists(
+            st.lists(values, min_size=s, max_size=s), min_size=k, max_size=k
+        )))
+        order = np.argsort(score, axis=1, kind="stable")
+        for n_left in range(1, s + 1):
+            expected = np.zeros((k, s), dtype=bool)
+            np.put_along_axis(expected, order[:, :n_left], True, axis=1)
+            assert np.array_equal(_left_halves(score, n_left), expected)
+
+    @pytest.mark.parametrize("d", [17, 76])
+    def test_duplicated_wide_rows(self, d):
+        # copies of one row tie only if each gets the same score bits; a
+        # BLAS matrix-vector product can round copies apart at these widths
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((40, d))[rng.integers(0, 40, 300)]
+        assert_graphs_match_references(X, 32, 7, seed=3)
 
 
 class TestWeightedFusionInput:

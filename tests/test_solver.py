@@ -670,6 +670,7 @@ class TestAdmmSolve:
         ("lam", -1.0), ("lam", float("nan")), ("rho", -1.0), ("rho", float("nan")),
         ("lam", float("inf")),
         *(("beta", value) for value in (0.0, -1.0, float("nan"), float("inf"))),
+        ("tol", float("nan")), ("tol", -1.0),
     ])
     def test_rejects_a_negative_or_nan_penalty_before_any_step(
         self, monkeypatch, field, value
@@ -677,7 +678,8 @@ class TestAdmmSolve:
         # a negative lam rewards disagreement between the views, and a
         # negative rho used to fail only inside the first shrinkage; an
         # infinite lam or a NaN beta used to fail in prox_rows on non-finite
-        # entries, and an infinite beta to finish with every h NaN
+        # entries, and an infinite beta to finish with every h NaN; a NaN or
+        # negative tol used to run every iteration, since no solve can stop
         called = []
         for name in ("solve_inner_P", "update_missing_rows", "agf_minmax",
                      "update_labels", "update_G", "update_alignment",
@@ -690,6 +692,34 @@ class TestAdmmSolve:
                 else "finite" if value == np.inf else "nonnegative")
         assert str(info.value) == f"{field} must be {rule}, got {value}"
         assert called == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("v", [0, 1])
+    @pytest.mark.parametrize("solve", [admm_solve, baseline_label_propagation],
+                             ids=["admm_solve", "baseline"])
+    def test_non_finite_feature_is_refused_only_on_a_held_row(self, solve, v, value):
+        # a NaN on a held row used to fail deep in the solve in prox_rows,
+        # and to send the baseline's every prediction to class 0
+        cont = synth_scp(0, V=2, c=3, n_per_class=30)
+        _, per_view, labeled = draw_repetition(cont, 0.3, 0.1, 0, 0)
+        kwargs = {"n_classes": cont.c, **(
+            {"config": SolverConfig(n_anchors=8)} if solve is admm_solve else {"m": 8}
+        )}
+
+        def run(row):
+            views = [X.copy() for X in cont.views]
+            views[v][row, 1] = value
+            return solve(views, cont.labels, labeled, per_view, **kwargs)
+
+        held = np.setdiff1d(np.arange(cont.n), per_view[v])[3]
+        with pytest.raises(ValueError, match=rf"^view {v} has a non-finite "
+                           rf"feature on sample {held}, which it holds$"):
+            run(held)
+        clean = solve(cont.views, cont.labels, labeled, per_view, **kwargs)
+        dropped = run(per_view[v][0])
+        if solve is admm_solve:
+            clean, dropped = clean.F, dropped.F
+        assert dropped.tobytes() == clean.tobytes()
 
     def test_lambda_defaults_to_V_squared(self):
         result, _, _ = self._solve(seed=7)
