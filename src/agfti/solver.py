@@ -48,6 +48,9 @@ from .tensor3 import phi  # noqa: F401
 PENALTY_START = 1e-2
 PENALTY_GROWTH = 2.0
 PENALTY_CAP = 1e10
+# singular values of Z_v^T P at or below this fraction of the largest count
+# as zero in the alignment, whose factor on their span is then pinned
+RANK_RTOL = 256 * np.finfo(float).eps
 
 
 @dataclass
@@ -222,13 +225,33 @@ def update_G(Z, W, eta, rho):
 def update_alignment(Z, P):
     """Orthogonal Procrustes alignment of the view graphs onto the fused one.
 
-    T = U V^T from the SVD of Z^T P maximizes Tr(T^T Z^T P) over orthogonal
-    matrices; the attained value is the nuclear norm of Z^T P. Z is one
-    (n, m) graph or a (V, n, m) stack, giving one (m, m) or a (V, m, m)
-    stack of alignments from one batched SVD.
+    T = U V^T from the SVD C = U S V^T of C = Z^T P maximizes Tr(T^T C)
+    over orthogonal matrices (Schönemann, Psychometrika 1966); the attained
+    value is the nuclear norm of C. Z is one (n, m) graph or a (V, n, m)
+    stack, giving one (m, m) or a (V, m, m) stack of alignments from one
+    batched SVD.
+
+    When C is singular the maximizers form a family, T = U_r V_r^T +
+    U_0 R V_0^T for every orthogonal R, U_r and V_r spanning the singular
+    vectors of the r singular values above RANK_RTOL times the largest and
+    U_0, V_0 the rest; rounding would pick a member. The one returned is the
+    maximizer nearest the identity: R is the orthogonal polar factor
+    (Higham, SIAM J. Sci. Stat. Comput. 1986) of (V_0^T U_0)^T, which
+    maximizes Tr(R V_0^T U_0) and does not depend on the bases U_0 and V_0.
+    An anchor no row of Z or P uses, whose axis is null on both sides, is
+    left unaligned. Only the views whose rank falls short are redone.
     """
-    U, _, Vh = np.linalg.svd(np.swapaxes(Z, -1, -2) @ P)
-    return U @ Vh
+    Z = np.asarray(Z)
+    U, s, Vh = np.linalg.svd(
+        np.swapaxes(Z.reshape((-1,) + Z.shape[-2:]), -1, -2) @ P
+    )
+    T = U @ Vh
+    for v in np.flatnonzero(s[:, -1] <= RANK_RTOL * s[:, 0]):
+        r = int(np.count_nonzero(s[v] > RANK_RTOL * s[v, 0]))
+        U0, V0h = U[v, :, r:], Vh[v, r:]
+        X, _, Yh = np.linalg.svd(V0h @ U0)
+        T[v] = U[v, :, :r] @ Vh[v, :r] + U0 @ (X @ Yh).T @ V0h
+    return T.reshape(Z.shape[:-2] + T.shape[-2:])
 
 
 def update_multiplier(W, gap, eta):
