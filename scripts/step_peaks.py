@@ -1,4 +1,4 @@
-"""Traced memory peak of every solver step, in (V, n, m) graph stacks.
+"""Traced memory peak of every solver step, in float64 (V, n, m) graph stacks.
 
     python scripts/step_peaks.py --tree DIR --workload frozen-v6 --seed 1 \\
         [--problem 0] [--small] [--max-outer-iters N]
@@ -12,7 +12,10 @@ fuse-m256 can be measured where its later iterations peak; by default the
 workload's own cap holds. It makes the problem's timed call
 under tracemalloc and prints, for each step in ``agfti.solver.STEPS``, the
 largest traced memory seen while the step ran, over every iteration of every
-solve, in units of the solve's (V, n, m) graph stack. numpy reports its array
+solve, in units of V * n * m * 8 bytes: the bytes of the solve's graph stack
+held in float64, whatever dtype the solver stores it in, so figures measured
+before and after a change of storage dtype compare (the solver's float32
+graphs and multiplier are one such unit together). numpy reports its array
 buffers to tracemalloc, so a step's figure counts everything live during it:
 the graphs and multiplier the solve holds as well as the step's temporaries.
 A step the solve never ran prints 0.
@@ -33,13 +36,13 @@ from output_digest import load_tree  # noqa: E402  (pins BLAS before numpy loads
 
 @contextmanager
 def step_peaks(solver, peaks):
-    """Record in peaks each step's largest traced memory, in graph stacks."""
+    """Record in peaks each step's largest traced memory, in float64 stacks."""
 
     def traced(name, step):
         def run(s, config):
             tracemalloc.reset_peak()
             fields = step(s, config)
-            peak = tracemalloc.get_traced_memory()[1] / s.Z.nbytes
+            peak = tracemalloc.get_traced_memory()[1] / (s.Z.size * 8)
             peaks[name] = max(peaks[name], peak)
             return fields
 

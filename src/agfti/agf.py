@@ -48,6 +48,15 @@ the alignments are still the identity, Ts is None and the products are the
 graphs themselves, never multiplied by an identity matrix. A call with
 frozen weights holds the same product stack and forms its target the same
 way; it only takes no weight step.
+
+The product stack keeps the graphs' storage dtype, float32 in the solver
+(the products Z_v T_v are single-precision matrix products with the
+float64 alignments rounded to float32). Everything read from it is
+accumulated in float64: the target t of every weight vector, the
+agreements c_v, and from them h0, the bound, the Armijo threshold and each
+candidate's value. The bound and the full evaluation thus read the same
+stored products and differ only by float64 rounding, so BOUND_MARGIN's
+proof above holds as written. H and P are float64.
 """
 
 from dataclasses import dataclass, field
@@ -72,12 +81,19 @@ def compute_H(F, Q, P):
     one because P is row stochastic, so F rows enter unscaled. Anchors that no
     sample points to get their degree floored at 1e-12, without a warning,
     which keeps H finite but large for those columns.
+
+    The sums over the classes run in one order that the class labels do not
+    set: F's columns sorted by their bytes. Relabelling the classes permutes
+    F's and Q's columns, and H is then the same bit for bit, so the graphs
+    a solve stores (in float32, where a last-bit change of H could round a
+    stored entry the other way) do not depend on the labels' names.
     """
     F = np.asarray(F, dtype=np.float64)
     Q = np.asarray(Q, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
     Qn = Q / np.sqrt(floored_anchor_degrees(P))[:, None]
-    return pairwise_sq_dists(F, Qn)
+    order = sorted(range(F.shape[1]), key=lambda j: F[:, j].tobytes())
+    return pairwise_sq_dists(F[:, order], Qn[:, order])
 
 
 def _check_alignments(Zs, Ts):
@@ -124,15 +140,17 @@ def solve_inner_P(ZT, weights, H_half, lam, beta):
         t = (lam / 2 beta) sum_v w_v^2 ZT_v - H / (2 beta).
 
     ZT is the (V, n, m) stack of aligned products, combined in one
-    matrix-vector product. H_half is H / (2 beta), which a caller solving
-    several weight vectors under one H computes once; 0.0 stands for H = 0.
+    contraction over the views that accumulates t in float64 whatever ZT's
+    storage dtype. H_half is H / (2 beta), which a caller solving several
+    weight vectors under one H computes once; 0.0 stands for H = 0.
     Returns (P, t); target_value values P from t.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     w = np.asarray(weights, dtype=np.float64)
     coef = (lam / (2.0 * beta)) * (w * w)
-    t = (coef @ ZT.reshape(len(ZT), -1)).reshape(ZT.shape[1:])
+    t = np.einsum("v,vi->i", coef, ZT.reshape(len(ZT), -1),
+                  dtype=np.float64).reshape(ZT.shape[1:])
     t -= H_half
     return prox_rows(t), t
 
@@ -154,8 +172,9 @@ def inner_value(P, Z_tilde, H, lam, beta):
 
 
 def view_agreements(P, ZTs):
-    """c_v = <P, Z_v T_v> for each aligned product, in view order."""
-    return np.array([float(np.vdot(P, ZT)) for ZT in ZTs])
+    """c_v = <P, Z_v T_v> for each aligned product, in view order, in float64."""
+    return np.array([float(np.einsum("ij,ij->", P, ZT, dtype=np.float64))
+                     for ZT in ZTs])
 
 
 def agreement_value(weights, agreements, fixed, lam):
@@ -315,10 +334,10 @@ def agf_minmax(
     alpha = np.asarray(alpha0, dtype=np.float64).copy()
     if alpha.size != V:
         raise ValueError("one weight per view required")
-    if Ts is None:
-        ZT = np.ascontiguousarray(Zs, dtype=np.float64)
-    else:
-        ZT = np.matmul(Zs, Ts)
+    # the product stack keeps the graphs' storage dtype
+    ZT = np.ascontiguousarray(Zs)
+    if Ts is not None:
+        ZT = np.matmul(ZT, np.asarray(Ts, dtype=ZT.dtype))
     # the previous fused graph goes by the one name P, dropped once H is
     # built, before the inner solve allocates
     P = P0

@@ -319,12 +319,12 @@ def floored_anchor_degrees(P):
     large). The floor is silent: a solve counts the anchors it touches with
     zero_degree_anchors and reports them through warn_zero_degree.
     """
-    return np.maximum(P.sum(axis=0), _DEGREE_EPS)
+    return np.maximum(P.sum(axis=0, dtype=np.float64), _DEGREE_EPS)
 
 
 def zero_degree_anchors(P):
     """How many anchors floored_anchor_degrees floors in the fused graph P."""
-    return int((P.sum(axis=0) < _DEGREE_EPS).sum())
+    return int((P.sum(axis=0, dtype=np.float64) < _DEGREE_EPS).sum())
 
 
 def warn_zero_degree(counts, stacklevel):

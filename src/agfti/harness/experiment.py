@@ -89,7 +89,8 @@ def baseline_label_propagation(
     # one new array: dividing the (n, V, m) view into it keeps the caller's
     # stack unwritten, which an in-place division of the reshape would not
     # at V = 1, where the reshape is a view of that stack
-    P_cat = np.divide(stack.transpose(1, 0, 2), V, out=np.empty((n, V, m)))
+    P_cat = np.divide(stack.transpose(1, 0, 2), V,
+                      out=np.empty((n, V, m), dtype=stack.dtype))
     P_cat = P_cat.reshape(n, V * m)
 
     Y = one_hot_labels(y, labeled_idx, c)

@@ -22,6 +22,19 @@ only until that step runs. Until the first alignment update, at the front of
 iteration 2 (for the whole solve under freeze_alignment), the alignments are
 the identity, held as None: fusion and imputation read the graphs and P
 unmultiplied, and the result reports identity matrices.
+
+The (V, n, m) stacks are stored in float32: the graphs Z (anchor_graphs
+builds them so, and a stack given to admm_solve is converted once), the
+multiplier W, the shifted stack M and G, and the fusion's aligned products;
+the shrinkage spectrum is complex64. P, H, F, Q, alpha and the (V, m, m)
+alignments stay float64. float32 is a storage format only: every value a
+decision reads is accumulated in float64 from the float32 values, one view
+or one block at a time, so no float64 (V, n, m) array is formed. That holds
+for Z_v^T P and its rank cut (RANK_RTOL), the imputation targets and their
+simplex thresholds (written back rounded to float32), the fusion targets
+and agreements (agf.py), the shrinkage's norms and factorisations
+(tensor3.py), the label solve and the primal residual. The elementwise
+stack updates (M, the gap, W) and the products Z_v T_v run in float32.
 """
 
 import time
@@ -51,6 +64,10 @@ PENALTY_CAP = 1e10
 # singular values of Z_v^T P at or below this fraction of the largest count
 # as zero in the alignment, whose factor on their span is then pinned
 RANK_RTOL = 256 * np.finfo(float).eps
+# entries of P (rows times columns) the label solve reads, and converts to
+# float64, at a time: one block for the solver's P at 64 anchors and a few
+# thousand samples, a small part of the baseline's mean graph
+LABEL_BLOCK = 2 ** 16
 
 
 @dataclass
@@ -140,34 +157,54 @@ def update_labels(P, Y, b_labeled):
     other sample and the anchors free.
     A b_labeled <= 0 or infinite, or a Y without a labeled row, raises
     ValueError: F would be zero (every sample class 0) or not finite.
+
+    With M12 = -P L^-1/2 and A = M12 / (1 + b), the Schur complement is
+    I - M12^T A and the right-hand side -A^T B_n Y. Both, and F, are
+    accumulated in float64 over blocks of rows of P of about LABEL_BLOCK
+    entries, so a float32 P (the baseline's mean of a float32 graph stack)
+    is read without a float64 copy, and no work array larger than a block
+    is formed.
     """
     if not b_labeled > 0:
         raise ValueError(f"b_labeled must be positive, got {b_labeled}")
     if b_labeled == np.inf:
         raise ValueError(f"b_labeled must be finite, got {b_labeled}")
-    P = np.asarray(P, dtype=np.float64)
+    P = np.asarray(P)
+    if P.dtype != np.float32:
+        P = np.asarray(P, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    m = P.shape[1]
+    n, m = P.shape
     labeled = Y.any(axis=1)
     if not labeled.any():
         raise ValueError("Y has no labeled row; there is nothing to propagate")
     bn = np.where(labeled, float(b_labeled), 0.0)
 
     rhs1 = bn[:, None] * Y
-    col = floored_anchor_degrees(P)
+    root = np.sqrt(floored_anchor_degrees(P))
     m11 = 1.0 + bn
-    M12 = P / np.sqrt(col)[None, :]
-    np.negative(M12, out=M12)
-    A = M12 / m11[:, None]
-    C2 = np.eye(m) - M12.T @ A
+    step = max(1, LABEL_BLOCK // m)
+    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+
+    def M12(rows):
+        M = P[rows] / root
+        return np.negative(M, out=M)
+
+    C2 = np.eye(m)
+    rhs2 = np.zeros((m, Y.shape[1]))
+    for rows in blocks:
+        M = M12(rows)
+        A = M / m11[rows, None]
+        C2 -= M.T @ A
+        rhs2 -= A.T @ rhs1[rows]
     try:
-        Q = np.linalg.solve(C2, -(A.T @ rhs1))
+        Q = np.linalg.solve(C2, rhs2)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "anchor Schur complement is singular; the fused graph is too "
             "degenerate for label propagation"
         ) from exc
-    F = (rhs1 - M12 @ Q) / m11[:, None]
+    F = np.concatenate([rhs1[rows] - M12(rows) @ Q for rows in blocks])
+    F /= m11[:, None]
     return F, Q
 
 
@@ -207,14 +244,15 @@ def update_G(Z, W, eta, rho):
     its axis 0, the samples, is the DFT axis, and each frequency slice is
     an m x V matrix. The result comes back in the (V, n, m) layout.
 
-    M = Z + W/eta is built in one new stack, and the shrinkage writes G
-    into M's buffer, so the step holds M and its spectrum: about two stacks,
-    the half spectrum of the sample axis taking about the bytes of the real
-    stack, plus one batch's factors.
+    M = Z + W/eta is built in one new stack of W's dtype, and the
+    shrinkage writes G into M's buffer, so the step holds M and its
+    spectrum: about two stacks, the half spectrum of the sample axis taking
+    about the bytes of the real stack, plus one view's float64 transform
+    and one batch's factors.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    M = W / eta
+    M = np.divide(W, eta, out=np.empty_like(W))
     M += Z
     if rho == 0:
         return M
@@ -240,11 +278,16 @@ def update_alignment(Z, P):
     maximizes Tr(R V_0^T U_0) and does not depend on the bases U_0 and V_0.
     An anchor no row of Z or P uses, whose axis is null on both sides, is
     left unaligned. Only the views whose rank falls short are redone.
+
+    Each Z_v^T P is accumulated in float64 from one view of Z at a time, so
+    the rank cut reads float64 products whatever Z's storage dtype.
     """
     Z = np.asarray(Z)
-    U, s, Vh = np.linalg.svd(
-        np.swapaxes(Z.reshape((-1,) + Z.shape[-2:]), -1, -2) @ P
-    )
+    P = np.asarray(P, dtype=np.float64)
+    U, s, Vh = np.linalg.svd(np.stack([
+        np.asarray(Z_v.T, dtype=np.float64) @ P
+        for Z_v in Z.reshape((-1,) + Z.shape[-2:])
+    ]))
     T = U @ Vh
     for v in np.flatnonzero(s[:, -1] <= RANK_RTOL * s[:, 0]):
         r = int(np.count_nonzero(s[v] > RANK_RTOL * s[v, 0]))
@@ -272,13 +315,15 @@ def predict(F):
 
 
 def anchor_graphs(views, missing, m, k, seed):
-    """Per-view anchor graphs stacked into one (V, n, m) array.
+    """Per-view anchor graphs stacked into one (V, n, m) float32 array.
 
     Slice v is view v's bipartite graph on the samples present in it; rows of
-    samples missing from the view hold the uninformative uniform 1/m.
+    samples missing from the view hold the uninformative uniform 1/m. The
+    graphs are built in float64 and stored in float32, the one storage dtype
+    of the solver's stacks (module docstring).
     """
     n = views[0].shape[0]
-    Z = np.empty((len(views), n, m))
+    Z = np.empty((len(views), n, m), dtype=np.float32)
     for v, X in enumerate(views):
         idx = np.asarray(missing[v], dtype=np.int64)
         present = np.setdiff1d(np.arange(n), idx)
@@ -289,8 +334,8 @@ def anchor_graphs(views, missing, m, k, seed):
 
 
 def _checked_graphs(graphs, V, n, m):
-    """graphs as a float64 array, read without a copy; ValueError unless (V, n, m)."""
-    graphs = np.asarray(graphs, dtype=np.float64)
+    """graphs as an array of its own dtype, no copy; ValueError unless (V, n, m)."""
+    graphs = np.asarray(graphs)
     if graphs.shape != (V, n, m):
         raise ValueError(f"graphs has shape {graphs.shape}, expected the "
                          f"(views, samples, anchors) stack {(V, n, m)}")
@@ -458,9 +503,11 @@ def _multiply(s, config):
     G = _taken(s, "G")
     if not config.skip_imputation:
         s.G_rows = [G[v, idx] for v, idx in enumerate(s.missing)]
-    # the gap Z - G takes over G's buffer and dies with this call
+    # the gap Z - G takes over G's buffer and dies with this call; its norm
+    # is summed in float64
     gap = np.subtract(s.Z, G, out=G)
-    record = {"primal_residual_fro": float(np.linalg.norm(gap)),
+    record = {"primal_residual_fro": float(np.sqrt(
+                  np.einsum("vij,vij->", gap, gap, dtype=np.float64))),
               "primal_residual_inf": float(max(gap.max(), -gap.min()))}
     s.W, s.eta = update_multiplier(s.W, gap, s.eta)
     return record
@@ -495,7 +542,8 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     graphs : optional (V, n, n_anchors) stack, the one
         anchor_graphs(views, missing, config.n_anchors, config.k_neighbors,
         config.seed) returns, so that several solves on the same masks build
-        it once. The solve works on a copy; another shape raises ValueError.
+        it once. The solve works on a float32 copy, made in one conversion
+        whatever the stack's dtype; another shape raises ValueError.
 
     Each outer iteration runs the steps of STEPS in order on one
     _SolveState; skip_imputation drops impute and freeze_alignment drops
@@ -547,7 +595,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
         Z = anchor_graphs(views, missing, m, k, config.seed)
     else:
         # imputation writes rows of Z in place
-        Z = _checked_graphs(graphs, V, n, m).copy()
+        Z = _checked_graphs(graphs, V, n, m).astype(np.float32)
     alpha = np.full(V, 1.0 / V)
     Y = one_hot_labels(y, labeled_idx, c)
     P = solve_inner_P(Z, alpha, 0.0, lam, config.beta)[0]
@@ -555,9 +603,9 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     s = _SolveState(
         Z=Z, G=None,
         G_rows=None if config.skip_imputation else [
-            np.zeros((idx.size, m)) for idx in missing
+            np.zeros((idx.size, m), dtype=Z.dtype) for idx in missing
         ],
-        W=np.zeros((V, n, m)), Ts=None, lam=lam,
+        W=np.zeros_like(Z), Ts=None, lam=lam,
         alpha=alpha, P=P, F=F, Q=Q, eta=PENALTY_START, missing=missing, Y=Y,
     )
     zero_degree = [zero_degree_anchors(P)]

@@ -14,6 +14,15 @@ A real tensor has a conjugate-symmetric spectrum, so the shrinkage works on
 the half spectrum that ``rfft`` returns (frequencies 0 .. n3//2) and ``irfft``
 rebuilds the real result from it; the mirrored frequencies are never formed.
 
+A float32 tensor (the solver's stacks) is shrunk in float32 storage: its half
+spectrum is stored in complex64 and the result in float32. The arithmetic
+that decides anything runs in float64: the transform is taken one column of
+axis 2 at a time in float64 and rounded once into the stored spectrum,
+every norm below is summed in float64 from the stored values, and each
+batch of live slices is factorised in complex128. Only ``irfft`` runs in
+float32, on the complex64 spectrum, producing the float32 result. Any other
+real dtype is shrunk in float64 and complex128, as before.
+
 A frequency slice S is shrunk through the eigendecomposition of its Gram
 matrix, not an SVD. With S = U diag(s) V^H, the Gram matrix S^H S has the
 eigenpairs (s_i^2, v_i), so
@@ -43,21 +52,27 @@ the f_i being the frontal slices (A_k is a unit-modulus combination of them).
 So a tensor whose frontal norms sum to at most (1 - SKIP_MARGIN) * t shrinks to
 zero without a transform, and a slice whose Frobenius norm is at most that
 skips its eigendecomposition. The margin, far above the ~1e-13 relative
-rounding of the norms, the FFT and the Gram matrix, keeps the skip to slices
-whose computed Gram eigenvalues all lie below t^2, which the full computation
-would also have zeroed, so the result is the same bit for bit.
+rounding of the float64 norms, FFT and Gram matrix and above the 2^-24
+relative rounding of a spectrum stored in complex64 (which can raise a
+stored slice's norm above the frontal-norm bound by that much), keeps the
+skip to slices whose computed Gram eigenvalues all lie below t^2, which the
+full computation would also have zeroed, so the result is the same bit for
+bit. A skipped slice's norm and a factorised slice's Gram matrix are both
+computed in float64 from the same stored values.
 
 The live slices are shrunk SHRINK_BATCH at a time, and each batch's shrunk
 product is written back into the spectrum, so the factors of the whole
 spectrum are never held at once. The half spectrum's n3//2+1 complex slices
 take about the bytes of the real input A, so the shrinkage holds about one
-more A when it writes over A (out=A), and two when it returns a new array.
+more A when it writes over A (out=A), and two when it returns a new array,
+beside one column's float64 transform.
 """
 
 import numpy as np
 
-# relative margin below the threshold under which a norm bound proves a zero
-SKIP_MARGIN = 1e-8
+# relative margin below the threshold under which a norm bound proves a zero;
+# it covers the 2^-24 rounding of a spectrum stored in complex64
+SKIP_MARGIN = 1e-6
 # frequency slices shrunk per batch: a batch's factors stay small beside the
 # spectrum, and the batch is large enough to keep the per-call overhead low
 SHRINK_BATCH = 64
@@ -81,18 +96,38 @@ def phi(mats):
 
 
 def _slice_norms(*parts):
-    """Frobenius norm of every slice k of a (k, i, j) array given by its real parts."""
-    return np.sqrt(sum(np.einsum("kij,kij->k", a, a) for a in parts))
+    """Frobenius norm of every slice k of a (k, i, j) array given by its real parts.
+
+    The squares are summed in float64 whatever the parts' dtype.
+    """
+    return np.sqrt(sum(np.einsum("kij,kij->k", a, a, dtype=np.float64)
+                       for a in parts))
+
+
+def _half_spectrum(A):
+    """rfft of A along axis 0, one column of axis 2 at a time, in float64.
+
+    The result is stored in the complex type of A's precision: complex64
+    for a float32 A, whose float64 transform is then rounded once per
+    entry, complex128 for a float64 A, bit for bit the whole-array rfft.
+    """
+    spec = np.empty((A.shape[0] // 2 + 1,) + A.shape[1:],
+                    dtype=np.result_type(A.dtype, np.complex64))
+    for j in range(A.shape[2]):
+        spec[:, :, j] = np.fft.rfft(np.asarray(A[:, :, j], dtype=np.float64),
+                                    axis=0)
+    return spec
 
 
 def tubal_shrink(A, tau, out=None):
     """Soft-threshold the Fourier-domain singular values at n3 * tau.
 
     A is a real (n3, n1, n2) array whose axis 0 is the DFT axis; the result
-    is a new array of the same shape, or is written into out, a float array
-    of A's shape that may be A itself: A is read in full before out is
-    written, and out is returned. A that is not 3-d or has an entry that is
-    not finite raises ValueError.
+    is a new array of the same shape, float32 for a float32 A and float64
+    otherwise, or is written into out, an array of A's shape and that dtype
+    that may be A itself: A is read in full before out is written, and out
+    is returned. A that is not 3-d or has an entry that is not finite, and a
+    tau that is negative or NaN, raise ValueError.
 
     This is the proximal map of tau times the plain sum of per-frequency
     nuclear norms, i.e. of (n3 * tau) times the tensor nuclear norm (their
@@ -108,12 +143,14 @@ def tubal_shrink(A, tau, out=None):
     output equals the all-slice computation bit for bit. A norm sum below
     _SMALL_NORMS may hide underflow: A and tau are then scaled up by 2^k.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(A)
+    if A.dtype != np.float32:
+        A = np.asarray(A, dtype=np.float64)
     if A.ndim != 3:
         raise ValueError(f"tubal_shrink needs a 3-d array, got shape {A.shape}")
     if out is not None and out.shape != A.shape:
         raise ValueError(f"out must have A's shape {A.shape}, got {out.shape}")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     n3 = A.shape[0]
     t = n3 * tau
@@ -132,25 +169,27 @@ def tubal_shrink(A, tau, out=None):
             tubal_shrink(scaled, np.ldexp(tau, -exp), out=scaled)
             return np.ldexp(scaled, exp, out=out)
     if total <= floor:
-        return _zeros(A.shape, out)
-    spec = np.fft.rfft(A, axis=0)
+        return _zeros(A, out)
+    spec = _half_spectrum(A)
     keep = _slice_norms(spec.real, spec.imag) > floor
     if not keep.any():
-        return _zeros(A.shape, out)
+        return _zeros(A, out)
     # shrunk in place a batch at a time: a fresh output spectrum, or the
-    # factors of every slice at once, would raise the peak
+    # factors of every slice at once, would raise the peak. Each batch is
+    # factorised in complex128 and stored back in the spectrum's type
     spec[~keep] = 0.0
     live = np.flatnonzero(keep)
     for start in range(0, live.size, SHRINK_BATCH):
         batch = live[start:start + SHRINK_BATCH]
-        spec[batch] = _shrink_slices(spec[batch], t, batch)
+        S = np.asarray(spec[batch], dtype=np.complex128)
+        spec[batch] = _shrink_slices(S, t, batch)
     return np.fft.irfft(spec, n=n3, axis=0, out=out)
 
 
-def _zeros(shape, out):
-    """Zeros of the given shape: a new array, or out filled with them."""
+def _zeros(A, out):
+    """Zeros of A's shape and dtype: a new array, or out filled with them."""
     if out is None:
-        return np.zeros(shape)
+        return np.zeros(A.shape, dtype=A.dtype)
     out.fill(0.0)
     return out
 

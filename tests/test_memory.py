@@ -313,3 +313,101 @@ def test_experiment_holds_one_solve_and_one_stack_at_a_time(monkeypatch):
     assert solves == [0] * 8
     assert builds == [0] * 2
 
+
+
+def float32_step_peaks(monkeypatch, config, graphs=None):
+    """(result, setup peak, {step: peak}) of a small V=6 solve, in float32 stacks.
+
+    graphs None lets the solve build its graphs; a dtype hands it the stack
+    anchor_graphs builds, in that dtype.
+    A step's peak is the largest traced memory while it ran, over every
+    iteration, counting everything the solve has allocated and holds; the
+    setup peak is the largest before the first step. The unit is the bytes
+    of the solve's float32 (V, n, m) graph stack.
+    """
+    container = synth_scp(0, V=6, c=3, n_per_class=300)
+    missing, labeled = generate_masks(container, MaskSpec(vmr=0.5, lar=0.1, seed=0))
+    per_view = missing_per_view(missing, container.V)
+    if graphs is not None:
+        graphs = agfti.solver.anchor_graphs(container.views, per_view,
+                                            config.n_anchors, 7, 0).astype(graphs)
+    peaks = dict.fromkeys(agfti.solver.STEPS, 0.0)
+    setup = []
+
+    def watched(name, step):
+        def run(s, config):
+            if not setup:
+                setup.append(tracemalloc.get_traced_memory()[1] / s.Z.nbytes)
+            tracemalloc.reset_peak()
+            fields = step(s, config)
+            peak = tracemalloc.get_traced_memory()[1] / s.Z.nbytes
+            peaks[name] = max(peaks[name], peak)
+            return fields
+
+        return run
+
+    monkeypatch.setattr(agfti.solver, "_STEP_TABLE", tuple(
+        (name, watched(name, step), skip)
+        for name, step, skip in agfti.solver._STEP_TABLE
+    ))
+    with traced():
+        tracemalloc.clear_traces()
+        result = agfti.solver.admm_solve(container.views, container.labels,
+                                         labeled, per_view, config, graphs=graphs)
+    return result, setup[0], peaks
+
+
+# each step's traced peak on float32_step_peaks' problem, in float32 stacks:
+# measured at 3.21, 3.41, 4.75, 3.73, 3.76 and 4.00 with weight steps (a
+# frozen solve's fusion 4.39), each bound about 0.5 above. The float32
+# graphs Z and multiplier W are two of each; any whole stack promoted to
+# float64 adds two more, where it happens
+FLOAT32_STEP_PEAKS = {"align": 3.75, "impute": 4.0, "fusion": 5.25,
+                      "labels": 4.25, "shrink": 4.25, "multiplier": 4.5}
+
+
+@pytest.mark.parametrize("freeze_weights", [False, True])
+def test_steps_hold_float32_stacks(monkeypatch, freeze_weights):
+    config = agfti.solver.SolverConfig(n_anchors=32, max_outer_iters=4,
+                                       freeze_weights=freeze_weights)
+    result, _, peaks = float32_step_peaks(monkeypatch, config)
+    assert result.Zs.dtype == np.float32
+    assert result.n_iter == 4
+    over = {name: round(peak, 2) for name, peak in peaks.items()
+            if peak > FLOAT32_STEP_PEAKS[name]}
+    assert over == {}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_given_graph_stack_is_converted_once(monkeypatch, dtype):
+    # the solve given a stack holds the float32 copy it works on, never a
+    # float64 copy beside it: its setup peaks where a stack it builds leaves
+    # it, and its outputs are that solve's bit for bit
+    config = agfti.solver.SolverConfig(n_anchors=32, max_outer_iters=2)
+    built, built_setup, _ = float32_step_peaks(monkeypatch, config)
+    given, given_setup, _ = float32_step_peaks(monkeypatch, config, dtype)
+    assert given.Zs.dtype == np.float32
+    assert abs(given_setup - built_setup) <= 0.1
+    assert np.array_equal(given.F, built.F) and np.array_equal(given.Zs, built.Zs)
+
+
+def test_baseline_reads_a_float32_stack_without_a_copy():
+    # its mean graph is one float32 stack, and the label solve reads it in
+    # float64 blocks of LABEL_BLOCK entries: measured at 2.08 stacks with
+    # the n x c arrays. A float64 copy or promotion of the stack would add two
+    container = synth_scp(0, V=2, c=4, n_per_class=1000)
+    missing, labeled = generate_masks(container, MaskSpec(vmr=0.5, lar=0.1, seed=0))
+    per_view = missing_per_view(missing, container.V)
+    stack = agfti.solver.anchor_graphs(container.views, per_view, 64, 7, 0)
+    before = stack.copy()
+    assert stack.dtype == np.float32
+
+    def baseline(graphs):
+        return agfti.harness.experiment.baseline_label_propagation(
+            container.views, container.labels, labeled, per_view, m=64,
+            graphs=graphs)
+
+    pred, peak = peak_above_entry(lambda: baseline(stack))
+    assert peak <= 2.75 * stack.nbytes
+    assert np.array_equal(stack, before)
+    assert np.array_equal(pred, baseline(None))

@@ -15,9 +15,10 @@ def test_small_run_gives_every_step_a_peak_above_the_held_stacks():
            "frozen-v6", "--seed", "1", "--small"]
     stdout = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
     peaks = dict(line.split() for line in stdout.splitlines())
-    assert list(peaks) == list(STEPS)
-    # the graphs Z and the multiplier W are live through every step
-    assert all(float(p) >= 2.0 for p in peaks.values())
+    assert list(peaks) == list(STEPS) and len(STEPS) == 6
+    # the float32 graphs Z and multiplier W are live through every step:
+    # one float64 stack together
+    assert all(float(p) >= 1.0 for p in peaks.values())
 
 
 def test_max_outer_iters_replaces_the_workloads_cap():
@@ -29,7 +30,7 @@ def test_max_outer_iters_replaces_the_workloads_cap():
                             check=True).stdout
     peaks = dict(line.split() for line in stdout.splitlines())
     assert list(peaks) == list(STEPS)
-    assert all(float(p) >= 2.0 for p in peaks.values())
+    assert all(float(p) >= 1.0 for p in peaks.values())
     refused = subprocess.run(cmd + ["0"], capture_output=True, text=True)
     assert refused.returncode != 0
     assert "max_outer_iters must be at least 1, got 0" in refused.stderr

@@ -165,6 +165,30 @@ class TestTubalShrink:
         with pytest.raises(ValueError):
             tubal_shrink(np.zeros((2, 2, 2)), -0.1)
 
+    @pytest.mark.parametrize("A", [np.zeros((2, 2, 2)), np.ones((4, 3, 2))])
+    def test_nan_tau_rejected(self, A):
+        # NaN < 0 is False, and every norm compares False against a NaN
+        # floor: unchecked, the result was all zeros without a word
+        with pytest.raises(ValueError, match="tau must be nonnegative, got nan"):
+            tubal_shrink(A, float("nan"))
+
+    @pytest.mark.parametrize("shape, tau", [((40, 16, 4), 0.3), ((33, 5, 9), 0.05),
+                                            ((1, 6, 3), 0.2)])
+    def test_float32_input_is_the_float64_shrink_of_its_values(self, shape, tau):
+        # a float32 array is shrunk in float32 storage: its spectrum is
+        # stored in complex64 and its result in float32, the arithmetic
+        # between them in float64, so it agrees with the float64 shrinkage
+        # of the same values to float32 rounding
+        A = np.random.default_rng(7).standard_normal(shape).astype(np.float32)
+        out = tubal_shrink(A, tau)
+        ref = tubal_shrink(A.astype(np.float64), tau)
+        assert out.dtype == np.float32
+        assert np.abs(ref).max() > 0
+        assert np.abs(out - ref).max() <= 1e-6 * np.abs(A).max()
+        # written over a float32 input, as the solver shrinks its stack
+        assert tubal_shrink(A, tau, out=A) is A
+        assert np.array_equal(A, out)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("tau", [0.01, 100.0])
     def test_rejects_nonfinite_entry(self, bad, tau):
@@ -645,10 +669,12 @@ class TestShrinkInPlace:
         out = tubal_shrink(A, tau, out=A)
         assert out is A
         assert np.array_equal(A, ref)
-        # the case takes the path it names
+        # the case takes the path it names; the transform is one rfft per
+        # column of axis 2
         taken = {
             "norm-sum skip": transforms == [] and not ref.any(),
-            "no live slice": transforms == [1] and eighs == [] and not ref.any(),
+            "no live slice": (transforms == [1] * A.shape[2] and eighs == []
+                              and not ref.any()),
             "small norms": np.abs(ref).max() < 1e-299 and sum(eighs) > 0,
             "svd fallback": sum(svds) == 5,
             "wide": A.shape[1] < A.shape[2] and sum(eighs) == 5,
