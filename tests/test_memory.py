@@ -6,6 +6,11 @@ a fusion call and a simplex projection hold, by tracemalloc (numpy reports
 its array buffers to it), and by weak references which arrays the loop has
 dropped by the time a fusion runs, and which solves and graph stacks the
 harness has dropped by the time it starts the next one.
+
+A "stack" is the bytes of a float64 (V, n, m) array, the unit of
+scripts/step_peaks.py, wherever a test builds its stacks in float64. The
+solver stores its own stacks in float32; the tests of that storage count
+in float32 stacks, half that unit, and say so.
 """
 
 import tracemalloc
