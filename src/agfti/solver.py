@@ -503,8 +503,7 @@ def _multiply(s, config):
     G = _taken(s, "G")
     if not config.skip_imputation:
         s.G_rows = [G[v, idx] for v, idx in enumerate(s.missing)]
-    # the gap Z - G takes over G's buffer and dies with this call; its norm
-    # is summed in float64
+    # the gap Z - G takes over G's buffer and dies with this call
     gap = np.subtract(s.Z, G, out=G)
     record = {"primal_residual_fro": float(np.sqrt(
                   np.einsum("vij,vij->", gap, gap, dtype=np.float64))),
