@@ -15,9 +15,10 @@ regression bound from the change tree's BENCHMARK.json. From the report line
 before it, each side of a pair also records the share of solves that
 converged and the outer iterations of one pass, so a change to the solve
 shows its convergence next to its time; neither is gated or summarised.
-The environment also names the allocator both sides ran under (the C library
-and every MALLOC_* variable, which each run inherits), since heap layout alone
-moves peak_rss_mb by about a megabyte.
+The environment also names the allocator both sides ran under (the C library,
+every MALLOC_* variable and numpy's NUMPY_MADVISE_HUGEPAGE, which each run
+inherits), since heap layout alone moves peak_rss_mb by about a megabyte and
+numpy's huge-page advice makes it bimodal.
 
 BENCH_<label>.json is written into the change tree. It holds one section per
 workload: every pair, and per metric each side's quartiles, the pairs the
@@ -71,11 +72,17 @@ def parse_run(stdout):
 
 
 def allocator():
-    """The C library and the MALLOC_* variables that every benchmark run inherits."""
+    """The C library, the MALLOC_* variables and numpy's huge-page setting
+    that every benchmark run inherits.
+
+    numpy reads NUMPY_MADVISE_HUGEPAGE at import to decide whether to advise
+    huge pages for its large arrays, which moves peak_rss_mb; None when unset.
+    """
     return {
         "libc": " ".join(platform.libc_ver()).strip() or None,
         "malloc_env": {k: v for k, v in sorted(os.environ.items())
                        if k.startswith("MALLOC_")},
+        "numpy_madvise_hugepage": os.environ.get("NUMPY_MADVISE_HUGEPAGE"),
     }
 
 

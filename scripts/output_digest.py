@@ -14,11 +14,11 @@ records the predictions of every ``baseline_label_propagation`` call.
 
 It prints one line per workload: its name, the SHA-256 over all of its solves
 and baselines in order, and the number of each. Each solve contributes F,
-alpha, P, the final graphs Zs and alignments Ts, every iteration's whole
-diagnostics record except its wall-clock fields (seconds, step_seconds),
-n_iter and converged; each baseline its predictions; a call that raised
-contributes its error. Two trees whose lines match gave the same outputs bit
-for bit.
+alpha, P, the final graphs Zs (which with P fix the final alignments,
+update_alignment(Zs, P)), every iteration's whole diagnostics record except
+its wall-clock fields (seconds, step_seconds), n_iter and converged; each
+baseline its predictions; a call that raised contributes its error. Two trees
+whose lines match gave the same outputs bit for bit.
 
 Where two trees' digests differ, --save and --against say by how much.
 --save FILE.npz stores every solve's F, alpha, n_iter and converged. Run
@@ -126,7 +126,7 @@ def digest(results):
             h.update(b"baseline")
             h.update(np.ascontiguousarray(r, dtype=np.int64).tobytes())
             continue
-        for arr in (r.F, r.alpha, r.P, r.Zs, r.Ts):
+        for arr in (r.F, r.alpha, r.P, r.Zs):
             h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
         for d in r.diagnostics:
             # json writes each float as its shortest exact repr, so every

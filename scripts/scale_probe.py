@@ -11,7 +11,7 @@ the SolverConfig defaults except n_anchors=anchors, max_outer_iters=iters and
 seed; the solve builds its anchor graphs itself, so the wall time includes
 them. With --reps N it runs run_experiment(container, vmr, lar, N, config,
 variants, base_seed=seed) instead, the variants named from STANDARD_VARIANTS
-or the baseline.
+or the baseline (default: full); --variants without --reps is refused.
 
 It prints one JSON line: wall_s, the wall seconds of the solve or the grid;
 setup_s, the seconds spent in anchor_graphs (anchors and bipartite graphs),
@@ -80,17 +80,21 @@ def main(argv=None):
     parser.add_argument("--lar", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--reps", type=int, default=None)
-    parser.add_argument("--variants", default="full")
+    parser.add_argument("--variants", default=None)
     parser.add_argument("--tree", type=Path, default=ROOT)
     args = parser.parse_args(argv)
+
+    if args.variants is not None and args.reps is None:
+        parser.error("--variants needs --reps: one solve runs the full variant")
+    names = ("full" if args.variants is None else args.variants).split(",")
 
     agfti, _ = load_tree(args.tree)
     experiment = agfti.harness.experiment
     known = {**experiment.STANDARD_VARIANTS, experiment.BASELINE: {}}
-    unknown = sorted(set(args.variants.split(",")) - set(known))
+    unknown = sorted(set(names) - set(known))
     if unknown:
         parser.error(f"unknown variants {unknown}; known: {sorted(known)}")
-    variants = {name: known[name] for name in args.variants.split(",")}
+    variants = {name: known[name] for name in names}
     container = agfti.harness.synth_scp(args.seed, n_per_class=args.n_per_class,
                                         V=args.views, c=args.classes)
     config = agfti.solver.SolverConfig(n_anchors=args.anchors,

@@ -7,8 +7,9 @@ of the stacked graph tensor, and the multiplier/penalty update. The
 alignment reads the graphs and P as the previous iteration's imputation and
 fusion left them, since the label, shrinkage and multiplier steps write
 neither; it runs at the front of the iteration whose imputation and fusion
-read it, so a solve of n_iter iterations runs n_iter - 1 alignments, and
-the last one, which no step reads, is made only when SolveResult.Ts is read.
+read it, so a solve of n_iter iterations runs n_iter - 1 alignments. The
+alignment a further iteration would start from is update_alignment(result.Zs,
+result.P), bit for bit; no step reads it, so the solve does not make it.
 Each subproblem is exposed on its own so it can be tested against
 independent oracles.
 
@@ -21,7 +22,7 @@ at its missing rows alone, so those rows are all that is kept of it, and
 only until that step runs. Until the first alignment update, at the front of
 iteration 2 (for the whole solve under freeze_alignment), the alignments are
 the identity, held as None: fusion and imputation read the graphs and P
-unmultiplied, and the result reports identity matrices.
+unmultiplied.
 
 The (V, n, m) stacks are stored in float32: the graphs Z (anchor_graphs
 builds them so, and a stack given to admm_solve is converted once), the
@@ -39,7 +40,6 @@ stack updates (M, the gap, W) and the products Z_v T_v run in float32.
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -99,15 +99,12 @@ class SolverConfig:
 
 @dataclass
 class SolveResult:
-    """What admm_solve returns; the alignments Ts are made on first read.
+    """What admm_solve returns.
 
-    Ts, the (V, m, m) alignments of the returned graphs onto the returned
-    P, is update_alignment(Zs, P) (looked up in this module's globals when
-    it is read), or the identity under freeze_alignment: bit for bit the
-    alignment the solve's next iteration would start from. It is computed
-    on the first read of Ts and kept, so a caller that never reads it
-    never pays for its V SVDs of m x m; writing to Zs or P before that read
-    changes it, and a LinAlgError of that SVD is raised by the read.
+    The solve's last alignments are not kept: update_alignment(Zs, P) is,
+    bit for bit, the (V, m, m) alignment of the returned graphs onto the
+    returned P that a further iteration would start from. Under
+    freeze_alignment the solve's alignments are the identity.
     """
 
     F: np.ndarray
@@ -122,15 +119,6 @@ class SolveResult:
     # c >= 2 and every unlabeled row predicts the same class
     degenerate: bool
     diagnostics: list = field(default_factory=list)
-    # the solve's freeze_alignment: Ts is the identity
-    freeze_alignment: bool = False
-
-    @cached_property
-    def Ts(self):
-        if self.freeze_alignment:
-            V, _, m = self.Zs.shape
-            return np.tile(np.eye(m), (V, 1, 1))
-        return update_alignment(self.Zs, self.P)
 
 
 def one_hot_labels(y, labeled_idx, n_classes):
@@ -435,7 +423,7 @@ class _SolveState:
     G: np.ndarray | None
     G_rows: list | None
     W: np.ndarray
-    Ts: np.ndarray | None
+    alignments: np.ndarray | None
     alpha: np.ndarray
     P: np.ndarray | None
     F: np.ndarray
@@ -458,15 +446,15 @@ def _taken(s, name):
 
 
 def _impute(s, config):
-    update_missing_rows(s.Z, s.missing, _taken(s, "G_rows"), s.W, s.P, s.Ts,
-                        s.alpha, s.lam, s.eta)
+    update_missing_rows(s.Z, s.missing, _taken(s, "G_rows"), s.W, s.P,
+                        s.alignments, s.alpha, s.lam, s.eta)
 
 
 def _fuse(s, config):
     # agf_minmax frees the previous P once H is built, if it holds the only
     # reference: CPython 3.11+ hands a call its arguments
     res = agf_minmax(
-        s.Z, s.Ts, s.F, s.Q, s.lam, config.beta, alpha0=s.alpha,
+        s.Z, s.alignments, s.F, s.Q, s.lam, config.beta, alpha0=s.alpha,
         P0=_taken(s, "P"), tol=config.inner_tol, max_iter=config.max_inner_iters,
         freeze_weights=config.freeze_weights, start_level=s.level,
     )
@@ -496,7 +484,7 @@ def _shrink(s, config):
 def _align(s, config):
     # before the first fusion the alignments stay the identity
     if s.fused:
-        s.Ts = update_alignment(s.Z, s.P)
+        s.alignments = update_alignment(s.Z, s.P)
 
 
 def _multiply(s, config):
@@ -549,8 +537,9 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
     align, which does nothing in iteration 1, before the first fusion. The
     fusion step carries agf_minmax's start_level between calls.
 
-    Returns a SolveResult, whose final alignments Ts are made when first
-    read (so an SVD failure there is raised by that read), and whose
+    Returns a SolveResult. It keeps no alignments: update_alignment(Zs, P)
+    of the result is, bit for bit, the one a further iteration would start
+    from, and under freeze_alignment every alignment is the identity. Its
     diagnostics list one record per iteration: iteration, step_seconds (the
     seconds of each step in STEPS, 0.0 for a skipped one), the fields the
     steps return, alpha, eta and wall seconds. The fusion returns h and
@@ -604,7 +593,7 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
         G_rows=None if config.skip_imputation else [
             np.zeros((idx.size, m), dtype=Z.dtype) for idx in missing
         ],
-        W=np.zeros_like(Z), Ts=None, lam=lam,
+        W=np.zeros_like(Z), alignments=None, lam=lam,
         alpha=alpha, P=P, F=F, Q=Q, eta=PENALTY_START, missing=missing, Y=Y,
     )
     zero_degree = [zero_degree_anchors(P)]
@@ -641,5 +630,5 @@ def admm_solve(views, y, labeled_idx, missing, config=None, n_classes=None,
         F=s.F, Q=s.Q, P=s.P, alpha=s.alpha, Zs=s.Z, lam=lam,
         converged=converged, n_iter=len(diagnostics),
         degenerate=c >= 2 and unlabeled_classes.size == 1,
-        diagnostics=diagnostics, freeze_alignment=config.freeze_alignment,
+        diagnostics=diagnostics,
     )

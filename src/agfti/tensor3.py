@@ -21,7 +21,7 @@ axis 2 at a time in float64 and rounded once into the stored spectrum,
 every norm below is summed in float64 from the stored values, and each
 batch of live slices is factorised in complex128. Only ``irfft`` runs in
 float32, on the complex64 spectrum, producing the float32 result. Any other
-real dtype is shrunk in float64 and complex128, as before.
+real dtype is shrunk in float64 and complex128.
 
 A frequency slice S is shrunk through the eigendecomposition of its Gram
 matrix, not an SVD. With S = U diag(s) V^H, the Gram matrix S^H S has the

@@ -102,13 +102,17 @@ def test_allocator_names_the_c_library_and_every_malloc_variable(monkeypatch):
     monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
     monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("NUMPY_MADVISE_HUGEPAGE", "0")
     assert bench_pairs.allocator() == {
         "libc": "glibc 2.36",
         "malloc_env": {"MALLOC_ARENA_MAX": "2", "MALLOC_TRIM_THRESHOLD_": "131072"},
+        "numpy_madvise_hugepage": "0",
     }
-    # a C library that platform cannot name
+    # a C library that platform cannot name, and numpy's setting left unset
     monkeypatch.setattr(bench_pairs.platform, "libc_ver", lambda: ("", ""))
+    monkeypatch.delenv("NUMPY_MADVISE_HUGEPAGE")
     assert bench_pairs.allocator()["libc"] is None
+    assert bench_pairs.allocator()["numpy_madvise_hugepage"] is None
 
 
 def test_bench_file_records_the_allocator(monkeypatch, tmp_path):

@@ -595,6 +595,17 @@ def test_synth_refuses_a_count_below_one(workspace, option):
     assert f"Invalid value for '{option}'" in result.output
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--vacuum", "3"), ("--vacuum", "-0.5"), ("--bridge", "1.5"), ("--noise", "-1"),
+])
+def test_synth_refuses_a_setting_outside_its_range(workspace, option, value):
+    out = workspace["root"] / "refused.mvds"
+    result = CliRunner().invoke(main, ["synth", str(out), option, value])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["mask", "eval"])
 def test_missing_views_of_a_one_view_container_are_refused(workspace, command):
     runner = CliRunner()

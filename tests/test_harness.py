@@ -393,6 +393,16 @@ class TestSynthScp:
         assert middle_occupancy(gapped) < 0.12
         assert middle_occupancy(gapped) > 0.0  # bridges survive
 
+    @pytest.mark.parametrize("name, value", [
+        ("vacuum_width", 1.5), ("vacuum_width", -0.1), ("vacuum_width", np.nan),
+        ("bridge_frac", 1.01), ("bridge_frac", -0.5),
+        ("noise", -1.0), ("noise", np.nan),
+    ])
+    def test_rejects_a_setting_outside_its_range(self, name, value):
+        # a vacuum_width of 1.5 would draw solid samples outside [0, 1]
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            synth_scp(seed=0, n_per_class=5, **{name: value})
+
 
 class TestExperiment:
     def _tiny(self):

@@ -57,7 +57,7 @@ def solve_result(rng):
     }
     return SimpleNamespace(
         F=rng.random((5, 3)), alpha=np.array([0.5, 0.5]), P=rng.random((5, 4)),
-        Zs=rng.random((2, 5, 4)), Ts=rng.random((2, 4, 4)),
+        Zs=rng.random((2, 5, 4)),
         diagnostics=[record], n_iter=1, converged=False,
     )
 

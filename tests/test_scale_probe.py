@@ -38,9 +38,12 @@ def test_reps_run_the_grid_and_sum_every_solve():
     assert set(report["acc"]) == {"full", "wo_tv", "baseline"}
     assert report["setup_s"] > 0.0
     assert all(0.0 <= a <= 1.0 for a in report["acc"].values())
-    refused = subprocess.run(
-        [sys.executable, str(SCRIPT), *SMALL, "--reps", "1", "--variants", "nope"],
-        capture_output=True, text=True,
-    )
-    assert refused.returncode == 2
-    assert "unknown variants ['nope']" in refused.stderr
+    for args, message in (
+        (["--reps", "1", "--variants", "nope"], "unknown variants ['nope']"),
+        # one solve runs the full variant and would leave the list unread
+        (["--variants", "wo_tv,baseline"], "--variants needs --reps"),
+    ):
+        refused = subprocess.run([sys.executable, str(SCRIPT), *SMALL, *args],
+                                 capture_output=True, text=True)
+        assert refused.returncode == 2
+        assert message in refused.stderr

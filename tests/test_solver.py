@@ -477,7 +477,7 @@ class TestAdmmSolve:
 
         monkeypatch.setattr(agfti.solver, "update_alignment", counting)
         result, y, labeled_idx = self._solve(seed=0)
-        # the last iteration's alignment is made only when Ts is read
+        # iteration 1 aligns nothing: no fused graph exists yet
         assert len(aligned) == result.n_iter - 1
         n, c = y.size, 3
         assert result.F.shape == (n, c)
@@ -488,7 +488,7 @@ class TestAdmmSolve:
         for Z in result.Zs:
             assert np.allclose(Z.sum(axis=1), 1.0, atol=1e-10)
             assert Z.min() >= -1e-15
-        for T in result.Ts:
+        for T in update_alignment(result.Zs, result.P):
             assert np.abs(T.T @ T - np.eye(T.shape[0])).max() < 1e-8
         assert len(result.diagnostics) == result.n_iter
         row = result.diagnostics[-1]
@@ -567,10 +567,36 @@ class TestAdmmSolve:
                 "steps": 0, "thetas": [], "evaluated": 0, "bound_rejected": 0,
             }
 
-    def test_freeze_alignment_keeps_identity(self):
-        result, _, _ = self._solve(seed=5, freeze_alignment=True)
-        for T in result.Ts:
-            assert np.array_equal(T, np.eye(T.shape[0]))
+    def test_freeze_alignment_keeps_identity(self, monkeypatch):
+        # the alignments fusion and imputation read; None is the identity
+        seen = []
+        for name, at in (("agf_minmax", 1), ("update_missing_rows", 5)):
+            def recording(*args, at=at, original=getattr(agfti.solver, name),
+                          **kwargs):
+                seen.append(args[at])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(agfti.solver, name, recording)
+        missing = [np.arange(0, 12), np.arange(30, 42)]
+        result, _, _ = self._solve(seed=5, missing=missing, freeze_alignment=True)
+        assert len(seen) == 2 * result.n_iter > 2
+        assert all(Ts is None for Ts in seen)
+
+    def test_anchor_labels_are_the_propagated_sample_labels(self):
+        # the anchor rows of the label system: Q = L^-1/2 P^T F, with L the
+        # floored degrees of the returned P and F the returned labels
+        container = synth_scp(0, n_per_class=40)
+        missing, labeled = generate_masks(
+            container, MaskSpec(vmr=0.5, lar=0.1, seed=0)
+        )
+        result = admm_solve(
+            container.views, container.labels, labeled,
+            missing_per_view(missing, container.V), SolverConfig(n_anchors=16),
+        )
+        L = floored_anchor_degrees(result.P)
+        expected = (result.P.T @ result.F) / np.sqrt(L)[:, None]
+        assert result.Q.shape == expected.shape
+        assert np.abs(result.Q - expected).max() <= 1e-14
 
     def test_deterministic(self):
         r1, _, _ = self._solve(seed=6)
@@ -591,7 +617,7 @@ class TestAdmmSolve:
         # imputation rewrote the missing rows of the solve's copy only
         assert np.array_equal(graphs, before)
         assert not np.array_equal(given.Zs, graphs)
-        for name in ("F", "Q", "P", "alpha", "Zs", "Ts"):
+        for name in ("F", "Q", "P", "alpha", "Zs"):
             assert np.array_equal(getattr(given, name), getattr(built, name)), name
         assert given.n_iter == built.n_iter
 
@@ -878,7 +904,7 @@ class TestStepTable:
             SolverConfig(n_anchors=8, max_outer_iters=5,
                          **STANDARD_VARIANTS[variant]),
         )
-        # iteration 1 aligns nothing, and the last alignment waits for Ts
+        # iteration 1 aligns nothing: no fused graph exists yet
         runs = {"impute": result.n_iter, "align": result.n_iter - 1}
         assert calls == {
             step: 0 if step in skipped else runs[step] for step in functions
@@ -894,10 +920,10 @@ class TestStepTable:
 
 
 class TestFinalAlignment:
-    """The last iteration's alignment, which no step reads, is made when Ts is read."""
+    """The solve keeps no final alignment; the returned Zs and P give it."""
 
     def _solve(self, monkeypatch, alignment=None, **config):
-        # every update_alignment call the solve and its result make, by output
+        # every update_alignment call the solve makes, by output
         made = []
         original = agfti.solver.update_alignment
 
@@ -918,21 +944,14 @@ class TestFinalAlignment:
         )
         return result, made
 
-    def test_reading_Ts_aligns_the_returned_graphs_once(self, monkeypatch):
+    def test_the_returned_graphs_and_P_give_the_next_alignment(self, monkeypatch):
         result, made = self._solve(monkeypatch, max_outer_iters=4)
         assert result.n_iter == 4 and len(made) == 3
-        Ts = result.Ts
-        assert len(made) == 4 and Ts is made[-1]
-        assert result.Ts is Ts and len(made) == 4
-        expected = update_alignment(result.Zs, result.P)
-        assert Ts.tobytes() == expected.tobytes()
-
-    def test_Ts_is_the_alignment_the_next_iteration_starts_from(self, monkeypatch):
-        result, _ = self._solve(monkeypatch, max_outer_iters=4)
         _, made = self._solve(monkeypatch, max_outer_iters=5)
         # the fifth iteration opens with the fourth alignment
         assert len(made) == 4
-        assert result.Ts.tobytes() == made[3].tobytes()
+        expected = update_alignment(result.Zs, result.P)
+        assert expected.tobytes() == made[3].tobytes()
 
     def test_freeze_alignment_gives_the_identity_without_a_call(self, monkeypatch):
         def refused(Z, P):
@@ -940,33 +959,13 @@ class TestFinalAlignment:
 
         result, made = self._solve(monkeypatch, alignment=refused,
                                    max_outer_iters=3, freeze_alignment=True)
-        V, _, m = result.Zs.shape
-        assert np.array_equal(result.Ts, np.tile(np.eye(m), (V, 1, 1)))
-        assert made == []
+        assert result.n_iter == 3 and made == []
 
     def test_a_one_iteration_solve_runs_no_alignment(self, monkeypatch):
         result, made = self._solve(monkeypatch, max_outer_iters=1)
         assert result.n_iter == 1 and made == []
         # the record still times the step, which found no fused graph yet
         assert result.diagnostics[0]["step_seconds"]["align"] >= 0.0
-        result.Ts
-        assert len(made) == 1
-
-    def test_a_failing_last_alignment_is_raised_when_Ts_is_read(self, monkeypatch):
-        calls = []
-
-        def failing_third(Z, P):
-            calls.append(1)
-            if len(calls) == 3:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return update_alignment(Z, P)
-
-        # the solve's two alignments succeed, so the solve returns
-        result, made = self._solve(monkeypatch, alignment=failing_third,
-                                   max_outer_iters=3)
-        assert result.n_iter == 3 and len(made) == 2
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-            result.Ts
 
 
 class TestZeroDegreeSummary:
