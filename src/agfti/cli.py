@@ -162,7 +162,8 @@ def main():
 @click.option("--classes", "c", type=click.IntRange(1), default=3, show_default=True)
 @click.option("--vacuum", type=click.FloatRange(0, 1), default=0.55,
               show_default=True, help="fraction of each segment thinned to bridges")
-@click.option("--noise", type=click.FloatRange(0), default=0.2, show_default=True)
+@click.option("--noise", type=click.FloatRange(0, float("inf"), max_open=True),
+              default=0.2, show_default=True)
 @click.option("--bridge", type=click.FloatRange(0, 1), default=0.04, show_default=True)
 @click.option("--csv", "as_csv", is_flag=True,
               help="write a CSV directory instead of the binary container")

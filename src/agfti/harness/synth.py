@@ -87,13 +87,14 @@ def synth_scp(
 
     class_sizes overrides n_per_class when exact totals are needed.
     vacuum_width and bridge_frac are fractions of a segment, so a value
-    outside [0, 1], or a negative noise, raises ValueError.
+    outside [0, 1], or a noise that is negative or infinite, raises
+    ValueError.
     """
     for name, frac in (("vacuum_width", vacuum_width), ("bridge_frac", bridge_frac)):
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {frac}")
-    if not noise >= 0.0:
-        raise ValueError(f"noise must be nonnegative, got {noise}")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
     rng = make_generator(seed, STREAM_SYNTH)
     sizes = (
         [int(s) for s in class_sizes]

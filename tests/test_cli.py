@@ -597,6 +597,8 @@ def test_synth_refuses_a_count_below_one(workspace, option):
 
 @pytest.mark.parametrize("option, value", [
     ("--vacuum", "3"), ("--vacuum", "-0.5"), ("--bridge", "1.5"), ("--noise", "-1"),
+    # an infinite noise would write a container of infinite features
+    ("--noise", "inf"),
 ])
 def test_synth_refuses_a_setting_outside_its_range(workspace, option, value):
     out = workspace["root"] / "refused.mvds"

@@ -396,7 +396,7 @@ class TestSynthScp:
     @pytest.mark.parametrize("name, value", [
         ("vacuum_width", 1.5), ("vacuum_width", -0.1), ("vacuum_width", np.nan),
         ("bridge_frac", 1.01), ("bridge_frac", -0.5),
-        ("noise", -1.0), ("noise", np.nan),
+        ("noise", -1.0), ("noise", np.nan), ("noise", np.inf),
     ])
     def test_rejects_a_setting_outside_its_range(self, name, value):
         # a vacuum_width of 1.5 would draw solid samples outside [0, 1]
