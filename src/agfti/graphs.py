@@ -178,7 +178,7 @@ def _balanced_two_means(X, members, draws):
     return left
 
 
-def bkhk_anchors(X, m, seed, index=0, return_assignment=False):
+def bkhk_anchors(X, m, seed, index=0):
     """Pick m = 2^t anchors by recursive balanced two-means.
 
     Parameters
@@ -187,12 +187,10 @@ def bkhk_anchors(X, m, seed, index=0, return_assignment=False):
     m : number of anchors, must be a power of two with m <= n
     seed : int, drives the candidate sampling inside every split
     index : substream index, decorrelates anchor draws across views
-    return_assignment : also return the (n,) leaf index of every sample
 
     Returns
     -------
     anchors : (m, d) array of leaf means, in left-first traversal order
-    assignment : (n,) int array, only when return_assignment is True
 
     Leaf sizes differ by at most one: every leaf holds floor(n/m) or
     ceil(n/m) samples.
@@ -206,8 +204,7 @@ def bkhk_anchors(X, m, seed, index=0, return_assignment=False):
     draws the recursion would have used. Each node keeps its samples in the
     recursion's order, so wherever the score split (see _balanced_two_means)
     agrees with the recursion's squared-distance split, the leaf means run
-    over the same values and the anchors and the assignment are the
-    recursion's bit for bit.
+    over the same values and the anchors are the recursion's bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -239,13 +236,8 @@ def bkhk_anchors(X, m, seed, index=0, return_assignment=False):
         sizes = np.stack((sizes - sizes // 2, sizes // 2), axis=1).ravel()
 
     anchors = np.empty((m, X.shape[1]), dtype=np.float64)
-    assignment = np.empty(n, dtype=np.int64)
     for nodes, slots in _size_groups(sizes):
-        members = order[slots]
-        anchors[nodes] = X[members].mean(axis=1)
-        assignment[members] = nodes[:, None]
-    if return_assignment:
-        return anchors, assignment
+        anchors[nodes] = X[order[slots]].mean(axis=1)
     return anchors
 
 

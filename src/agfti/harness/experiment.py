@@ -26,7 +26,7 @@ from ..solver import (
     update_labels,
 )
 from .masks import MaskSpec, generate_masks, missing_per_view
-from .metrics import metrics
+from .metrics import METRIC_KEYS, metrics
 
 STANDARD_VARIANTS = {
     "full": {},
@@ -36,8 +36,6 @@ STANDARD_VARIANTS = {
 }
 # the variant name that scores the equal-weight propagation baseline
 BASELINE = "baseline"
-
-_METRIC_KEYS = ("acc", "prec_macro", "rec_macro", "f1_macro", "prec_micro", "f1_micro")
 
 
 def rep_seed(base_seed, r):
@@ -146,7 +144,7 @@ def score(container, pred, labeled):
 def _aggregate(records):
     ok = [r for r in records if r["error"] is None]
     agg = {}
-    for key in _METRIC_KEYS:
+    for key in METRIC_KEYS:
         values = np.array([r["metrics"][key] for r in ok], dtype=np.float64)
         agg[key] = {
             "mean": float(values.mean()) if values.size else None,

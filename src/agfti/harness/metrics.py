@@ -1,15 +1,18 @@
-"""Classification metrics: accuracy plus macro and micro precision/F1.
+"""Classification metrics: accuracy plus macro precision, recall and F1.
 
 Macro averages run over all n_classes classes; a class absent from both
 truth and prediction contributes zero (with a warning) rather than being
-dropped, so scores from different masks stay comparable. Micro precision
-and micro F1 both collapse to plain accuracy in single-label multiclass
-problems, which doubles as an internal consistency check.
+dropped, so scores from different masks stay comparable. Micro precision,
+recall and F1 are left out: in single-label multiclass problems each equals
+accuracy.
 """
 
 import warnings
 
 import numpy as np
+
+# the keys of every metrics record, in the order metrics builds it
+METRIC_KEYS = ("acc", "prec_macro", "rec_macro", "f1_macro")
 
 
 def confusion_matrix(pred, truth, n_classes):
@@ -36,6 +39,7 @@ def confusion_matrix(pred, truth, n_classes):
 
 
 def metrics(pred, truth, n_classes):
+    """{key: score} over METRIC_KEYS, each a float in [0, 1]."""
     counts = confusion_matrix(pred, truth, n_classes)
     n = counts.sum()
     tp = np.diag(counts).astype(np.float64)
@@ -58,18 +62,5 @@ def metrics(pred, truth, n_classes):
     f1 = np.where(prec + rec > 0, 2.0 * prec * rec / denom, 0.0)
 
     acc = float(tp.sum() / n) if n else 0.0
-    micro_prec = float(tp.sum() / pred_count.sum()) if n else 0.0
-    micro_rec = float(tp.sum() / truth_count.sum()) if n else 0.0
-    micro_f1 = (
-        2.0 * micro_prec * micro_rec / (micro_prec + micro_rec)
-        if (micro_prec + micro_rec) > 0
-        else 0.0
-    )
-    return {
-        "acc": acc,
-        "prec_macro": float(prec.mean()),
-        "rec_macro": float(rec.mean()),
-        "f1_macro": float(f1.mean()),
-        "prec_micro": micro_prec,
-        "f1_micro": float(micro_f1),
-    }
+    scores = (acc, prec.mean(), rec.mean(), f1.mean())
+    return {key: float(value) for key, value in zip(METRIC_KEYS, scores)}

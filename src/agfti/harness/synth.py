@@ -81,11 +81,11 @@ def synth_scp(
     noise=0.2,
     bridge_frac=0.04,
     class_sizes=None,
-    name=None,
 ):
     """Generate a deterministic multi-view sub-cluster-problem dataset.
 
-    class_sizes overrides n_per_class when exact totals are needed.
+    The container is named synth_scp_seed{seed}. class_sizes overrides
+    n_per_class when exact totals are needed.
     vacuum_width and bridge_frac are fractions of a segment, so a value
     outside [0, 1], or a noise that is negative or infinite, raises
     ValueError.
@@ -133,5 +133,5 @@ def synth_scp(
         views=views,
         labels=labels,
         c=c,
-        name=name or f"synth_scp_seed{seed}",
+        name=f"synth_scp_seed{seed}",
     )

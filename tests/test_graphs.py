@@ -66,8 +66,11 @@ class TestBkhkAnchors:
             return
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n, 3))
-        anchors, leaves = bkhk_anchors(X, m, seed=seed, return_assignment=True)
-        assert anchors.shape == (m, 3)
+        # the leaves are the reference recursion's, whose anchors the
+        # package's equal bit for bit
+        ref, leaves = bkhk_anchors_recursive(X, m, seed, return_assignment=True)
+        assert bkhk_anchors(X, m, seed=seed).tobytes() == ref.tobytes()
+        assert ref.shape == (m, 3)
         sizes = np.bincount(leaves, minlength=m)
         assert set(sizes) <= {n // m, -(-n // m)}
 
@@ -169,13 +172,10 @@ def load_workloads():
 
 
 def assert_graphs_match_references(X, m, k, seed, index=0):
-    """Anchors, leaves and Z equal the recursive, full-sort references' bits."""
-    anchors, leaves = bkhk_anchors(X, m, seed, index=index, return_assignment=True)
-    ref, ref_leaves = bkhk_anchors_recursive(
-        X, m, seed, index=index, return_assignment=True
-    )
+    """Anchors and Z equal the recursive, full-sort references' bits."""
+    anchors = bkhk_anchors(X, m, seed, index=index)
+    ref = bkhk_anchors_recursive(X, m, seed, index=index)
     assert anchors.tobytes() == ref.tobytes()
-    assert leaves.tobytes() == ref_leaves.tobytes()
     if k is not None:
         Z = build_bipartite(X, anchors, k)
         assert Z.tobytes() == build_bipartite_full_sort(X, anchors, k).tobytes()

@@ -27,6 +27,7 @@ from agfti.harness import (
 )
 from agfti.graphs import ZeroDegreeWarning
 from agfti.harness import experiment
+from agfti.harness.metrics import METRIC_KEYS
 from agfti.solver import SolverConfig, admm_solve, anchor_graphs, predict
 
 
@@ -306,7 +307,8 @@ class TestMetrics:
     def test_perfect(self):
         truth = np.array([0, 1, 2, 1, 0])
         out = metrics(truth, truth, 3)
-        for key in ("acc", "prec_macro", "f1_macro", "prec_micro", "f1_micro"):
+        assert tuple(out) == METRIC_KEYS
+        for key in ("acc", "prec_macro", "rec_macro", "f1_macro"):
             assert out[key] == pytest.approx(1.0)
 
     def test_binary_all_wrong(self):
@@ -323,16 +325,8 @@ class TestMetrics:
         out = metrics(pred, truth, 3)
         assert out["acc"] == pytest.approx(7 / 9, abs=1e-15)
         assert out["prec_macro"] == pytest.approx(7 / 9, abs=1e-15)
+        assert out["rec_macro"] == pytest.approx(29 / 36, abs=1e-15)
         assert out["f1_macro"] == pytest.approx(244 / 315, abs=1e-15)
-
-    def test_micro_precision_equals_accuracy(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            truth = rng.integers(0, 4, size=50)
-            pred = rng.integers(0, 4, size=50)
-            out = metrics(pred, truth, 4)
-            assert out["prec_micro"] == pytest.approx(out["acc"], abs=1e-15)
-            assert out["f1_micro"] == pytest.approx(out["acc"], abs=1e-15)
 
     def test_absent_class_contributes_zero_with_warning(self):
         truth = np.array([0, 0, 1, 1])
@@ -362,6 +356,9 @@ class TestSynthScp:
         assert cont.c == 2
         counts = np.bincount(cont.labels, minlength=2)
         assert np.array_equal(counts, [100, 100])
+
+    def test_named_by_its_seed(self):
+        assert synth_scp(3, n_per_class=5).name == "synth_scp_seed3"
 
     def test_deterministic(self):
         a = synth_scp(seed=7, n_per_class=40, V=2, c=3)
@@ -433,14 +430,21 @@ class TestExperiment:
         assert set(out["variants"]) == {"full", "wo_ti"}
         for block in out["variants"].values():
             assert len(block["records"]) == 2
+            for record in block["records"]:
+                assert tuple(record["metrics"]) == METRIC_KEYS
             agg = block["aggregate"]
-            for key in ("acc", "prec_macro", "f1_macro", "prec_micro", "f1_micro"):
+            assert tuple(agg) == METRIC_KEYS
+            for key in METRIC_KEYS:
                 assert set(agg[key]) == {"mean", "std"}
             assert block["failed_reps"] == 0
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) == (2 + 1) * 2
         kinds = {line["type"] for line in lines}
         assert kinds == {"rep", "aggregate"}
+        for line in lines:
+            scores = line["metrics"] if line["type"] == "rep" else line["aggregate"]
+            assert tuple(scores) == METRIC_KEYS
+        assert out["dataset"] == "synth_scp_seed0"
 
     def test_jsonl_appends_across_calls(self, tmp_path):
         cont, config = self._tiny()
