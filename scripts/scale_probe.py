@@ -11,7 +11,8 @@ the SolverConfig defaults except n_anchors=anchors, max_outer_iters=iters and
 seed; the solve builds its anchor graphs itself, so the wall time includes
 them. With --reps N it runs run_experiment(container, vmr, lar, N, config,
 variants, base_seed=seed) instead, the variants named from STANDARD_VARIANTS
-or the baseline (default: full); --variants without --reps is refused.
+or the baseline (default: full); --variants without --reps is refused, and so
+is an --iters or --reps below 1.
 
 It prints one JSON line: wall_s, the wall seconds of the solve or the grid;
 setup_s, the seconds spent in anchor_graphs (anchors and bipartite graphs),
@@ -84,6 +85,10 @@ def main(argv=None):
     parser.add_argument("--tree", type=Path, default=ROOT)
     args = parser.parse_args(argv)
 
+    # no outer iteration, or no repetition, would time nothing
+    for option, count in (("--iters", args.iters), ("--reps", args.reps)):
+        if count is not None and count < 1:
+            parser.error(f"{option} must be at least 1, got {count}")
     if args.variants is not None and args.reps is None:
         parser.error("--variants needs --reps: one solve runs the full variant")
     names = ("full" if args.variants is None else args.variants).split(",")

@@ -42,6 +42,10 @@ def test_reps_run_the_grid_and_sum_every_solve():
         (["--reps", "1", "--variants", "nope"], "unknown variants ['nope']"),
         # one solve runs the full variant and would leave the list unread
         (["--variants", "wo_tv,baseline"], "--variants needs --reps"),
+        # a grid of no repetition, or solves of no iteration, time nothing
+        (["--reps", "0"], "--reps must be at least 1, got 0"),
+        (["--iters", "0"], "--iters must be at least 1, got 0"),
+        (["--reps", "2", "--iters", "-1"], "--iters must be at least 1, got -1"),
     ):
         refused = subprocess.run([sys.executable, str(SCRIPT), *SMALL, *args],
                                  capture_output=True, text=True)
