@@ -14,8 +14,8 @@ records the predictions of every ``baseline_label_propagation`` call.
 
 It prints one line per workload: its name, the SHA-256 over all of its solves
 and baselines in order, and the number of each. Each solve contributes F,
-alpha, P, the final graphs Zs (which with P fix the final alignments,
-update_alignment(Zs, P)), every iteration's whole diagnostics record except
+alpha, P, the anchor labels Q, the final graphs Zs (which with P fix the final
+alignments, update_alignment(Zs, P)), every iteration's whole diagnostics record except
 its wall-clock fields (seconds, step_seconds), n_iter and converged; each
 baseline its predictions; a call that raised contributes its error. Two trees
 whose lines match gave the same outputs bit for bit.
@@ -126,7 +126,7 @@ def digest(results):
             h.update(b"baseline")
             h.update(np.ascontiguousarray(r, dtype=np.int64).tobytes())
             continue
-        for arr in (r.F, r.alpha, r.P, r.Zs):
+        for arr in (r.F, r.alpha, r.P, r.Q, r.Zs):
             h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
         for d in r.diagnostics:
             # json writes each float as its shortest exact repr, so every

@@ -57,7 +57,7 @@ def solve_result(rng):
     }
     return SimpleNamespace(
         F=rng.random((5, 3)), alpha=np.array([0.5, 0.5]), P=rng.random((5, 4)),
-        Zs=rng.random((2, 5, 4)),
+        Q=rng.random((4, 3)), Zs=rng.random((2, 5, 4)),
         diagnostics=[record], n_iter=1, converged=False,
     )
 
@@ -69,6 +69,15 @@ def test_perturbed_F_changes_the_digest():
     assert od.digest([result]) == before
     result.F[2, 1] = np.nextafter(result.F[2, 1], 2.0)
     assert od.digest([result]) != before
+
+
+def test_results_that_differ_only_in_Q_digest_differently():
+    od = load_script()
+    a = solve_result(np.random.default_rng(3))
+    b = solve_result(np.random.default_rng(3))
+    assert od.digest([a]) == od.digest([b])
+    b.Q[1, 2] = np.nextafter(b.Q[1, 2], 2.0)
+    assert od.digest([a]) != od.digest([b])
 
 
 def test_line_search_record_enters_the_digest_and_the_clock_does_not():
