@@ -14,11 +14,12 @@ records the predictions of every ``baseline_label_propagation`` call.
 
 It prints one line per workload: its name, the SHA-256 over all of its solves
 and baselines in order, and the number of each. Each solve contributes F,
-alpha, P, the anchor labels Q, the final graphs Zs (which with P fix the final
-alignments, update_alignment(Zs, P)), every iteration's whole diagnostics record except
-its wall-clock fields (seconds, step_seconds), n_iter and converged; each
-baseline its predictions; a call that raised contributes its error. Two trees
-whose lines match gave the same outputs bit for bit.
+alpha, P, the anchor labels Q, the final graphs Zs (which with P fix the
+final alignments, update_alignment(Zs, P)), every iteration's whole
+diagnostics record except its wall-clock fields (seconds, step_seconds),
+n_iter and converged; each baseline its predictions; a call that raised
+contributes its error. Two trees whose lines match gave the same outputs bit
+for bit.
 
 Where two trees' digests differ, --save and --against say by how much.
 --save FILE.npz stores every solve's F, alpha, n_iter and converged. Run

@@ -430,10 +430,7 @@ class TestExperiment:
         assert set(out["variants"]) == {"full", "wo_ti"}
         for block in out["variants"].values():
             assert len(block["records"]) == 2
-            for record in block["records"]:
-                assert tuple(record["metrics"]) == METRIC_KEYS
             agg = block["aggregate"]
-            assert tuple(agg) == METRIC_KEYS
             for key in METRIC_KEYS:
                 assert set(agg[key]) == {"mean", "std"}
             assert block["failed_reps"] == 0
@@ -441,6 +438,7 @@ class TestExperiment:
         assert len(lines) == (2 + 1) * 2
         kinds = {line["type"] for line in lines}
         assert kinds == {"rep", "aggregate"}
+        # each line is a record or an aggregate of the returned blocks
         for line in lines:
             scores = line["metrics"] if line["type"] == "rep" else line["aggregate"]
             assert tuple(scores) == METRIC_KEYS
