@@ -11,8 +11,9 @@ the SolverConfig defaults except n_anchors=anchors, max_outer_iters=iters and
 seed; the solve builds its anchor graphs itself, so the wall time includes
 them. With --reps N it runs run_experiment(container, vmr, lar, N, config,
 variants, base_seed=seed) instead, the variants named from STANDARD_VARIANTS
-or the baseline (default: full); --variants without --reps is refused, and so
-is an --iters or --reps below 1.
+or the baseline (default: full). Refused with a usage error: --variants
+without --reps, a count below 1 (--n-per-class, --views, --classes, --anchors,
+--iters, --reps) and an --anchors that is not a power of two.
 
 It prints one JSON line: wall_s, the wall seconds of the solve or the grid;
 setup_s, the seconds spent in anchor_graphs (anchors and bipartite graphs),
@@ -85,10 +86,17 @@ def main(argv=None):
     parser.add_argument("--tree", type=Path, default=ROOT)
     args = parser.parse_args(argv)
 
-    # no outer iteration, or no repetition, would time nothing
-    for option, count in (("--iters", args.iters), ("--reps", args.reps)):
+    # a problem of no sample, view, class or anchor cannot be built, a solve
+    # of no outer iteration or a grid of no repetition times nothing, and
+    # the anchor tree halves its clusters down to a power of two
+    for option, count in (("--n-per-class", args.n_per_class),
+                          ("--views", args.views), ("--classes", args.classes),
+                          ("--anchors", args.anchors), ("--iters", args.iters),
+                          ("--reps", args.reps)):
         if count is not None and count < 1:
             parser.error(f"{option} must be at least 1, got {count}")
+    if args.anchors & (args.anchors - 1):
+        parser.error(f"--anchors must be a power of two, got {args.anchors}")
     if args.variants is not None and args.reps is None:
         parser.error("--variants needs --reps: one solve runs the full variant")
     names = ("full" if args.variants is None else args.variants).split(",")

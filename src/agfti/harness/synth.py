@@ -87,9 +87,11 @@ def synth_scp(
     The container is named synth_scp_seed{seed}. class_sizes overrides
     n_per_class when exact totals are needed.
     vacuum_width and bridge_frac are fractions of a segment, so a value
-    outside [0, 1], or a noise that is negative or infinite, raises
-    ValueError.
+    outside [0, 1], a noise that is negative or infinite, or a class count
+    c below 1 raises ValueError.
     """
+    if c < 1:
+        raise ValueError(f"c must be at least 1, got {c}")
     for name, frac in (("vacuum_width", vacuum_width), ("bridge_frac", bridge_frac)):
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {frac}")

@@ -27,7 +27,7 @@ unmultiplied.
 The (V, n, m) stacks are stored in float32: the graphs Z (anchor_graphs
 builds them so, and a stack given to admm_solve is converted once), the
 multiplier W, the shifted stack M and G, and the fusion's aligned products;
-the shrinkage spectrum is complex64. P, H, F, Q, alpha and the (V, m, m)
+the shrinkage packs its spectrum into M. P, H, F, Q, alpha and the (V, m, m)
 alignments stay float64. float32 is a storage format only: every value a
 decision reads is accumulated in float64 from the float32 values, one view
 or one block at a time, so no float64 (V, n, m) array is formed. That holds
@@ -233,10 +233,9 @@ def update_G(Z, W, eta, rho):
     an m x V matrix. The result comes back in the (V, n, m) layout.
 
     M = Z + W/eta is built in one new stack of W's dtype, and the
-    shrinkage writes G into M's buffer, so the step holds M and its
-    spectrum: about two stacks, the half spectrum of the sample axis taking
-    about the bytes of the real stack, plus one view's float64 transform
-    and one batch's factors.
+    shrinkage stores the packed half spectrum of the sample axis in M's
+    buffer and then writes G over it, so the step holds one stack, M,
+    plus one view's float64 transform and one batch's factors.
     """
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")

@@ -13,15 +13,22 @@ its (n, m, V) transpose, the same layout without a copy.
 A real tensor has a conjugate-symmetric spectrum, so the shrinkage works on
 the half spectrum that ``rfft`` returns (frequencies 0 .. n3//2) and ``irfft``
 rebuilds the real result from it; the mirrored frequencies are never formed.
+The half spectrum of each column of axis 2 is stored packed in that column's
+own n3 rows of the output: Re X_0, then Re X_k and Im X_k for k = 1 ..
+(n3-1)//2, then Re X_{n3/2} when n3 is even. That is exactly n3 reals, since
+X_0 and X_{n3/2} of a real sequence are real and ``irfft`` reads only their
+real parts.
 
-A float32 tensor (the solver's stacks) is shrunk in float32 storage: its half
-spectrum is stored in complex64 and the result in float32. The arithmetic
-that decides anything runs in float64: the transform is taken one column of
-axis 2 at a time in float64 and rounded once into the stored spectrum,
-every norm below is summed in float64 from the stored values, and each
-batch of live slices is factorised in complex128. Only ``irfft`` runs in
-float32, on the complex64 spectrum, producing the float32 result. Any other
-real dtype is shrunk in float64 and complex128.
+A float32 tensor (the solver's stacks) is shrunk in float32 storage: its
+packed half spectrum and its result are stored in float32, each real and
+imaginary part rounded as a complex64 spectrum would round it. The
+arithmetic that decides anything runs in float64: the transform is taken
+one column of axis 2 at a time in float64 and rounded once into the stored
+spectrum, every norm below is summed in float64 from the stored values, and
+each batch of live slices is gathered from its packed rows and factorised
+in complex128. Only ``irfft`` runs in float32, on one column's spectrum
+unpacked into complex64, producing that column of the float32 result. Any
+other real dtype is shrunk in float64 and complex128.
 
 A frequency slice S is shrunk through the eigendecomposition of its Gram
 matrix, not an SVD. With S = U diag(s) V^H, the Gram matrix S^H S has the
@@ -53,7 +60,7 @@ So a tensor whose frontal norms sum to at most (1 - SKIP_MARGIN) * t shrinks to
 zero without a transform, and a slice whose Frobenius norm is at most that
 skips its eigendecomposition. The margin, far above the ~1e-13 relative
 rounding of the float64 norms, FFT and Gram matrix and above the 2^-24
-relative rounding of a spectrum stored in complex64 (which can raise a
+relative rounding of a spectrum stored in float32 (which can raise a
 stored slice's norm above the frontal-norm bound by that much), keeps the
 skip to slices whose computed Gram eigenvalues all lie below t^2, which the
 full computation would also have zeroed, so the result is the same bit for
@@ -61,20 +68,20 @@ bit. A skipped slice's norm and a factorised slice's Gram matrix are both
 computed in float64 from the same stored values.
 
 The live slices are shrunk SHRINK_BATCH at a time, and each batch's shrunk
-product is written back into the spectrum, so the factors of the whole
-spectrum are never held at once. The half spectrum's n3//2+1 complex slices
-take about the bytes of the real input A, so the shrinkage holds about one
-more A when it writes over A (out=A), and two when it returns a new array,
-beside one column's float64 transform.
+product is written back into its packed rows, so the factors of the whole
+spectrum are never held at once. The spectrum lives in the output itself,
+so the shrinkage holds no array of A's size beside its output: written over
+A (out=A, the solver's call) it holds A alone, and otherwise A and its
+output, beside one column's float64 transform and one batch's factors.
 """
 
 import numpy as np
 
 # relative margin below the threshold under which a norm bound proves a zero;
-# it covers the 2^-24 rounding of a spectrum stored in complex64
+# it covers the 2^-24 rounding of a spectrum stored in float32
 SKIP_MARGIN = 1e-6
 # frequency slices shrunk per batch: a batch's factors stay small beside the
-# spectrum, and the batch is large enough to keep the per-call overhead low
+# stack, and the batch is large enough to keep the per-call overhead low
 SHRINK_BATCH = 64
 # Gram eigenvalues below this fraction of the largest are not resolved to
 # working accuracy; a slice that needs one goes through the SVD fallback
@@ -95,39 +102,71 @@ def phi(mats):
     return np.stack(mats, axis=2)
 
 
-def _slice_norms(*parts):
-    """Frobenius norm of every slice k of a (k, i, j) array given by its real parts.
+def _squared_norms(A):
+    """Squared Frobenius norm of every slice k of a real (k, i, j) array, in float64."""
+    return np.einsum("kij,kij->k", A, A, dtype=np.float64)
 
-    The squares are summed in float64 whatever the parts' dtype.
+
+def _packed_rows(freqs, n3):
+    """Where the packed half spectrum of length n3 holds the frequencies freqs.
+
+    Returns the rows of their real parts, the rows of their imaginary parts,
+    and which of freqs have an imaginary row: frequency 0 and, for even n3,
+    n3/2 have none.
     """
-    return np.sqrt(sum(np.einsum("kij,kij->k", a, a, dtype=np.float64)
-                       for a in parts))
+    has_imag = (freqs > 0) & (2 * freqs < n3)
+    return np.maximum(2 * freqs - 1, 0), 2 * freqs[has_imag], has_imag
 
 
-def _half_spectrum(A):
-    """rfft of A along axis 0, one column of axis 2 at a time, in float64.
+def _pack_half_spectrum(A):
+    """Overwrite A, one column of axis 2 at a time, with its packed rfft along axis 0.
 
-    The result is stored in the complex type of A's precision: complex64
-    for a float32 A, whose float64 transform is then rounded once per
-    entry, complex128 for a float64 A, bit for bit the whole-array rfft.
+    Each column is transformed in float64 and stored back rounded to A's
+    dtype, in the packed order of the module docstring.
     """
-    spec = np.empty((A.shape[0] // 2 + 1,) + A.shape[1:],
-                    dtype=np.result_type(A.dtype, np.complex64))
+    n3 = A.shape[0]
+    re, im, has_imag = _packed_rows(np.arange(n3 // 2 + 1), n3)
     for j in range(A.shape[2]):
-        spec[:, :, j] = np.fft.rfft(np.asarray(A[:, :, j], dtype=np.float64),
-                                    axis=0)
-    return spec
+        col = A[:, :, j]
+        # transformed along the last axis of the transpose, where the
+        # transform allocates nothing beyond its result
+        X = np.fft.rfft(np.asarray(col.T, dtype=np.float64), axis=-1).T
+        col[re] = X.real
+        col[im] = X.imag[has_imag]
+        # freed before the next column's transform is allocated
+        del X
+
+
+def _unpack_irfft(A):
+    """Overwrite A, one column of axis 2 at a time, with its packed spectrum's irfft.
+
+    Each column is unpacked into the complex type of A's precision, whose
+    irfft is written over the column.
+    """
+    n3 = A.shape[0]
+    re, im, has_imag = _packed_rows(np.arange(n3 // 2 + 1), n3)
+    for j in range(A.shape[2]):
+        col = A[:, :, j]
+        X = np.zeros((re.size,) + col.shape[1:],
+                     dtype=np.result_type(A.dtype, np.complex64))
+        X.real = col[re]
+        X.imag[has_imag] = col[im]
+        np.fft.irfft(X, n=n3, axis=0, out=col)
+        del X
 
 
 def tubal_shrink(A, tau, out=None):
     """Soft-threshold the Fourier-domain singular values at n3 * tau.
 
     A is a real (n3, n1, n2) array whose axis 0 is the DFT axis; the result
-    is a new array of the same shape, float32 for a float32 A and float64
-    otherwise, or is written into out, an array of A's shape and that dtype
-    that may be A itself: A is read in full before out is written, and out
-    is returned. A that is not 3-d or has an entry that is not finite, and a
-    tau that is negative or NaN, raise ValueError.
+    is float32 for a float32 A and float64 otherwise. It is written into
+    out, an array of A's shape and that dtype, which may be A itself, and
+    out is returned; without out it is a new array. The shrinkage works
+    inside its result: out is first given A's values (unless it is A), then
+    holds the packed half spectrum, then the result, so no array of the
+    result's size is allocated beside it. A that is not 3-d or has an entry
+    that is not finite, a tau that is negative or NaN, and an out of another
+    shape or dtype raise ValueError.
 
     This is the proximal map of tau times the plain sum of per-frequency
     nuclear norms, i.e. of (n3 * tau) times the tensor nuclear norm (their
@@ -150,6 +189,8 @@ def tubal_shrink(A, tau, out=None):
         raise ValueError(f"tubal_shrink needs a 3-d array, got shape {A.shape}")
     if out is not None and out.shape != A.shape:
         raise ValueError(f"out must have A's shape {A.shape}, got {out.shape}")
+    if out is not None and out.dtype != A.dtype:
+        raise ValueError(f"out must have dtype {A.dtype}, got {out.dtype}")
     if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     n3 = A.shape[0]
@@ -157,7 +198,7 @@ def tubal_shrink(A, tau, out=None):
     floor = (1.0 - SKIP_MARGIN) * t
     # the norm sum is NaN or inf whenever an entry is, so only a sum that is
     # not finite needs the entrywise pass (finite entries can overflow it)
-    total = _slice_norms(A).sum()
+    total = np.sqrt(_squared_norms(A)).sum()
     if not np.isfinite(total) and not np.isfinite(A).all():
         raise ValueError("tubal_shrink entries must be finite")
     if total < _SMALL_NORMS:
@@ -170,20 +211,35 @@ def tubal_shrink(A, tau, out=None):
             return np.ldexp(scaled, exp, out=out)
     if total <= floor:
         return _zeros(A, out)
-    spec = _half_spectrum(A)
-    keep = _slice_norms(spec.real, spec.imag) > floor
+    if out is None:
+        out = np.copy(A)
+    elif out is not A:
+        out[...] = A
+    _pack_half_spectrum(out)
+    rows = _squared_norms(out)
+    re, im, has_imag = _packed_rows(np.arange(n3 // 2 + 1), n3)
+    squares = rows[re]
+    squares[has_imag] += rows[im]
+    keep = np.sqrt(squares) > floor
     if not keep.any():
         return _zeros(A, out)
-    # shrunk in place a batch at a time: a fresh output spectrum, or the
-    # factors of every slice at once, would raise the peak. Each batch is
-    # factorised in complex128 and stored back in the spectrum's type
-    spec[~keep] = 0.0
+    # shrunk in place a batch at a time: the factors of every slice at once
+    # would raise the peak. Each batch is gathered into complex128 from its
+    # packed rows, factorised, and stored back rounded to out's dtype
+    re, im, _ = _packed_rows(np.flatnonzero(~keep), n3)
+    out[re] = 0.0
+    out[im] = 0.0
     live = np.flatnonzero(keep)
     for start in range(0, live.size, SHRINK_BATCH):
         batch = live[start:start + SHRINK_BATCH]
-        S = np.asarray(spec[batch], dtype=np.complex128)
-        spec[batch] = _shrink_slices(S, t, batch)
-    return np.fft.irfft(spec, n=n3, axis=0, out=out)
+        re, im, has_imag = _packed_rows(batch, n3)
+        S = out[re].astype(np.complex128)
+        S.imag[has_imag] = out[im]
+        S = _shrink_slices(S, t, batch)
+        out[re] = S.real
+        out[im] = S.imag[has_imag]
+    _unpack_irfft(out)
+    return out
 
 
 def _zeros(A, out):

@@ -394,6 +394,7 @@ class TestSynthScp:
         ("vacuum_width", 1.5), ("vacuum_width", -0.1), ("vacuum_width", np.nan),
         ("bridge_frac", 1.01), ("bridge_frac", -0.5),
         ("noise", -1.0), ("noise", np.nan), ("noise", np.inf),
+        ("c", 0), ("c", -1),
     ])
     def test_rejects_a_setting_outside_its_range(self, name, value):
         # a vacuum_width of 1.5 would draw solid samples outside [0, 1]

@@ -46,6 +46,13 @@ def test_reps_run_the_grid_and_sum_every_solve():
         (["--reps", "0"], "--reps must be at least 1, got 0"),
         (["--iters", "0"], "--iters must be at least 1, got 0"),
         (["--reps", "2", "--iters", "-1"], "--iters must be at least 1, got -1"),
+        # sizes the library would reject with a traceback
+        (["--n-per-class", "0"], "--n-per-class must be at least 1, got 0"),
+        (["--views", "0"], "--views must be at least 1, got 0"),
+        (["--classes", "0"], "--classes must be at least 1, got 0"),
+        (["--anchors", "0"], "--anchors must be at least 1, got 0"),
+        (["--anchors", "3"], "--anchors must be a power of two, got 3"),
+        (["--anchors", "12"], "--anchors must be a power of two, got 12"),
     ):
         refused = subprocess.run([sys.executable, str(SCRIPT), *SMALL, *args],
                                  capture_output=True, text=True)

@@ -643,17 +643,36 @@ def in_place_case(path):
         return spectrum_tensor(rng, 64, 6, 9, svals).data, 5e-9 / 9
     if path == "wide":
         return rng.standard_normal((9, 2, 5)), 0.1
+    if path == "n3 one":
+        return rng.standard_normal((1, 6, 3)), 0.3
+    if path == "n3 two":
+        # frequency 0 and the Nyquist frequency 1, both without a stored
+        # imaginary part
+        return rng.standard_normal((2, 6, 3)), 0.3
+    if path == "dc and nyquist":
+        # A[i] = B + (-1)^i C: only frequencies 0 and 4 of 0 .. 4 are live
+        B, C = rng.standard_normal((2, 6, 3))
+        return B + np.array([1, -1] * 4)[:, None, None] * C, 0.1
     # all live: the (n, m, V) view of a (V, n, m) stack, as the solver
     # shrinks it, at a threshold below every slice's smallest singular value
-    return rng.standard_normal((3, 9, 5)).transpose(1, 2, 0), 1e-6
+    n3 = {"all live even": 10, "float32": 10}.get(path, 9)
+    A = rng.standard_normal((3, n3, 5)).transpose(1, 2, 0)
+    return (A.astype(np.float32) if path == "float32" else A), 1e-6
 
 
 IN_PLACE_PATHS = ["norm-sum skip", "no live slice", "small norms", "svd fallback",
-                  "wide", "all live"]
+                  "wide", "n3 one", "n3 two", "dc and nyquist", "all live",
+                  "all live even", "float32"]
 
 
 class TestShrinkInPlace:
-    """out=A writes the shrinkage over A, bit for bit the new array's values."""
+    """out=A writes the shrinkage over A, bit for bit the new array's values.
+
+    The shrinkage stores A's packed half spectrum in its output. The cases
+    cover odd and even n3, n3 of 1 and 2 (spectra of real rows only), live
+    slices at frequency 0 and at the Nyquist frequency, float32 and float64
+    inputs, and the SVD fallback.
+    """
 
     @pytest.mark.parametrize("path", IN_PLACE_PATHS)
     def test_writes_over_its_input(self, monkeypatch, path):
@@ -678,7 +697,12 @@ class TestShrinkInPlace:
             "small norms": np.abs(ref).max() < 1e-299 and sum(eighs) > 0,
             "svd fallback": sum(svds) == 5,
             "wide": A.shape[1] < A.shape[2] and sum(eighs) == 5,
-            "all live": sum(eighs) == 5 and svds == [],
+            "n3 one": A.shape[0] == 1 and sum(eighs) == 1 and ref.any(),
+            "n3 two": A.shape[0] == 2 and sum(eighs) == 2,
+            "dc and nyquist": A.shape[0] == 8 and sum(eighs) == 2 and ref.any(),
+            "all live": A.shape[0] % 2 == 1 and sum(eighs) == 5 and svds == [],
+            "all live even": A.shape[0] % 2 == 0 and sum(eighs) == 6,
+            "float32": A.dtype == np.float32 and sum(eighs) == 6,
         }
         assert taken[path]
 
@@ -686,12 +710,27 @@ class TestShrinkInPlace:
     def test_writes_into_another_array(self, path):
         A, tau = in_place_case(path)
         before = A.copy()
-        out = np.full(A.shape, np.nan)
+        out = np.full(A.shape, np.nan, dtype=A.dtype)
         assert tubal_shrink(A, tau, out=out) is out
         assert np.array_equal(out, tubal_shrink(A, tau))
         assert np.array_equal(A, before)
+
+    @pytest.mark.parametrize("path", IN_PLACE_PATHS)
+    def test_agrees_with_the_svd_route(self, path):
+        # every slice transformed and factorised by SVD in float64; a float32
+        # input agrees to float32 rounding
+        A, tau = in_place_case(path)
+        ref = tubal_shrink_all_slices(Tensor3(A), tau).data
+        out = tubal_shrink(A, tau, out=A)
+        eps = 1e-6 if A.dtype == np.float32 else 1e-12
+        assert np.abs(out - ref).max() <= eps * np.abs(ref).max(initial=1e-300)
 
     def test_rejects_out_of_another_shape(self):
         A = np.ones((4, 3, 2))
         with pytest.raises(ValueError, match="shape"):
             tubal_shrink(A, 0.1, out=np.empty((4, 2, 3)))
+
+    def test_rejects_out_of_another_dtype(self):
+        A = np.ones((4, 3, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="dtype float32, got float64"):
+            tubal_shrink(A, 0.1, out=np.empty(A.shape))
