@@ -19,7 +19,9 @@ final alignments, update_alignment(Zs, P)), every iteration's whole
 diagnostics record except its wall-clock fields (seconds, step_seconds),
 n_iter and converged; each baseline its predictions; a call that raised
 contributes its error. Two trees whose lines match gave the same outputs bit
-for bit.
+for bit. A --problems below 1 and a --seeds naming no seed, or a negative one,
+are refused with a usage error: with no problem every tree prints the digest
+of the empty input.
 
 Where two trees' digests differ, --save and --against say by how much.
 --save FILE.npz stores every solve's F, alpha, n_iter and converged. Run
@@ -202,6 +204,14 @@ def main(argv=None):
     parser.add_argument("--save", type=Path, metavar="FILE.npz")
     parser.add_argument("--against", type=Path, metavar="FILE.npz")
     args = parser.parse_args(argv)
+    # no problem hashes the empty input, whose digest every tree shares; the
+    # benchmark draws its problems from non-negative seeds only
+    if not args.seeds:
+        parser.error("--seeds names no seed")
+    if min(args.seeds) < 0:
+        parser.error(f"--seeds must be at least 0, got {min(args.seeds)}")
+    if args.problems < 1:
+        parser.error(f"--problems must be at least 1, got {args.problems}")
 
     agfti, workloads = load_tree(args.tree)
     saved = dict(np.load(args.against)) if args.against else None

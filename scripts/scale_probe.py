@@ -13,7 +13,10 @@ them. With --reps N it runs run_experiment(container, vmr, lar, N, config,
 variants, base_seed=seed) instead, the variants named from STANDARD_VARIANTS
 or the baseline (default: full). Refused with a usage error: --variants
 without --reps, a count below 1 (--n-per-class, --views, --classes, --anchors,
---iters, --reps) and an --anchors that is not a power of two.
+--iters, --reps), an --anchors that is not a power of two or not above
+SolverConfig.k_neighbors, a --vmr or --lar outside MaskSpec's ranges, a --vmr
+above 0 with one view, and, without --reps, an --anchors above the rows the
+sparsest view holds under the drawn masks.
 
 It prints one JSON line: wall_s, the wall seconds of the solve or the grid;
 setup_s, the seconds spent in anchor_graphs (anchors and bipartite graphs),
@@ -97,12 +100,25 @@ def main(argv=None):
             parser.error(f"{option} must be at least 1, got {count}")
     if args.anchors & (args.anchors - 1):
         parser.error(f"--anchors must be a power of two, got {args.anchors}")
+    if args.views == 1 and args.vmr > 0:
+        parser.error("--vmr must be 0 with --views 1: a sample cannot miss "
+                     "its only view")
     if args.variants is not None and args.reps is None:
         parser.error("--variants needs --reps: one solve runs the full variant")
     names = ("full" if args.variants is None else args.variants).split(",")
 
     agfti, _ = load_tree(args.tree)
     experiment = agfti.harness.experiment
+    # each graph row keeps a sample's k_neighbors nearest anchors of more
+    k = agfti.solver.SolverConfig.k_neighbors
+    if args.anchors <= k:
+        parser.error(f"--anchors must exceed the solver's {k} neighbours, "
+                     f"got {args.anchors}")
+    try:
+        agfti.harness.MaskSpec(vmr=args.vmr, lar=args.lar, seed=0)
+    except ValueError as exc:
+        # MaskSpec's messages open with the field's name
+        parser.error(f"--{exc}")
     known = {**experiment.STANDARD_VARIANTS, experiment.BASELINE: {}}
     unknown = sorted(set(names) - set(known))
     if unknown:
@@ -116,15 +132,21 @@ def main(argv=None):
     n_iter = []
     setup = []
     solve = summing(agfti.solver.admm_solve, steps, n_iter)
+    if args.reps is None:
+        _, per_view, labeled = experiment.draw_repetition(
+            container, args.vmr, args.lar, args.seed, 0
+        )
+        # every view picks its anchors among the rows it holds
+        rows = container.n - max(map(len, per_view))
+        if args.anchors > rows:
+            parser.error(f"--anchors {args.anchors} exceeds the {rows} rows "
+                         "the sparsest view holds under the drawn masks")
     # admm_solve builds its own graphs; the harness builds one stack per
     # repetition and hands it to every column
     anchor_graphs = agfti.solver.anchor_graphs
     agfti.solver.anchor_graphs = experiment.anchor_graphs = timing(anchor_graphs, setup)
     try:
         if args.reps is None:
-            _, per_view, labeled = experiment.draw_repetition(
-                container, args.vmr, args.lar, args.seed, 0
-            )
             start = time.perf_counter()
             result = solve(container.views, container.labels, labeled,
                            per_view, config, n_classes=container.c)

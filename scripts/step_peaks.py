@@ -18,7 +18,8 @@ before and after a change of storage dtype compare (the solver's float32
 graphs and multiplier are one such unit together). numpy reports its array
 buffers to tracemalloc, so a step's figure counts everything live during it:
 the graphs and multiplier the solve holds as well as the step's temporaries.
-A step the solve never ran prints 0.
+A step the solve never ran prints 0. An unknown --workload and a negative
+--seed or --problem are refused with a usage error.
 
 BLAS runs on one thread, as in the benchmark.
 """
@@ -67,8 +68,15 @@ def main(argv=None):
     parser.add_argument("--small", action="store_true")
     parser.add_argument("--max-outer-iters", type=int, default=None)
     args = parser.parse_args(argv)
+    # the benchmark draws its problems from non-negative seeds only
+    for option, value in (("--seed", args.seed), ("--problem", args.problem)):
+        if value < 0:
+            parser.error(f"{option} must be at least 0, got {value}")
 
     agfti, workloads = load_tree(args.tree)
+    if args.workload not in workloads.WORKLOADS:
+        parser.error(f"unknown --workload {args.workload!r}; known: "
+                     f"{', '.join(workloads.WORKLOADS)}")
     w = workloads.get(args.workload, small=args.small)
     problem = workloads.Problem(
         w, workloads.problem_seed(args.seed, args.problem), agfti

@@ -107,27 +107,21 @@ def _check_alignments(Zs, Ts):
         raise ValueError("need one m x m alignment per view, m the graph's columns")
 
 
-def fuse_aligned(ZTs, alpha):
-    """sum_v alpha_v^2 ZT_v over aligned products ZT_v = Z_v T_v, in view order."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    out = term = None
-    for X, c in zip(ZTs, alpha * alpha):
-        if out is None:
-            out = c * X
-        else:
-            term = np.multiply(c, X, out=term)
-            out += term
-    return out
-
-
 def weighted_fusion_input(Zs, Ts, alpha):
-    """Aligned, weight-squared combination sum_v alpha_v^2 Z_v T_v."""
+    """Aligned, weight-squared combination sum_v alpha_v^2 Z_v T_v, in view order."""
     alpha = np.asarray(alpha, dtype=np.float64)
     _check_alignments(Zs, Ts)
     if alpha.size != len(Zs):
         raise ValueError("one weight per view required")
-    # map forms each product as its term is added: one is alive at a time
-    return fuse_aligned(map(np.matmul, Zs, Ts), alpha)
+    # each product is formed as its term is added: one is alive at a time
+    out = term = None
+    for Z, T, c in zip(Zs, Ts, alpha * alpha):
+        if out is None:
+            out = c * (Z @ T)
+        else:
+            term = np.multiply(c, Z @ T, out=term)
+            out += term
+    return out
 
 
 def solve_inner_P(ZT, weights, H_half, lam, beta):
@@ -237,7 +231,6 @@ class AgfResult:
 
     alpha: np.ndarray
     P: np.ndarray
-    converged: bool
     n_iter: int
     # inner value at the returned alpha and P under the last H refresh
     h: float | None = None
@@ -277,10 +270,9 @@ def agf_minmax(
     AgfResult never holds it.
     Stops when the accepted step moves no weight by more than tol, when the
     reduced gradient leaves no descent direction (always so with one view),
-    or when the line search finds no decrease (step 0), all reported
-    converged, or after max_iter iterations (reported not converged). With
-    freeze_weights it refreshes H and solves for P once at alpha0, then
-    reports converged after no weight step (n_iter 0).
+    when the line search finds no decrease (step 0), or after max_iter
+    iterations. With freeze_weights it refreshes H and solves for P once at
+    alpha0 and stops before any weight step (n_iter 0).
 
     P is the exact inner maximizer at the returned alpha under the last H
     refresh, and h is the inner value there. Ts None stands for identity
@@ -342,7 +334,7 @@ def agf_minmax(
     # built, before the inner solve allocates
     P = P0
     del P0
-    res = AgfResult(alpha=alpha, P=None, converged=False, n_iter=0)
+    res = AgfResult(alpha=alpha, P=None, n_iter=0)
 
     for it in range(1, max_iter + 1):
         # only H / (2 beta) is held: <H, P> = 2 beta <H / (2 beta), P>
@@ -354,7 +346,6 @@ def agf_minmax(
 
         if freeze_weights:
             res.h = target_value(P, t, beta)
-            res.converged = True
             break
         # a weight step values P from its agreements: free the target
         # before the candidates are built
@@ -369,7 +360,6 @@ def agf_minmax(
         grad = grad_h(alpha, agree, lam)
         g = reduced_descent_direction(grad, alpha)
         if not np.any(g):
-            res.converged = True
             break
         slope = float(grad @ g)
 
@@ -402,16 +392,15 @@ def agf_minmax(
 
         if not accepted:
             res.steps.append(0.0)
-            res.converged = True
             break
 
         res.steps.append(theta)
         res.level = level
-        res.converged = bool(np.max(np.abs(cand - alpha)) <= tol)
+        settled = np.max(np.abs(cand - alpha)) <= tol
         alpha, P = cand, P_c
         del P_c
         res.alpha, res.P, res.h = alpha, P, h_c
-        if res.converged:
+        if settled:
             break
 
     return res

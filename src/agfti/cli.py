@@ -245,9 +245,7 @@ def train(container_path, mask_path, out, pred_path, diag_path, **kwargs):
     }
     _emit(json.dumps(report, indent=2, sort_keys=True), out)
     if pred_path is not None:
-        with open(pred_path, "w") as fh:
-            json.dump({"predictions": [int(p) for p in pred]}, fh)
-        click.echo(f"wrote {pred_path}")
+        _emit(json.dumps({"predictions": [int(p) for p in pred]}), pred_path)
     if diag_path is not None:
         _emit("\n".join(json.dumps(row, sort_keys=True)
                         for row in result.diagnostics), diag_path)

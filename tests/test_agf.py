@@ -13,14 +13,11 @@ from agfti.agf import (
     agreement_value,
     bound_rejects,
     compute_H,
-    fuse_aligned,
     grad_h,
-    inner_value,
     reduced_descent_direction,
     solve_inner_P,
     target_value,
     view_agreements,
-    weighted_fusion_input,
 )
 from agfti.graphs import zero_degree_anchors
 
@@ -28,7 +25,10 @@ from oracles import (
     agf_minmax_with_reference,
     cold_start,
     dense_bipartite_pieces,
+    fuse_aligned,
+    fusion_input_per_view,
     inner_solve,
+    inner_value,
     rand_row_stochastic,
     rand_simplex_interior,
     simplex_qp_oracle,
@@ -38,7 +38,7 @@ from oracles import (
 def h_exact(alpha, Zs, Ts, H, lam, beta):
     """h(alpha) under fixed H, via an exact inner maximization."""
     P = inner_solve(Zs, Ts, alpha, H, lam, beta)[0]
-    return inner_value(P, weighted_fusion_input(Zs, Ts, alpha), H, lam, beta)
+    return inner_value(P, fusion_input_per_view(Zs, Ts, alpha), H, lam, beta)
 
 
 def value_scale(P, Zt, H, lam, beta):
@@ -159,7 +159,7 @@ class TestTargetValue:
             H = compute_H(F, Q, rand_row_stochastic(rng, 40, 8))
             lam = float(V * V)
             alpha = rng.dirichlet(np.ones(V))
-            Zt = weighted_fusion_input(Zs, Ts, alpha)
+            Zt = fusion_input_per_view(Zs, Ts, alpha)
             P, t = inner_solve(Zs, Ts, alpha, H, lam, beta)
             for R in (P, rand_row_stochastic(rng, 40, 8)):
                 full = inner_value(R, Zt, H, lam, beta)
@@ -278,7 +278,9 @@ class TestAgfMinmax:
         res, ref = agf_minmax_with_reference(
             Zs, Ts, F, Q, lam=1.0, beta=4.0, alpha0=alpha0, P0=P0
         )
-        assert res.converged
+        # one H refresh and no weight step: one view has no descent direction
+        assert ref.converged
+        assert res.n_iter == 1 and res.steps == []
         assert np.array_equal(res.alpha, [1.0])
         assert np.allclose(res.P.sum(axis=1), 1.0, atol=1e-12)
         expected = inner_solve(Zs, Ts, res.alpha, ref.H, 1.0, 4.0)[0]
@@ -311,7 +313,8 @@ class TestAgfMinmax:
         Zs, Ts, F, Q = self._instance(rng, V=1)
         Zs, Ts = Zs * 3, Ts * 3
         res = agf_minmax(Zs, Ts, F, Q, 9.0, 4.0, *cold_start(Zs, Ts, 9.0, 4.0))
-        assert res.converged
+        # equal agreements leave no descent direction at the first step
+        assert res.n_iter == 1 and res.steps == []
         assert np.allclose(res.alpha, 1 / 3, atol=1e-12)
 
     def test_converges_and_returns_consistent_state(self):
@@ -322,7 +325,7 @@ class TestAgfMinmax:
         res, ref = agf_minmax_with_reference(
             Zs, Ts, F, Q, lam=lam, beta=beta, alpha0=alpha0, P0=P0
         )
-        assert res.converged
+        assert ref.converged
         assert res.n_iter <= 50
         assert abs(res.alpha.sum() - 1.0) <= 1e-10
         assert res.alpha.min() >= 0.0
@@ -378,7 +381,7 @@ class TestAgfMinmaxFrozenWeights:
             assert np.array_equal(res.P, P)
             assert res.h == target_value(P, t, beta)
             assert np.array_equal(res.alpha, alpha0)
-            assert res.converged
+            # stopped before any weight step
             assert res.n_iter == 0
             assert res.steps == []
             assert (res.evaluated, res.bound_rejected) == (0, 0)
@@ -419,7 +422,7 @@ class TestAgfMinmaxMatchesPerCandidateFusion:
         # every try is either valued in full or rejected by the bound
         assert res.evaluated + res.bound_rejected == ref.evaluated
         # h is the inner value at the returned state, as the solver reads it
-        Zt = weighted_fusion_input(Zs, Ts, res.alpha)
+        Zt = fusion_input_per_view(Zs, Ts, res.alpha)
         full = inner_value(res.P, Zt, ref.H, kw["lam"], kw["beta"])
         assert abs(res.h - full) <= 1e-12 * value_scale(
             res.P, Zt, ref.H, kw["lam"], kw["beta"]
@@ -589,8 +592,8 @@ class TestIdentityAlignmentsUnmultiplied:
             assert np.array_equal(res.alpha, ref.alpha)
             assert np.array_equal(res.P, ref.P)
             assert res.h == ref.h
-            assert (res.steps, res.level, res.n_iter, res.converged) == (
-                ref.steps, ref.level, ref.n_iter, ref.converged
+            assert (res.steps, res.level, res.n_iter) == (
+                ref.steps, ref.level, ref.n_iter
             )
             assert (res.evaluated, res.bound_rejected) == (
                 ref.evaluated, ref.bound_rejected

@@ -118,7 +118,10 @@ def test_train_reports_metrics(workspace):
     assert abs(sum(report["alpha"]) - 1.0) < 1e-9
 
     with open(pred_path) as fh:
-        preds = json.load(fh)["predictions"]
+        text = fh.read()
+    # written as --out and --diagnostics are, with a final newline
+    assert text.endswith("}\n")
+    preds = json.loads(text)["predictions"]
     assert len(preds) == 120
     assert set(preds) <= {0, 1, 2}
     # the flag says whether the unlabeled samples all got one class

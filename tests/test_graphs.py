@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 import agfti.harness
 import agfti.solver
-from agfti.agf import fuse_aligned, weighted_fusion_input
+from agfti.agf import weighted_fusion_input
 from agfti.graphs import _left_halves, bkhk_anchors, build_bipartite, pairwise_sq_dists
 
 from oracles import (
     _sq_dists,
     bkhk_anchors_recursive,
     build_bipartite_full_sort,
+    fuse_aligned,
     fusion_input_per_view,
     rand_orthogonal,
     rand_row_stochastic,

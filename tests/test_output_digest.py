@@ -45,6 +45,21 @@ def test_small_runs_repeat_and_name_every_workload():
         assert line.split()[-1] == "baselines=1"
 
 
+def test_settings_that_hash_nothing_are_refused():
+    # no problem would hash the empty input, the same digest for every tree
+    for args, message in (
+        (["--problems", "0"], "--problems must be at least 1, got 0"),
+        (["--seeds", ""], "--seeds names no seed"),
+        (["--seeds", "0,-1"], "--seeds must be at least 0, got -1"),
+    ):
+        refused = subprocess.run(
+            [sys.executable, str(SCRIPT), "--tree", str(ROOT), *args],
+            capture_output=True, text=True,
+        )
+        assert refused.returncode == 2
+        assert message in refused.stderr
+
+
 def solve_result(rng):
     """A SolveResult stand-in with one diagnostics record of every field."""
     record = {

@@ -53,6 +53,12 @@ def test_reps_run_the_grid_and_sum_every_solve():
         (["--anchors", "0"], "--anchors must be at least 1, got 0"),
         (["--anchors", "3"], "--anchors must be a power of two, got 3"),
         (["--anchors", "12"], "--anchors must be a power of two, got 12"),
+        (["--anchors", "4"], "--anchors must exceed the solver's 7 neighbours, got 4"),
+        (["--n-per-class", "5", "--anchors", "32"],
+         "--anchors 32 exceeds the 11 rows the sparsest view holds"),
+        (["--vmr", "1.5"], "--vmr must lie in [0, 1), got 1.5"),
+        (["--lar", "0"], "--lar must lie in (0, 1], got 0.0"),
+        (["--views", "1"], "--vmr must be 0 with --views 1"),
     ):
         refused = subprocess.run([sys.executable, str(SCRIPT), *SMALL, *args],
                                  capture_output=True, text=True)

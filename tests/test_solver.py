@@ -34,7 +34,7 @@ from agfti.solver import (
     update_multiplier,
 )
 from agfti.simplex import prox_rows
-from agfti.tensor3 import phi, tubal_shrink
+from agfti.tensor3 import tubal_shrink
 
 from oracles import (
     Tensor3,
@@ -44,6 +44,7 @@ from oracles import (
     missing_rows,
     perf_gain_dense,
     performance_gain,
+    phi,
     rand_orthogonal,
     rand_row_stochastic,
     simplex_qp_oracle,

@@ -34,3 +34,20 @@ def test_max_outer_iters_replaces_the_workloads_cap():
     refused = subprocess.run(cmd + ["0"], capture_output=True, text=True)
     assert refused.returncode != 0
     assert "max_outer_iters must be at least 1, got 0" in refused.stderr
+
+
+def test_unknown_workload_and_negative_indices_are_refused():
+    for args, message in (
+        (["--workload", "nope", "--seed", "1"],
+         "unknown --workload 'nope'; known: fuse-m256, frozen-v6, ablate-402"),
+        (["--workload", "frozen-v6", "--seed", "1", "--problem", "-1"],
+         "--problem must be at least 0, got -1"),
+        (["--workload", "frozen-v6", "--seed", "-1"],
+         "--seed must be at least 0, got -1"),
+    ):
+        refused = subprocess.run(
+            [sys.executable, str(SCRIPT), "--tree", str(ROOT), *args],
+            capture_output=True, text=True,
+        )
+        assert refused.returncode == 2
+        assert message in refused.stderr
